@@ -9,7 +9,9 @@ into the simulator at three injection points:
 * **time advance** — the scheduler reports simulated-time progress to
   every fault model before executing each operation, and models with
   pending events (Poisson arrivals on the cycle clock) perform their
-  disturbance accesses against the shared hierarchy;
+  disturbance accesses against the shared hierarchy (the injector skips
+  the fan-out until the earliest :meth:`FaultModel.next_event_at` is
+  due);
 * **TSC readout** — every ``ReadTSC`` result is routed through the
   models, which may add jitter or drift (Section VI-A's coarse AMD
   counter is the extreme case);
@@ -101,6 +103,16 @@ class FaultModel:
         """
         return 0.0
 
+    def next_event_at(self) -> float:
+        """Earliest ``now`` at which :meth:`on_time_advance` can act.
+
+        The injector skips the time-advance fan-out while simulated
+        time is below every model's answer.  The default is
+        conservative: a model declaring ``"time-advance"`` is called on
+        every advance (``-inf``), any other model never (``+inf``).
+        """
+        return -math.inf if "time-advance" in self.injection_points else math.inf
+
     def perturb_tsc(self, value: float) -> float:
         """Transform one TSC readout (jitter/drift models)."""
         return value
@@ -174,6 +186,9 @@ class PoissonFault(FaultModel):
         """Exponential inter-arrival gap in cycles."""
         return self.rng.expovariate(self.rate_per_mcycle / 1e6)
 
+    def next_event_at(self) -> float:
+        return self._next_at
+
     def on_time_advance(self, now: float) -> float:
         stall = 0.0
         while self._next_at <= now:
@@ -213,6 +228,9 @@ class FaultInjector:
             maxlen=self._EVENT_LOG_LIMIT
         )
         self._obs = for_injector(obs_active())
+        # Earliest time any model's time-advance hook can act; see
+        # FaultModel.next_event_at.
+        self._next_due = math.inf
 
     @property
     def active(self) -> bool:
@@ -249,6 +267,7 @@ class FaultInjector:
             if session is not None:
                 session.note_fault_model(model.name)
         self.models.append(model)
+        self._next_due = min(self._next_due, model.next_event_at())
         return model
 
     def attach_all(self, models: Sequence[FaultModel]) -> None:
@@ -262,7 +281,16 @@ class FaultInjector:
             self.event_log.append((at, stolen))
 
     def on_time_advance(self, now: float) -> float:
-        return sum(model.on_time_advance(now) for model in self.models)
+        # Called before every scheduled operation, but events are rare:
+        # skip the fan-out until some model's next event is due.  A
+        # skipped call is one where no model would have fired.
+        if now < self._next_due:
+            return 0.0
+        stall = sum(model.on_time_advance(now) for model in self.models)
+        self._next_due = min(
+            (model.next_event_at() for model in self.models), default=math.inf
+        )
+        return stall
 
     def stall_in_window(self, start: float, end: float) -> float:
         """Total handler cycles of events fired in ``(start, end]``.

@@ -352,6 +352,10 @@ class PolicyTables:
 #: Process-wide memo so every set of a cache shares one table object.
 _TABLE_CACHE: Dict[Tuple[Any, ...], PolicyTables] = {}
 
+#: Front of :data:`_TABLE_CACHE` keyed on the call's own arguments, so
+#: the repeat calls (one per cache set) skip the signature binding.
+_CALL_CACHE: Dict[Tuple[Any, ...], PolicyTables] = {}
+
 
 def _effective_parameters(
     policy_name: str, ways: int, kwargs: Dict[str, Any]
@@ -403,6 +407,14 @@ def compile_tables(
     non-default ``eager_budget``, so parameterized or defended variants
     never silently share interned tables.
     """
+    call_key = (policy_name, ways, eager_budget, tuple(sorted(kwargs.items())))
+    try:
+        return _CALL_CACHE[call_key]
+    except KeyError:
+        pass
+    except TypeError:
+        # An unhashable argument: the binding below reports it.
+        call_key = None
     if policy_name not in TABLEABLE_POLICIES:
         raise ConfigurationError(
             f"policy {policy_name!r} cannot be table-compiled; "
@@ -415,6 +427,8 @@ def compile_tables(
     if tables is None:
         tables = PolicyTables(policy_name, ways, eager_budget=budget, **kwargs)
         _TABLE_CACHE[key] = tables
+    if call_key is not None:
+        _CALL_CACHE[call_key] = tables
     return tables
 
 
@@ -428,6 +442,7 @@ def clear_table_cache() -> None:
     for tables in _TABLE_CACHE.values():
         tables._arrays = None
     _TABLE_CACHE.clear()
+    _CALL_CACHE.clear()
 
 
 class TabledPolicy(ReplacementPolicy):

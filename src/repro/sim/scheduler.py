@@ -58,53 +58,74 @@ class _SchedulerBase:
         sampling loop's sleeps absorb the handler time, while a sibling
         that never sleeps (the sender's tight encode loop) keeps its
         pace and only sees the cache pollution.
+
+        Callers skip this entirely while no fault model is attached.
         """
-        if self.faults is None or not self.faults.active:
-            return 0.0
-        self.faults.on_time_advance(now)
-        slept_from = getattr(thread, "_slept_from", None)
+        faults = self.faults
+        faults.on_time_advance(now)
+        slept_from = thread._slept_from
         if slept_from is None:
             return 0.0
         thread._slept_from = None
-        stall = self.faults.stall_in_window(slept_from, now)
+        stall = faults.stall_in_window(slept_from, now)
         if stall and self._obs is not None:
             self._obs.fault_stall_cycles.inc(int(stall))
         return stall
+
+    def _fault_models(self) -> Sequence:
+        """The live list of attached fault models (empty without faults)."""
+        return self.faults.models if self.faults is not None else ()
 
     def _execute(self, thread: SimThread, op, now: float) -> float:
         """Run one operation at time ``now``; return its cycle cost."""
         if self._obs is not None:
             self._obs.ops.inc()
-        if isinstance(op, ReadTSC):
-            reading = now
-            if self.faults is not None and self.faults.active:
-                reading = self.faults.perturb_tsc(now)
-            thread.deliver(reading)
-            return READ_TSC_COST
-        if isinstance(op, Access):
+        kind = type(op)
+        if kind not in _OP_KINDS:
+            kind = _op_kind(op)
+        # Most frequent first: the channel loops are access-dominated.
+        if kind is Access:
             outcome = self.hierarchy.access(
                 MemoryAccess(
-                    address=op.address,
-                    access_type=op.access_type,
-                    thread_id=thread.thread_id,
-                    address_space=thread.address_space,
-                    locked=op.locked,
-                    unlock=op.unlock,
-                    speculative=op.speculative,
+                    op.address,
+                    op.access_type,
+                    thread.thread_id,
+                    thread.address_space,
+                    op.locked,
+                    op.unlock,
+                    op.speculative,
                 ),
                 count=op.count,
             )
-            thread.deliver(outcome)
+            thread.pending_result = outcome
             return outcome.latency
-        if isinstance(op, Compute):
-            thread.deliver(None)
+        if kind is ReadTSC:
+            faults = self.faults
+            if faults is not None and faults.models:
+                now = faults.perturb_tsc(now)
+            thread.pending_result = now
+            return READ_TSC_COST
+        if kind is Compute:
+            thread.pending_result = None
             return op.cycles
-        if isinstance(op, SleepUntil):
-            thread.deliver(None)
-            if self.faults is not None and self.faults.active:
-                thread._slept_from = now
-            return max(0.0, op.cycle - now)
-        raise SimulationError(f"unknown operation {op!r}")
+        # SleepUntil
+        thread.pending_result = None
+        faults = self.faults
+        if faults is not None and faults.models:
+            thread._slept_from = now
+        return max(0.0, op.cycle - now)
+
+
+#: The operation types :meth:`_SchedulerBase._execute` dispatches on.
+_OP_KINDS = frozenset({Access, ReadTSC, Compute, SleepUntil})
+
+
+def _op_kind(op) -> type:
+    """The operation type a subclass instance dispatches as."""
+    for kind in (ReadTSC, Access, Compute, SleepUntil):
+        if isinstance(op, kind):
+            return kind
+    raise SimulationError(f"unknown operation {op!r}")
 
 
 class HyperThreadedScheduler(_SchedulerBase):
@@ -115,6 +136,13 @@ class HyperThreadedScheduler(_SchedulerBase):
     hierarchy.  A uniform arbitration jitter (0..``jitter`` cycles) is
     added to each operation's completion, modeling SMT issue competition
     and making interleavings stochastic, as on real SMT cores.
+
+    RNG draw order (part of the determinism contract): every step draws
+    one ``random()`` per alive thread, in thread-list order, as that
+    thread's tie-break against equal ``ready_at``; the earliest
+    ``(ready_at, draw)`` issues, the first one winning an exact tie.
+    Each executed operation then draws one more ``random()`` for its
+    jitter.
     """
 
     def __init__(
@@ -136,26 +164,48 @@ class HyperThreadedScheduler(_SchedulerBase):
 
         Returns the cycle time of the last completed operation.
         """
-        for thread in self.threads:
+        threads = self.threads
+        for thread in threads:
             if not thread.alive:
                 thread.start()
+        # This loop runs once per simulated operation: everything it
+        # touches per step is a local.  ``_execute`` is looked up on the
+        # instance so per-instance wrappers (the sanitizer) see every op.
+        rand = self.rng.random
+        jitter = self.jitter
+        execute = self._execute
+        models = self._fault_models()
         last_time = 0.0
         while True:
-            runnable = [t for t in self.threads if t.alive]
-            if not runnable:
+            thread = None
+            for candidate in threads:
+                if candidate.alive:
+                    ready = candidate.ready_at
+                    draw = rand()
+                    if thread is None or ready < now or (
+                        ready == now and draw < best_draw
+                    ):
+                        thread, now, best_draw = candidate, ready, draw
+            if thread is None:
                 break
-            thread = min(
-                runnable, key=lambda t: (t.ready_at, self.rng.random())
-            )
-            if until_cycle is not None and thread.ready_at >= until_cycle:
+            if until_cycle is not None and now >= until_cycle:
                 break
-            thread.ready_at += self._fault_wake_stall(thread, thread.ready_at)
-            op = thread.next_operation()
+            if models:
+                now += self._fault_wake_stall(thread, now)
+                thread.ready_at = now
+            try:
+                op = thread._program.send(thread.pending_result)
+            except StopIteration:
+                thread.alive = False
+                continue
+            thread.pending_result = None
             if op is None:
                 continue
-            cost = self._execute(thread, op, thread.ready_at)
-            thread.ready_at += cost + self.rng.uniform(0.0, self.jitter)
-            last_time = max(last_time, thread.ready_at)
+            # ``jitter * rand()`` is ``uniform(0.0, jitter)`` bit for bit.
+            now += execute(thread, op, now) + jitter * rand()
+            thread.ready_at = now
+            if now > last_time:
+                last_time = now
         return last_time
 
 
@@ -204,6 +254,7 @@ class TimeSlicedScheduler(_SchedulerBase):
         for thread in self.threads:
             if not thread.alive:
                 thread.start()
+        models = self._fault_models()
         now = 0.0
         index = 0
         while now < until_cycle and any(t.alive for t in self.threads):
@@ -217,9 +268,10 @@ class TimeSlicedScheduler(_SchedulerBase):
             # The thread resumes where it left off, but never in the past.
             thread.ready_at = max(thread.ready_at, now)
             while thread.alive and thread.ready_at < slice_end:
-                thread.ready_at += self._fault_wake_stall(
-                    thread, thread.ready_at
-                )
+                if models:
+                    thread.ready_at += self._fault_wake_stall(
+                        thread, thread.ready_at
+                    )
                 op = thread.next_operation()
                 if op is None:
                     break

@@ -44,6 +44,9 @@ class SimThread:
         self.alive = False
         self.pending_result: Any = None
         self._program: Optional[Program] = None
+        #: Cycle at which the thread went to sleep, while fault models
+        #: are attached; the scheduler charges wake stalls from it.
+        self._slept_from: Optional[float] = None
 
     def start(self, at_cycle: float = 0.0) -> None:
         """(Re)start the program from the beginning."""

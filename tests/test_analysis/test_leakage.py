@@ -382,6 +382,39 @@ class TestTableMemoization:
         default = compile_tables("lru", 4)
         assert small is not default
 
+    def test_repeat_calls_skip_signature_binding(self, monkeypatch):
+        from repro.replacement import tables as tables_module
+
+        binds = []
+        bind = tables_module._effective_parameters
+
+        def counting_bind(*args):
+            binds.append(args[0])
+            return bind(*args)
+
+        monkeypatch.setattr(tables_module, "_effective_parameters", counting_bind)
+        first = compile_tables("srrip", 4, rrpv_bits=2)
+        for _ in range(5):
+            assert compile_tables("srrip", 4, rrpv_bits=2) is first
+        assert binds == ["srrip"]
+        # A differently spelled call binds once, then shares the table.
+        assert compile_tables("srrip", 4) is first
+        assert binds == ["srrip", "srrip"]
+
+    def test_errors_repeat_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                compile_tables("lru", 4, wayz=7)
+            with pytest.raises(ConfigurationError):
+                compile_tables("srrip", 4, rrpv_bits=[2])
+            with pytest.raises(ConfigurationError):
+                compile_tables("no-such-policy", 4)
+
+    def test_clear_drops_the_call_memo(self):
+        before = compile_tables("tree-plru", 4)
+        clear_table_cache()
+        assert compile_tables("tree-plru", 4) is not before
+
 
 class TestMatrixContract:
     """analyze_matrix covers the registry and stays consistent with

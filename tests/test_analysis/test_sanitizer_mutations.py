@@ -14,7 +14,12 @@ from repro.analysis.sanitize import (
 )
 from repro.cache.cache_set import CacheSet
 from repro.common.errors import InvariantViolation
+from repro.faults import InterruptBurstFault
 from repro.replacement import make_policy
+from repro.sim.machine import Machine
+from repro.sim.ops import Access, Compute, ReadTSC, SleepUntil
+from repro.sim.specs import INTEL_E5_2690
+from repro.sim.thread import SimThread
 
 WAYS = 8
 
@@ -182,6 +187,51 @@ class TestSchedulerMutations:
         scheduler._execute(thread, "load", 100.0)
         scheduler.run()  # threads restart at cycle 0 for the next run
         scheduler._execute(thread, "load", 0.0)
+
+
+class TestRealSchedulerSeam:
+    """The real HT scheduler routes every op through the instance seam."""
+
+    def test_every_issued_op_passes_checked_execute(self):
+        machine = Machine(
+            INTEL_E5_2690,
+            rng=3,
+            sanitize=True,
+            faults=[InterruptBurstFault(rate_per_mcycle=500.0)],
+        )
+        issued = []
+
+        def program(name, rounds):
+            def run():
+                for i in range(rounds):
+                    issued.append(name)
+                    t = yield ReadTSC()
+                    issued.append(name)
+                    yield Access(64 * (i % 9))
+                    issued.append(name)
+                    yield Compute(15.0)
+                    issued.append(name)
+                    yield SleepUntil(t + 120.0)
+
+            return run
+
+        threads = [
+            SimThread("a", program("a", 40), thread_id=0),
+            SimThread("b", program("b", 25), thread_id=1),
+        ]
+        scheduler = machine.hyper_threaded(threads)
+        checked = scheduler._execute
+        assert checked.__name__ == "checked_execute"
+        seen = []
+
+        def counting_execute(thread, op, now):
+            seen.append(thread.name)
+            return checked(thread, op, now)
+
+        scheduler._execute = counting_execute
+        scheduler.run()
+        assert len(issued) == 4 * (40 + 25)
+        assert sorted(seen) == sorted(issued)
 
 
 class TestSanitizeFlag:

@@ -212,6 +212,8 @@ class TestCliFlagDrift:
         "--policy",
         "--eager-budget",
         "--json",
+        # python3 bench/run.py (the repository benchmark):
+        "--workload",
     }
 
     @pytest.mark.parametrize(

@@ -1,10 +1,14 @@
 """Tests for the hyper-threaded and time-sliced schedulers."""
 
+import random
+
 import pytest
 
 from repro.cache.config import HierarchyConfig
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import SimulationError
+from repro.faults import InterruptBurstFault, TSCFault
+from repro.faults.base import FaultInjector
 from repro.sim.ops import Access, Compute, ReadTSC, READ_TSC_COST, SleepUntil
 from repro.sim.scheduler import HyperThreadedScheduler, TimeSlicedScheduler
 from repro.sim.thread import SimThread
@@ -158,6 +162,148 @@ class TestHyperThreadedScheduler:
         HyperThreadedScheduler(h, [a, b], rng=1, jitter=0.0).run()
         # Thread b arrives after a's fill: it must hit.
         assert results["b"].l1_hit
+
+
+#: Issue sequence ``(thread, op type, ready_at)`` of the scenario in
+#: :class:`TestDrawOrderGolden`.  Any change to how the scheduler draws
+#: its arbitration noise, breaks ready_at ties, charges wake stalls or
+#: groups its float arithmetic shows up here.
+_GOLDEN_ISSUES = [
+    ("short", "Access", 0.0),
+    ("receiver", "ReadTSC", 0.0),
+    ("sender", "Access", 0.0),
+    ("receiver", "SleepUntil", 10.0),
+    ("receiver", "Access", 750.0),
+    ("short", "Compute", 200.0),
+    ("sender", "Compute", 200.0),
+    ("sender", "Access", 240.0),
+    ("sender", "Compute", 440.0),
+    ("sender", "Access", 480.0),
+    ("sender", "Compute", 680.0),
+    ("sender", "Access", 720.0),
+    ("sender", "Compute", 724.0),
+    ("receiver", "ReadTSC", 754.0),
+    ("sender", "Access", 764.0),
+    ("receiver", "SleepUntil", 764.0),
+    ("sender", "Compute", 768.0),
+    ("sender", "Access", 808.0),
+    ("sender", "Compute", 812.0),
+    ("sender", "Access", 852.0),
+    ("sender", "Compute", 856.0),
+    ("sender", "Access", 896.0),
+    ("sender", "Compute", 900.0),
+    ("receiver", "Access", 904.4991655483918),
+    ("receiver", "ReadTSC", 908.4991655483918),
+    ("receiver", "SleepUntil", 918.4991655483918),
+    ("sender", "Access", 940.0),
+    ("sender", "Compute", 944.0),
+    ("sender", "Access", 984.0),
+    ("sender", "Compute", 988.0),
+    ("sender", "Access", 1028.0),
+    ("sender", "Compute", 1032.0),
+    ("receiver", "Access", 1055.0638775244552),
+    ("receiver", "ReadTSC", 1059.0638775244552),
+    ("receiver", "SleepUntil", 1069.0638775244552),
+    ("sender", "Access", 1072.0),
+    ("sender", "Compute", 1076.0),
+    ("sender", "Access", 1116.0),
+    ("sender", "Compute", 1120.0),
+    ("sender", "Access", 1160.0),
+    ("sender", "Compute", 1164.0),
+    ("sender", "Access", 1204.0),
+    ("sender", "Compute", 1208.0),
+    ("receiver", "Access", 1208.9542750250516),
+    ("receiver", "ReadTSC", 1212.9542750250516),
+    ("receiver", "SleepUntil", 1222.9542750250516),
+    ("sender", "Access", 1248.0),
+    ("sender", "Compute", 1252.0),
+    ("sender", "Access", 1292.0),
+    ("sender", "Compute", 1296.0),
+    ("sender", "Access", 1336.0),
+    ("sender", "Compute", 1340.0),
+    ("receiver", "Access", 1364.1397317074247),
+    ("receiver", "ReadTSC", 1368.1397317074247),
+    ("receiver", "SleepUntil", 1378.1397317074247),
+    ("sender", "Access", 1380.0),
+    ("sender", "Compute", 1384.0),
+    ("sender", "Access", 1424.0),
+    ("sender", "Compute", 1428.0),
+    ("sender", "Access", 1468.0),
+    ("sender", "Compute", 1472.0),
+]
+
+
+class TestDrawOrderGolden:
+    """The HT scheduler's exact issue order and RNG consumption.
+
+    ``jitter=0.0`` makes ready_at ties common, so the per-step
+    tie-break draws decide the order; one thread finishes early, the
+    run is cut off by ``until_cycle``, and interrupt + TSC faults are
+    attached so wake stalls and perturbed sleep deadlines take part.
+    """
+
+    def _run(self):
+        def sender():
+            i = 0
+            while True:
+                yield Access(64 * (i % 3))
+                yield Compute(40.0)
+                i += 1
+
+        def receiver():
+            while True:
+                t = yield ReadTSC()
+                yield SleepUntil(t + 150.0)
+                yield Access(0)
+
+        def short():
+            yield Access(4096)
+            yield Compute(40.0)
+
+        h = make_hierarchy()
+        faults = FaultInjector(h, rng_source=lambda: random.Random(99))
+        faults.attach(InterruptBurstFault(rate_per_mcycle=2000.0, burst_length=2))
+        faults.attach(TSCFault(jitter_cycles=3.0, drift_ppm=100.0))
+        threads = [
+            SimThread("sender", sender, thread_id=0),
+            SimThread("receiver", receiver, thread_id=1),
+            SimThread("short", short, thread_id=2),
+        ]
+        scheduler = HyperThreadedScheduler(
+            h, threads, rng=1234, jitter=0.0, faults=faults
+        )
+        issues = []
+        execute = scheduler._execute
+
+        def recording_execute(thread, op, now):
+            issues.append((thread.name, type(op).__name__, now))
+            return execute(thread, op, now)
+
+        scheduler._execute = recording_execute
+        end = scheduler.run(until_cycle=1500.0)
+        return scheduler, faults, issues, end
+
+    def test_issue_sequence(self):
+        _, _, issues, _ = self._run()
+        assert issues == _GOLDEN_ISSUES
+
+    def test_return_value_and_fault_events(self):
+        _, faults, _, end = self._run()
+        assert end == 1521.7208180445618
+        assert list(faults.event_log) == [
+            (94.78771076215958, 600.0),
+            (579.3887648555828, 600.0),
+            (676.1689935371228, 600.0),
+        ]
+
+    def test_rng_consumption(self):
+        # Every draw is one ``random()``: one per alive thread per step,
+        # plus one jitter draw per executed op.
+        scheduler, _, _, _ = self._run()
+        reference = random.Random(1234)
+        for _ in range(195):
+            reference.random()
+        assert scheduler.rng.getstate() == reference.getstate()
 
 
 class TestTimeSlicedScheduler:

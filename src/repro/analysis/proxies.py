@@ -25,6 +25,7 @@ only slower (one snapshot + check per transition).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis.trace import AccessTrace
@@ -375,6 +376,68 @@ class SanitizingPolicy:
                 )
 
 
+def _checked_install(cache_set, install, way, tag, address, dirty):
+    """``install`` under the cache-level invariants of a sanitized set."""
+    guard = cache_set.policy  # the set's SanitizingPolicy holds its context
+    set_index, where, trace = guard._set_index, guard._where, guard._trace
+    line = cache_set.lines[way]
+    was_valid = line.valid
+    was_locked = line.locked
+    old_address = line.address
+    if was_valid and was_locked:
+        raise InvariantViolation(
+            f"{where}: fill evicts a locked line "
+            f"(tag={line.tag:#x})",
+            invariant="pl-lock-eviction",
+            set_index=set_index,
+            way=way,
+            trace=trace.tail(),
+        )
+    evicted = install(cache_set, way, tag, address, dirty=dirty)
+    expected = old_address if was_valid else None
+    if evicted != expected:
+        raise InvariantViolation(
+            f"{where}: install reported eviction of "
+            f"{evicted!r}, expected {expected!r}",
+            invariant="eviction-accounting",
+            set_index=set_index,
+            way=way,
+            trace=trace.tail(),
+        )
+    tags = [l.tag for l in cache_set.lines if l.valid]
+    if len(tags) != len(set(tags)):
+        raise InvariantViolation(
+            f"{where}: duplicate resident tag after install; "
+            "lookups are ambiguous",
+            invariant="duplicate-tag",
+            set_index=set_index,
+            way=way,
+            trace=trace.tail(),
+        )
+    trace.record(f"{where}.install(way={way}, tag={tag:#x})")
+    return evicted
+
+
+@functools.lru_cache(maxsize=None)
+def _checked_set_class(base: type) -> type:
+    """``base`` with :meth:`install` routed through the install checks.
+
+    The subclass adds no slots, so a live set can switch to it by class
+    assignment; its per-set context lives on the set's
+    :class:`SanitizingPolicy`.  Nothing is bound per instance, so a
+    sanitized set holds no reference cycle.
+    """
+
+    def install(self, way, tag, address, dirty=False):
+        return _checked_install(self, base.install, way, tag, address, dirty)
+
+    return type(
+        f"Checked{base.__name__}",
+        (base,),
+        {"__slots__": (), "install": install, "__module__": __name__},
+    )
+
+
 def sanitize_cache_set(
     cache_set,
     set_index: Optional[int] = None,
@@ -384,58 +447,16 @@ def sanitize_cache_set(
     """Wrap one :class:`~repro.cache.cache_set.CacheSet` in checks.
 
     The set's policy is replaced by a :class:`SanitizingPolicy` and its
-    ``install`` method is wrapped to enforce the cache-level invariants
-    (lock honoured, content bookkeeping balanced).  Idempotent.
+    class by a subclass whose ``install`` enforces the cache-level
+    invariants (lock honoured, content bookkeeping balanced).
+    Idempotent.
     """
-    if trace is None:
-        trace = AccessTrace()
     if isinstance(cache_set.policy, SanitizingPolicy):
         return cache_set
     cache_set.policy = SanitizingPolicy(
         cache_set.policy, set_index=set_index, trace=trace, label=label
     )
-    where = f"{label or 'cache'}[set {set_index}]"
-    original_install = cache_set.install
-
-    def checked_install(way, tag, address, dirty=False):
-        line = cache_set.lines[way]
-        was_valid = line.valid
-        was_locked = line.locked
-        old_address = line.address
-        if was_valid and was_locked:
-            raise InvariantViolation(
-                f"{where}: fill evicts a locked line "
-                f"(tag={line.tag:#x})",
-                invariant="pl-lock-eviction",
-                set_index=set_index,
-                way=way,
-                trace=trace.tail(),
-            )
-        evicted = original_install(way, tag, address, dirty=dirty)
-        expected = old_address if was_valid else None
-        if evicted != expected:
-            raise InvariantViolation(
-                f"{where}: install reported eviction of "
-                f"{evicted!r}, expected {expected!r}",
-                invariant="eviction-accounting",
-                set_index=set_index,
-                way=way,
-                trace=trace.tail(),
-            )
-        tags = [l.tag for l in cache_set.lines if l.valid]
-        if len(tags) != len(set(tags)):
-            raise InvariantViolation(
-                f"{where}: duplicate resident tag after install; "
-                "lookups are ambiguous",
-                invariant="duplicate-tag",
-                set_index=set_index,
-                way=way,
-                trace=trace.tail(),
-            )
-        trace.record(f"{where}.install(way={way}, tag={tag:#x})")
-        return evicted
-
-    cache_set.install = checked_install
+    cache_set.__class__ = _checked_set_class(type(cache_set))
     return cache_set
 
 

@@ -23,10 +23,10 @@ class CacheSet:
         policy: Replacement policy instance owned by this set.
     """
 
-    # ``install`` is a slot rather than a plain method so the runtime
-    # sanitizer can rebind it per instance (``repro.analysis.proxies``);
-    # it is bound to :meth:`_install_line` at construction.
-    __slots__ = ("ways", "policy", "lines", "install")
+    # The runtime sanitizer checks installs by swapping a sanitized set's
+    # class for a subclass overriding :meth:`install`
+    # (``repro.analysis.proxies``), so subclasses add no state there.
+    __slots__ = ("ways", "policy", "lines")
 
     def __init__(self, ways: int, policy: ReplacementPolicy):
         if policy.ways != ways:
@@ -36,7 +36,6 @@ class CacheSet:
         self.ways = ways
         self.policy = policy
         self.lines: List[CacheLine] = [CacheLine() for _ in range(ways)]
-        self.install = self._install_line
 
     def lookup(self, tag: int) -> Optional[int]:
         """Return the way holding ``tag``, or None on a miss."""
@@ -68,7 +67,7 @@ class CacheSet:
             return victim_for(domain, self.valid_mask())
         return self.policy.victim(self.valid_mask())
 
-    def _install_line(
+    def install(
         self, way: int, tag: int, address: int, dirty: bool = False
     ) -> Optional[int]:
         """Place a new line into ``way``; return the evicted address.

@@ -168,8 +168,13 @@ class CovertChannelProtocol:
         obs = self._obs
         session = self._session
 
+        # Ops that do not depend on a runtime value are built once.
+        read_tsc = ReadTSC()
+        silent = Compute(4.0)
+        gap = Compute(config.encode_gap)
+
         def program():
-            now = yield ReadTSC()
+            now = yield read_tsc
             for bit in message:
                 run.bit_boundaries.append(now)
                 run.sent_bits.append(bit)
@@ -184,9 +189,9 @@ class CovertChannelProtocol:
                     if not addresses:
                         # Bit 0: the sender stays silent but still burns
                         # the loop's bookkeeping time.
-                        yield Compute(4.0)
-                    yield Compute(config.encode_gap)
-                    now = yield ReadTSC()
+                        yield silent
+                    yield gap
+                    now = yield read_tsc
 
         return program
 
@@ -199,13 +204,14 @@ class CovertChannelProtocol:
         boundary observes.
         """
         channel = self.channel
+        pause = Compute(encode_period)
 
         def program():
             while True:
                 addresses = channel.sender_addresses(bit)
                 for address in addresses:
                     yield Access(address)
-                yield Compute(encode_period)
+                yield pause
 
         return program
 
@@ -219,12 +225,20 @@ class CovertChannelProtocol:
         """
         l1 = self.machine.spec.hierarchy.l1
         rng = make_rng(0xBEEF)
+        # One prebuilt op per working-set line: this thread issues most
+        # of a time-sliced run's operations.
+        accesses = [
+            Access((1 << 27) + line * l1.line_size)
+            for line in range(working_set_lines)
+        ]
+        pause = Compute(pace)
+        # ``choice`` draws exactly as ``randrange(len(accesses))`` does.
+        choice = rng.choice
 
         def program():
             while True:
-                line = rng.randrange(working_set_lines)
-                yield Access((1 << 27) + line * l1.line_size)
-                yield Compute(pace)
+                yield choice(accesses)
+                yield pause
 
         return program
 
@@ -243,22 +257,24 @@ class CovertChannelProtocol:
         faults = self.machine.faults
         obs = self._obs
         session = self._session
+        read_tsc = ReadTSC()
+        chase = [Access(address) for address in self.chain_addresses]
 
         def program():
             # Prime the pointer-chase chain once (uncounted warm-up).
             for address in self.chain_addresses:
                 yield Access(address, count=False)
-            t_last = yield ReadTSC()
+            t_last = yield read_tsc
             for sequence in range(num_samples):
                 for address in channel.init_addresses():
                     yield Access(address)
                 yield SleepUntil(t_last + config.tr)
-                t_last = yield ReadTSC()
+                t_last = yield read_tsc
                 for address in channel.decode_addresses():
                     yield Access(address)
                 total = 0.0
-                for address in self.chain_addresses:
-                    outcome = yield Access(address)
+                for op in chase:
+                    outcome = yield op
                     total += outcome.latency
                 outcome = yield Access(channel.probe_address)
                 total += outcome.latency

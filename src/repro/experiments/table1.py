@@ -11,10 +11,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.cache.cache_set import CacheSet
 from repro.common.rng import RngLike, make_rng, spawn_rng
 from repro.experiments.base import ExperimentResult, register
 from repro.replacement import make_policy
+from repro.replacement.base import ReplacementPolicy
+from repro.replacement.tables import (
+    EAGER_STATE_BUDGET,
+    TABLEABLE_POLICIES,
+    TabledPolicy,
+    estimated_state_count,
+)
 
 WAYS = 8
 #: "Line" identifiers: 0..7 are the base lines, 8 is the extra line
@@ -23,39 +29,24 @@ LINE_X = 100
 LINE_8 = 8
 
 
-class _SetModel:
-    """A single 8-way set tracking which logical line occupies which way."""
+def _line_stream(
+    sequence: int, condition: str, iterations: int, rng
+) -> List[int]:
+    """The logical lines one trial accesses, warm-up first, in order.
 
-    def __init__(self, policy_name: str, rng):
-        policy = make_policy(
-            policy_name, WAYS, **({"rng": rng} if policy_name == "random" else {})
-        )
-        self.set = CacheSet(WAYS, policy)
-        self._tags: Dict[int, int] = {}
-
-    def access(self, line: int) -> None:
-        """Access a logical line: hit updates state, miss replaces."""
-        way = self.set.lookup(line)
-        if way is not None:
-            self.set.touch(way, is_fill=False)
-            return
-        victim = self.set.choose_victim()
-        self.set.install(victim, tag=line, address=line)
-        self.set.touch(victim, is_fill=True)
-
-    def contains(self, line: int) -> bool:
-        return self.set.lookup(line) is not None
-
-
-def _warmup(model: _SetModel, condition: str, rng) -> None:
-    """Establish the paper's 'random' or 'sequential' initial condition."""
+    No draw depends on cache state, so the whole stream is drawn before
+    the set is simulated, in the same order the draws are consumed.
+    """
+    lines: List[int] = []
+    append = lines.append
+    draw = rng.random
     if condition == "random":
         # Random access order over lines 0-7 plus occasional others.
-        lines = list(range(8)) + [LINE_X]
+        choices = list(range(8)) + [LINE_X]
         for _ in range(32):
-            model.access(rng.choice(lines))
+            append(rng.choice(choices))
         # Ensure line 0 is resident so eviction is meaningful.
-        model.access(0)
+        append(0)
     else:
         # Sequential: lines 0-7 in order with 50%-probability insertions
         # of line x (the paper's Sequence-2-style warmup).  Two passes:
@@ -64,28 +55,56 @@ def _warmup(model: _SetModel, condition: str, rng) -> None:
         # erase the iteration-count dependence Table I measures).
         for _ in range(2):
             for line in range(8):
-                model.access(line)
-                if rng.random() < 0.5:
-                    model.access(LINE_X)
-
-
-def _run_sequence(model: _SetModel, sequence: int, rng) -> None:
-    """One loop iteration of Sequence 1 or Sequence 2."""
-    if sequence == 1:
-        for line in range(9):  # 0..8 in order
-            model.access(line)
-    else:
+                append(line)
+                if draw() < 0.5:
+                    append(LINE_X)
+    for _ in range(iterations):
+        if sequence == 1:
+            lines.extend(range(9))  # 0..8 in order
+            continue
         # 0..7 with 50%-probability insertions of x; the paper assumes
         # "line x will be accessed at least once", so force one
         # insertion if the coin flips all came up tails.
         inserted = False
         for line in range(8):
-            model.access(line)
-            if line < 7 and rng.random() < 0.5:
-                model.access(LINE_X)
+            append(line)
+            if line < 7 and draw() < 0.5:
+                append(LINE_X)
                 inserted = True
         if not inserted:
-            model.access(LINE_X)
+            append(LINE_X)
+    return lines
+
+
+def _line0_evicted(lines: List[int], policy: ReplacementPolicy) -> bool:
+    """Run ``lines`` through one empty 8-way set; is line 0 gone?
+
+    The controller's hit/fill rules on a ``line -> way`` map: a hit
+    touches its way, a miss fills the lowest invalid way while one is
+    left (ways fill in order and are never invalidated) and otherwise
+    replaces the policy's victim, and a fill updates the state through
+    ``on_fill`` where the policy has one.
+    """
+    touch = policy.touch
+    fill = getattr(policy, "on_fill", touch)
+    victim = policy.victim
+    way_of: Dict[int, int] = {}
+    resident: List[int] = []  # the line in each filled way
+    for line in lines:
+        way = way_of.get(line)
+        if way is not None:
+            touch(way)
+            continue
+        if len(resident) < WAYS:
+            way = len(resident)
+            resident.append(line)
+        else:
+            way = victim()
+            del way_of[resident[way]]
+            resident[way] = line
+        way_of[line] = way
+        fill(way)
+    return 0 not in way_of
 
 
 def eviction_probability(
@@ -96,16 +115,39 @@ def eviction_probability(
     trials: int = 2000,
     rng: RngLike = None,
 ) -> float:
-    """P(line 0 evicted after ``iterations`` loop passes)."""
+    """P(line 0 evicted after ``iterations`` loop passes).
+
+    Policies whose 8-way state space closes within the eager budget run
+    on the compiled tables (:class:`TabledPolicy`); true LRU (8! states,
+    grown lazily) and ``random`` (draws, no table) run the reference
+    policy.
+    """
+    if policy == "random":
+        reused = None
+    elif (
+        policy in TABLEABLE_POLICIES
+        and estimated_state_count(policy, WAYS) <= EAGER_STATE_BUDGET
+    ):
+        reused = TabledPolicy(WAYS, base=policy)
+    else:
+        reused = make_policy(policy, WAYS)
     master = make_rng(rng)
     evicted = 0
     for _ in range(trials):
         trial_rng = spawn_rng(master, "trial")
-        model = _SetModel(policy, spawn_rng(trial_rng, "policy"))
-        _warmup(model, condition, trial_rng)
-        for _ in range(iterations):
-            _run_sequence(model, sequence, trial_rng)
-        if not model.contains(0):
+        if reused is None:
+            set_policy = make_policy(
+                policy, WAYS, rng=spawn_rng(trial_rng, "policy")
+            )
+        else:
+            # The seed draw of spawn_rng(trial_rng, "policy"): every
+            # policy consumes the trial stream alike, though only
+            # ``random`` needs the policy stream itself.
+            trial_rng.getrandbits(64)
+            reused.reset()
+            set_policy = reused
+        lines = _line_stream(sequence, condition, iterations, trial_rng)
+        if _line0_evicted(lines, set_policy):
             evicted += 1
     return evicted / trials
 

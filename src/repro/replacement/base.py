@@ -8,8 +8,9 @@ replacement.
 
 Policies are deliberately unaware of addresses; they see only way indices.
 This keeps them bit-exact replicas of the hardware state machines they
-model and makes them independently testable (Table I reproduces directly
-on these classes).
+model and makes them independently testable.  Table I runs on them
+without a cache: its per-set loop drives a policy directly, compiled to
+tables (``repro.replacement.tables``) where the 8-way state space closes.
 """
 
 from __future__ import annotations

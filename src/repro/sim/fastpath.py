@@ -106,10 +106,10 @@ class FastCacheSet(CacheSet):
     def lookup(self, tag: int) -> Optional[int]:
         return self._tag_map.get(tag)
 
-    def _install_line(
+    def install(
         self, way: int, tag: int, address: int, dirty: bool = False
     ) -> Optional[int]:
-        # Body of CacheSet._install_line inlined (fills are the second
+        # Body of CacheSet.install inlined (fills are the second
         # hottest operation), plus the map maintenance.
         tag_map = self._tag_map
         line = self.lines[way]

@@ -75,9 +75,12 @@ class Machine:
         self.tsc = TimestampCounter(spec.tsc, rng=spawn_rng(self.rng, "tsc"))
         # The injector draws its RNG lazily on first attach, so a
         # fault-free machine consumes exactly the same seed stream as
-        # before the fault framework existed.
+        # before the fault framework existed.  The source closes over the
+        # RNG, not the machine, so a dead machine is freed by reference
+        # counting rather than left for the cycle collector.
+        rng = self.rng
         self.faults = FaultInjector(
-            self.hierarchy, rng_source=lambda: spawn_rng(self.rng, "faults")
+            self.hierarchy, rng_source=lambda: spawn_rng(rng, "faults")
         )
         if faults:
             self.faults.attach_all(faults)

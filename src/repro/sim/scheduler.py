@@ -251,34 +251,50 @@ class TimeSlicedScheduler(_SchedulerBase):
         A finished thread simply stops taking slices; the run continues
         until ``until_cycle`` or until every thread has finished.
         """
-        for thread in self.threads:
+        threads = self.threads
+        for thread in threads:
             if not thread.alive:
                 thread.start()
+        # As in HyperThreadedScheduler.run: the per-op loop touches only
+        # locals, and ``_execute`` is looked up on the instance so
+        # per-instance wrappers (the sanitizer) see every op.
+        execute = self._execute
+        slice_length = self._slice_length
+        obs = self._obs
+        switch_cost = self.switch_cost
         models = self._fault_models()
+        count = len(threads)
         now = 0.0
         index = 0
-        while now < until_cycle and any(t.alive for t in self.threads):
-            thread = self.threads[index % len(self.threads)]
+        while now < until_cycle and any(t.alive for t in threads):
+            thread = threads[index % count]
             index += 1
             if not thread.alive:
                 continue
-            if self._obs is not None:
-                self._obs.slices.inc()
-            slice_end = min(now + self._slice_length(), until_cycle)
+            if obs is not None:
+                obs.slices.inc()
+            slice_end = min(now + slice_length(), until_cycle)
             # The thread resumes where it left off, but never in the past.
-            thread.ready_at = max(thread.ready_at, now)
-            while thread.alive and thread.ready_at < slice_end:
+            ready = thread.ready_at
+            if ready < now:
+                ready = thread.ready_at = now
+            send = thread._program.send
+            while ready < slice_end:
                 if models:
-                    thread.ready_at += self._fault_wake_stall(
-                        thread, thread.ready_at
-                    )
-                op = thread.next_operation()
+                    ready += self._fault_wake_stall(thread, ready)
+                    thread.ready_at = ready
+                try:
+                    op = send(thread.pending_result)
+                except StopIteration:
+                    thread.alive = False
+                    break
+                thread.pending_result = None
                 if op is None:
                     break
-                cost = self._execute(thread, op, thread.ready_at)
-                thread.ready_at += cost
+                ready += execute(thread, op, ready)
+                thread.ready_at = ready
             # The core moves on at the end of the slice; a thread whose
             # last operation overran (or that is sleeping far ahead)
             # keeps its own ready_at and simply does nothing next slice.
-            now = slice_end + self.switch_cost
+            now = slice_end + switch_cost
         return now

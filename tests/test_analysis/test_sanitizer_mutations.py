@@ -16,6 +16,7 @@ from repro.cache.cache_set import CacheSet
 from repro.common.errors import InvariantViolation
 from repro.faults import InterruptBurstFault
 from repro.replacement import make_policy
+from repro.sim.fastpath import FastCacheSet
 from repro.sim.machine import Machine
 from repro.sim.ops import Access, Compute, ReadTSC, SleepUntil
 from repro.sim.specs import INTEL_E5_2690
@@ -152,6 +153,18 @@ class TestCacheSetMutations:
             cache_set.install(way, 0x100 + n, 0x10000 + n * 64)
             cache_set.touch(way, is_fill=True)
 
+    def test_fast_set_installs_are_checked(self):
+        cache_set = sanitize_cache_set(
+            FastCacheSet(4, make_policy("tree-plru", 4)), set_index=2
+        )
+        assert isinstance(cache_set, FastCacheSet)
+        cache_set.install(0, 0x10, 0x1000)
+        assert cache_set.lookup(0x10) == 0
+        with pytest.raises(InvariantViolation) as excinfo:
+            cache_set.install(1, 0x10, 0x1000)
+        assert excinfo.value.invariant == "duplicate-tag"
+        assert excinfo.value.set_index == 2
+
     def test_sanitize_cache_set_is_idempotent(self):
         cache_set = self._sanitized_set()
         policy = cache_set.policy
@@ -230,6 +243,51 @@ class TestRealSchedulerSeam:
 
         scheduler._execute = counting_execute
         scheduler.run()
+        assert len(issued) == 4 * (40 + 25)
+        assert sorted(seen) == sorted(issued)
+
+
+    def test_every_time_sliced_op_passes_checked_execute(self):
+        machine = Machine(
+            INTEL_E5_2690,
+            rng=3,
+            sanitize=True,
+            faults=[InterruptBurstFault(rate_per_mcycle=500.0)],
+        )
+        issued = []
+
+        def program(name, rounds):
+            def run():
+                for i in range(rounds):
+                    issued.append(name)
+                    t = yield ReadTSC()
+                    issued.append(name)
+                    yield Access(64 * (i % 9))
+                    issued.append(name)
+                    yield Compute(15.0)
+                    if i % 5 == 4:
+                        yield None  # ends the slice; not an op
+                    issued.append(name)
+                    yield SleepUntil(t + 120.0)
+
+            return run
+
+        threads = [
+            SimThread("a", program("a", 40), thread_id=0),
+            SimThread("b", program("b", 25), thread_id=1),
+        ]
+        scheduler = machine.time_sliced(threads, quantum=300.0, switch_cost=20.0)
+        checked = scheduler._execute
+        assert checked.__name__ == "checked_execute"
+        seen = []
+
+        def counting_execute(thread, op, now):
+            seen.append(thread.name)
+            return checked(thread, op, now)
+
+        scheduler._execute = counting_execute
+        scheduler.run(until_cycle=1e9)
+        assert not any(thread.alive for thread in threads)
         assert len(issued) == 4 * (40 + 25)
         assert sorted(seen) == sorted(issued)
 

@@ -306,6 +306,212 @@ class TestDrawOrderGolden:
         assert scheduler.rng.getstate() == reference.getstate()
 
 
+#: Issue sequence ``(thread, op type, ready_at)`` of the time-sliced
+#: scenario in :class:`TestTimeSlicedGolden`, without faults.  Recorded
+#: before the time-sliced loop was rewritten; any change to slice
+#: lengths, the ``ready_at`` bookkeeping or the slice-ending rules
+#: (finished thread, yielded ``None``) shows up here.
+_TS_GOLDEN_ISSUES = [
+    ('sleeper', 'ReadTSC', 0.0),
+    ('sleeper', 'SleepUntil', 10.0),
+    ('finisher', 'Access', 561.5411464876875),
+    ('finisher', 'Compute', 761.5411464876875),
+    ('finisher', 'Access', 911.5411464876875),
+    ('finisher', 'Compute', 1111.5411464876875),
+    ('yielder', 'Access', 1178.247550633554),
+    ('yielder', 'Compute', 1378.247550633554),
+    ('yielder', 'Access', 1498.247550633554),
+    ('sleeper', 'Access', 1800.0),
+    ('sleeper', 'ReadTSC', 1804.0),
+    ('sleeper', 'SleepUntil', 1814.0),
+    ('finisher', 'Access', 2204.8263007288015),
+    ('finisher', 'Compute', 2404.8263007288015),
+    ('finisher', 'Access', 2554.8263007288015),
+    ('finisher', 'Compute', 2558.8263007288015),
+    ('finisher', 'Access', 2708.8263007288015),
+    ('finisher', 'Compute', 2712.8263007288015),
+    ('yielder', 'Compute', 2806.3801720687525),
+    ('yielder', 'Access', 2926.3801720687525),
+    ('yielder', 'Compute', 3126.3801720687525),
+    ('sleeper', 'Access', 3604.0),
+    ('sleeper', 'ReadTSC', 3608.0),
+    ('sleeper', 'SleepUntil', 3618.0),
+    ('finisher', 'Access', 4087.509623390604),
+    ('finisher', 'Compute', 4091.509623390604),
+    ('yielder', 'Access', 4624.434130197561),
+    ('yielder', 'Compute', 4824.434130197561),
+    ('yielder', 'Access', 4944.434130197561),
+    ('yielder', 'Compute', 4948.434130197561),
+    ('sleeper', 'Access', 5408.0),
+    ('sleeper', 'ReadTSC', 5412.0),
+    ('sleeper', 'SleepUntil', 5422.0),
+    ('yielder', 'Access', 5688.210536269677),
+    ('yielder', 'Compute', 5692.210536269677),
+    ('yielder', 'Access', 6989.648623791733),
+    ('yielder', 'Compute', 6993.648623791733),
+    ('yielder', 'Access', 7113.648623791733),
+    ('yielder', 'Compute', 7117.648623791733),
+    ('yielder', 'Access', 7237.648623791733),
+    ('yielder', 'Compute', 7241.648623791733),
+    ('sleeper', 'Access', 7799.0465732069815),
+    ('sleeper', 'ReadTSC', 7803.0465732069815),
+    ('sleeper', 'SleepUntil', 7813.0465732069815),
+    ('yielder', 'Access', 8425.338333118485),
+    ('yielder', 'Compute', 8429.338333118485),
+    ('yielder', 'Access', 8549.338333118485),
+    ('yielder', 'Compute', 8553.338333118485),
+    ('yielder', 'Access', 8673.338333118485),
+    ('yielder', 'Compute', 8677.338333118485),
+]
+
+#: The same scenario with interrupt + TSC faults attached: the sleeper's
+#: wake-ups take the wake-stall path.
+_TS_GOLDEN_FAULT_ISSUES = [
+    ('sleeper', 'ReadTSC', 0.0),
+    ('sleeper', 'SleepUntil', 10.0),
+    ('finisher', 'Access', 561.5411464876875),
+    ('finisher', 'Compute', 761.5411464876875),
+    ('finisher', 'Access', 911.5411464876875),
+    ('finisher', 'Compute', 1111.5411464876875),
+    ('yielder', 'Access', 1178.247550633554),
+    ('yielder', 'Compute', 1378.247550633554),
+    ('yielder', 'Access', 1498.247550633554),
+    ('sleeper', 'Access', 2400.0),
+    ('finisher', 'Access', 2204.8263007288015),
+    ('finisher', 'Compute', 2404.8263007288015),
+    ('finisher', 'Access', 2554.8263007288015),
+    ('finisher', 'Compute', 2558.8263007288015),
+    ('finisher', 'Access', 2708.8263007288015),
+    ('finisher', 'Compute', 2712.8263007288015),
+    ('yielder', 'Compute', 2806.3801720687525),
+    ('yielder', 'Access', 2926.3801720687525),
+    ('yielder', 'Compute', 3126.3801720687525),
+    ('sleeper', 'ReadTSC', 3602.2456684865015),
+    ('sleeper', 'SleepUntil', 3612.2456684865015),
+    ('finisher', 'Access', 4087.509623390604),
+    ('finisher', 'Compute', 4091.509623390604),
+    ('yielder', 'Access', 4624.434130197561),
+    ('yielder', 'Compute', 4824.434130197561),
+    ('yielder', 'Access', 4944.434130197561),
+    ('yielder', 'Compute', 4948.434130197561),
+    ('sleeper', 'Access', 5403.029658601741),
+    ('sleeper', 'ReadTSC', 5407.029658601741),
+    ('sleeper', 'SleepUntil', 5417.029658601741),
+    ('yielder', 'Access', 5688.210536269677),
+    ('yielder', 'Compute', 5692.210536269677),
+    ('yielder', 'Access', 6989.648623791733),
+    ('yielder', 'Compute', 6993.648623791733),
+    ('yielder', 'Access', 7113.648623791733),
+    ('yielder', 'Compute', 7117.648623791733),
+    ('yielder', 'Access', 7237.648623791733),
+    ('yielder', 'Compute', 7241.648623791733),
+    ('sleeper', 'Access', 7799.0465732069815),
+    ('sleeper', 'ReadTSC', 7803.0465732069815),
+    ('sleeper', 'SleepUntil', 7813.0465732069815),
+    ('yielder', 'Access', 8425.338333118485),
+    ('yielder', 'Compute', 8429.338333118485),
+    ('yielder', 'Access', 8549.338333118485),
+    ('yielder', 'Compute', 8553.338333118485),
+    ('yielder', 'Access', 8673.338333118485),
+    ('yielder', 'Compute', 8677.338333118485),
+]
+
+
+class TestTimeSlicedGolden:
+    """The time-sliced scheduler's exact issue order and RNG consumption.
+
+    Three threads share the core: a sleeper whose sleeps span several
+    slices, a thread that finishes in the middle of a slice, and one
+    that yields ``None`` (ending its slice early) every third round.
+    """
+
+    def _run(self, with_faults=False):
+        def sleeper():
+            while True:
+                t = yield ReadTSC()
+                yield SleepUntil(t + 1800.0)
+                yield Access(0)
+
+        def finisher():
+            for i in range(6):
+                yield Access(64 * (i % 3))
+                yield Compute(150.0)
+
+        def yielder():
+            i = 0
+            while True:
+                yield Access(4096 + 64 * (i % 4))
+                yield Compute(120.0)
+                if i % 3 == 2:
+                    yield None
+                i += 1
+
+        h = make_hierarchy()
+        faults = None
+        if with_faults:
+            faults = FaultInjector(h, rng_source=lambda: random.Random(99))
+            faults.attach(
+                InterruptBurstFault(rate_per_mcycle=400.0, burst_length=2)
+            )
+            faults.attach(TSCFault(jitter_cycles=3.0, drift_ppm=100.0))
+        threads = [
+            SimThread("sleeper", sleeper, thread_id=0),
+            SimThread("finisher", finisher, thread_id=1),
+            SimThread("yielder", yielder, thread_id=2),
+        ]
+        scheduler = TimeSlicedScheduler(
+            h,
+            threads,
+            quantum=600.0,
+            switch_cost=50.0,
+            quantum_jitter_frac=0.3,
+            rng=4321,
+            faults=faults,
+        )
+        issues = []
+        execute = scheduler._execute
+
+        def recording_execute(thread, op, now):
+            issues.append((thread.name, type(op).__name__, now))
+            return execute(thread, op, now)
+
+        slices = []
+        slice_length = scheduler._slice_length
+
+        def counting_slice_length():
+            slices.append(len(issues))
+            return slice_length()
+
+        scheduler._execute = recording_execute
+        scheduler._slice_length = counting_slice_length
+        end = scheduler.run(until_cycle=9000.0)
+        return scheduler, faults, issues, len(slices), end
+
+    def test_issue_sequence(self):
+        _, _, issues, _, _ = self._run()
+        assert issues == _TS_GOLDEN_ISSUES
+
+    def test_fault_issue_sequence(self):
+        _, faults, issues, _, _ = self._run(with_faults=True)
+        assert issues == _TS_GOLDEN_FAULT_ISSUES
+        assert list(faults.event_log) == [
+            (473.9385538107979, 600.0),
+            (2896.9438242779142, 600.0),
+            (3380.844967685614, 600.0),
+        ]
+
+    @pytest.mark.parametrize("with_faults", [False, True])
+    def test_slices_return_value_and_rng(self, with_faults):
+        # One ``uniform`` (one ``random()``) per slice, nothing else.
+        scheduler, _, _, slices, end = self._run(with_faults)
+        assert slices == 15
+        assert end == 9050.0
+        reference = random.Random(4321)
+        for _ in range(slices):
+            reference.random()
+        assert scheduler.rng.getstate() == reference.getstate()
+
+
 class TestTimeSlicedScheduler:
     def test_alternates_threads_by_quantum(self):
         h = make_hierarchy()

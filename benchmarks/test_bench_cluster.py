@@ -19,9 +19,6 @@ adding client errors.  The bench records what
 * ``p99_ms`` / ``p50_ms`` — per-request tail and median through the
   router (absolute values are machine-bound; the check requires their
   presence and a positive tail);
-* ``hedge_win_rate`` — hedge wins / hedged requests, which must stay a
-  valid rate in ``[0, 1]`` (healthy clusters hedge rarely, so 0.0 is
-  the common committed value);
 * ``failover_added_ms`` — p99 delta between the post-kill batch and
   the last healthy (warm) batch, recorded so regressions in failover
   cost are visible in review even though the check only requires the
@@ -222,10 +219,6 @@ def test_bench_cluster_route(benchmark, tmp_path):
     for report in reports + [failover]:
         assert_exact(report)
 
-    counters = harness.router.metrics.snapshot()["counters"]
-    hedged = counters.get("cluster.requests.hedged", 0)
-    hedge_wins = counters.get("cluster.hedge.wins", 0)
-
     cold = reports[0].summary()
     benchmark.extra_info["workload"] = "cluster-route"
     benchmark.extra_info["nodes"] = NODES
@@ -239,7 +232,4 @@ def test_bench_cluster_route(benchmark, tmp_path):
     benchmark.extra_info["p99_ms"] = cold["p99_ms"]
     benchmark.extra_info["failover_added_ms"] = round(
         failover.p99_ms - warm.p99_ms, 3
-    )
-    benchmark.extra_info["hedge_win_rate"] = (
-        round(hedge_wins / hedged, 4) if hedged else 0.0
     )

@@ -40,9 +40,8 @@ every check works on *ratios*, which are host-relative:
   ``extra_info``, from ``benchmarks/test_bench_cluster.py``) must
   record zero ``client_errors`` across its healthy and post-kill
   batches (the fabric's contract, host-independent), a positive
-  ``p99_ms``, a ``hedge_win_rate`` inside ``[0, 1]``, and a numeric
-  ``failover_added_ms`` (sign and magnitude are host-bound, so only
-  presence is policed).
+  ``p99_ms``, and a numeric ``failover_added_ms`` (sign and magnitude
+  are host-bound, so only presence is policed).
 
 When both files are *leakage reports* instead (canonical JSON from
 ``python -m repro.analysis leakage --json``, recognizable by their
@@ -164,11 +163,9 @@ def check_cluster(name, extra):
     """Human-readable line plus pass/fail for one cluster bench."""
     client_errors = extra.get("client_errors")
     p99_ms = extra.get("p99_ms")
-    hedge_win_rate = extra.get("hedge_win_rate")
     failover_added_ms = extra.get("failover_added_ms")
     line = (
         f"{name}: client errors {client_errors}, p99 {p99_ms} ms, "
-        f"hedge win rate {hedge_win_rate}, "
         f"failover added {failover_added_ms} ms"
     )
     failed = False
@@ -177,12 +174,6 @@ def check_cluster(name, extra):
         failed = True
     if not isinstance(p99_ms, (int, float)) or p99_ms <= 0:
         line += "  P99 NOT RECORDED"
-        failed = True
-    if (
-        not isinstance(hedge_win_rate, (int, float))
-        or not 0.0 <= hedge_win_rate <= 1.0
-    ):
-        line += "  HEDGE WIN RATE INVALID"
         failed = True
     if not isinstance(failover_added_ms, (int, float)):
         line += "  FAILOVER COST NOT RECORDED"

@@ -347,7 +347,6 @@ def _cmd_serve(
     burst: int = 50,
     backend: str = "inline",
     timeout: float = None,
-    retries: int = 1,
     sanitize: bool = False,
     cache_dir: str = "service-cache",
     drain_timeout: float = 10.0,
@@ -374,7 +373,6 @@ def _cmd_serve(
             burst=burst,
             backend=backend,
             timeout_seconds=timeout,
-            retries=retries,
             sanitize=sanitize,
             cache_dir=cache_dir,
             drain_timeout=drain_timeout,
@@ -415,16 +413,15 @@ def _cmd_request(
     ways: int = 4,
     defense: str = "none",
     trials: int = 0,
-    peers: str = None,
 ) -> int:
     import json
 
-    from repro.common.errors import ClusterError, ServiceError
-    from repro.service.client import ServiceClient, roundtrip_over_peers
+    from repro.common.errors import ServiceError
+    from repro.service.client import ServiceClient
 
-    if not peers and port < 1:
-        print("request: --port is required (see `serve` output), or "
-              "--peers for a peer list", file=sys.stderr)
+    if port < 1:
+        print("request: --port is required (see `serve` or `route` "
+              "output)", file=sys.stderr)
         return 2
     if not (ping or stats or analyze) and not experiment_id:
         print("request: need an experiment id (or --ping/--stats/"
@@ -452,19 +449,9 @@ def _cmd_request(
     if refresh:
         payload["refresh"] = True
     try:
-        if peers:
-            from repro.cluster.membership import Membership
-
-            membership = Membership.from_spec(peers)
-            response = roundtrip_over_peers(
-                [peer.address for peer in membership],
-                payload,
-                timeout=timeout,
-            )
-        else:
-            with ServiceClient(host, port, timeout=timeout) as client:
-                response = client.roundtrip(payload)
-    except (OSError, ClusterError, ServiceError) as error:
+        with ServiceClient(host, port, timeout=timeout) as client:
+            response = client.roundtrip(payload)
+    except (OSError, ServiceError) as error:
         print(f"request: {error}", file=sys.stderr)
         return 1
     print(json.dumps(response, indent=2, sort_keys=True))
@@ -760,14 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget per execution attempt (default: none)",
-    )
-    serve_parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="extra attempts per failing execution (default: 1)",
+        help="wall-clock budget per execution (default: none)",
     )
     serve_parser.add_argument(
         "--sanitize",
@@ -829,8 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="MS",
-        help="end-to-end budget for this request; the server stops "
-        "retrying (and refuses to start) once it would overrun",
+        help="end-to-end budget for this request; the server refuses "
+        "to start work that would overrun it",
     )
     request_parser.add_argument(
         "--refresh",
@@ -887,14 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-trial batch request: the positional id names a "
         "channel algorithm (alg1/alg2) and the server runs N lockstep "
         "transfers through the vectorized batch engine",
-    )
-    request_parser.add_argument(
-        "--peers",
-        metavar="SPEC",
-        default=None,
-        help="comma-separated [name=]host:port peer list; the request "
-        "retries across the list with jittered backoff instead of "
-        "failing on one dead node (replaces --host/--port)",
     )
     route_parser = sub.add_parser(
         "route",
@@ -1020,7 +992,6 @@ def main(argv: list = None) -> int:
             burst=args.burst,
             backend=args.backend,
             timeout=args.timeout,
-            retries=args.retries,
             sanitize=args.sanitize,
             cache_dir=args.cache_dir,
             drain_timeout=args.drain_timeout,
@@ -1041,7 +1012,6 @@ def main(argv: list = None) -> int:
             ways=args.ways,
             defense=args.defense,
             trials=args.trials,
-            peers=args.peers,
         )
     if args.command == "route":
         return _cmd_route(

@@ -1,7 +1,7 @@
-"""Cluster chaos: seeded node-level faults for the fabric test suite.
+"""Cluster chaos: node-level faults for the fabric test suite.
 
-Extends the PR-5/PR-6 chaos story across node boundaries.  The faults a
-*cluster* can exhibit that a single node cannot:
+Extends the executor and service chaos planes across node boundaries.
+The faults a *cluster* can exhibit that a single node cannot:
 
 * **node death** — a whole service process vanishes mid-request (the
   in-process suite calls :meth:`ExperimentService.abort`, the
@@ -9,97 +9,32 @@ Extends the PR-5/PR-6 chaos story across node boundaries.  The faults a
   mid-frame disconnects and the router must fail over;
 * **peer-link partition** — the router can no longer reach one peer
   even though the peer is alive (severed link, not a dead node); the
-  transport refuses the connection attempt immediately;
-* **slow-peer stalls** — a request to a peer stalls for a configured
-  window before being sent, modelling a wedged accept queue or a
-  congested link; this is what hedged backup requests exist for.
+  transport refuses the connection attempt immediately.
 
-Like every chaos plane in this repo, decisions are *seeded and
-scheduling-order-free*: each (kind, identity) pair hashes
-``{seed}:{kind}:{identity}`` with SHA-256 into its own RNG draw, so a
-chaos run replays exactly from its seed regardless of request
-interleaving.
+Node death needs no configuration here (the harness kills the node).
+The partition set is static, so a chaos run replays exactly: the same
+requests fail over to the same replicas every run.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, Tuple
-
-from repro.common.rng import make_rng
+from typing import Tuple
 
 
 @dataclass(frozen=True)
 class ClusterChaosConfig:
-    """Seeded fault plan for the cluster fabric (tests only).
+    """Fault plan for the cluster fabric (tests only).
 
     Args:
-        seed: Master chaos seed; every decision derives from it.
         partitioned: Peer names whose link *from the router* is severed
             for the whole run — connection attempts fail instantly, the
             way a dropped route fails, while the node itself stays
-            healthy.  Static (not probabilistic) so the acceptance
-            suite's replay story is exact: the same requests fail over
-            to the same replicas every run.
-        slow_peer: Probability that one request to a non-partitioned
-            peer stalls ``stall_seconds`` before the frame is sent.
-        stall_seconds: Length of one injected stall.
-        only_peers: When non-empty, stalls only strike these peers —
-            the way to build one guaranteed-slow node.
+            healthy.
     """
 
-    seed: int = 0
     partitioned: Tuple[str, ...] = ()
-    slow_peer: float = 0.0
-    stall_seconds: float = 0.0
-    only_peers: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not 0.0 <= self.slow_peer <= 1.0:
-            raise ValueError(
-                f"slow_peer must be in [0, 1], got {self.slow_peer}"
-            )
-        if self.stall_seconds < 0:
-            raise ValueError(
-                f"stall_seconds must be >= 0, got {self.stall_seconds}"
-            )
-
-    def _draw(self, kind: str, identity: str) -> float:
-        digest = hashlib.sha256(
-            f"{self.seed}:{kind}:{identity}".encode()
-        ).digest()
-        return make_rng(int.from_bytes(digest[:8], "big")).random()
 
     def is_partitioned(self, peer_name: str) -> bool:
         """Is the router→peer link severed for the whole run?"""
         return peer_name in self.partitioned
-
-    def decide_stall(self, peer_name: str, sequence: int) -> bool:
-        """Should the ``sequence``-th request to this peer stall?"""
-        if not self.slow_peer or self.stall_seconds <= 0:
-            return False
-        if self.only_peers and peer_name not in self.only_peers:
-            return False
-        return (
-            self._draw("slow-peer", f"{peer_name}:{sequence}")
-            < self.slow_peer
-        )
-
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "partitioned": list(self.partitioned),
-            "slow_peer": self.slow_peer,
-            "stall_seconds": self.stall_seconds,
-            "only_peers": list(self.only_peers),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ClusterChaosConfig":
-        data = dict(data)
-        data["partitioned"] = tuple(data.get("partitioned", ()))
-        data["only_peers"] = tuple(data.get("only_peers", ()))
-        return cls(**data)

@@ -10,16 +10,12 @@ like one unusually durable node:
   ring to an ordered preference list: R replicas first, every other
   node as a last resort (any node *can* compute any key; replicas are
   merely where the cache is warm);
-* **failover** — a peer that refuses (rejected / shed / draining) or
-  fails at the transport level (dead node, severed link, timeout) is
-  struck from the attempt list and the next preference takes over,
-  all inside the client's original deadline budget;
-* **hedging** — when a primary has not answered within an adaptive
-  delay (≈ p99 of recent latencies, see :mod:`repro.cluster.hedge`),
-  the same request is fired at the backup replica and the first clean
-  answer wins; the loser is cancelled.  Identical requests are
-  idempotent here — both experiments and analyses are deterministic —
-  so duplicated execution costs time, never correctness;
+* **failover** — the one place a request is retried: each preference
+  entry gets exactly one attempt, and a peer that refuses (rejected /
+  shed / draining) or fails at the transport level (dead node, severed
+  link, timeout past ``request_timeout``) hands over to the next, all
+  inside the client's original deadline budget.  A slow but alive peer
+  is waited for, never duplicated;
 * **anti-entropy** — a ``degraded=true`` answer is returned to the
   client immediately (degraded-is-better-than-down, PR-6's contract)
   *and* queued for repair: a replica computes the exact result and
@@ -41,7 +37,6 @@ from repro.common.deadline import Deadline, deadline_from_ms
 from repro.common.errors import PeerUnavailable
 from repro.cluster.chaos import ClusterChaosConfig
 from repro.cluster.health import HealthMonitor
-from repro.cluster.hedge import HedgePolicy, LatencyTracker
 from repro.cluster.membership import Membership
 from repro.cluster.repair import AntiEntropyRepairer
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
@@ -80,12 +75,9 @@ class RouterConfig:
         health_timeout: Budget for one health ping.
         breaker_failures: Consecutive failures that open a peer breaker.
         breaker_reset: Base seconds before an open breaker probes.
-        hedge_multiplier / hedge_min_delay / hedge_max_delay /
-        hedge_warmup / hedge_initial: See
-            :class:`~repro.cluster.hedge.HedgePolicy`.
         repair_queue_depth: Bound on queued anti-entropy repairs.
         trace_depth: Span-tree depth for the router's ObsSession.
-        chaos: Optional seeded fault plan (tests only).
+        chaos: Optional static partition plan (tests only).
     """
 
     host: str = "127.0.0.1"
@@ -99,11 +91,6 @@ class RouterConfig:
     health_timeout: float = 1.0
     breaker_failures: int = 2
     breaker_reset: float = 2.0
-    hedge_multiplier: float = 1.5
-    hedge_min_delay: float = 0.01
-    hedge_max_delay: float = 1.0
-    hedge_warmup: int = 20
-    hedge_initial: float = 0.1
     repair_queue_depth: int = 64
     trace_depth: int = 64
     chaos: Optional[ClusterChaosConfig] = field(default=None, repr=False)
@@ -129,7 +116,7 @@ def routing_key(request: Request) -> str:
 
 
 class ClusterRouter:
-    """One router process: listener, breakers, hedger, repairer.
+    """One router process: listener, breakers, repairer.
 
     Args:
         config: Router tunables.
@@ -162,15 +149,6 @@ class ClusterRouter:
             )
             for index, peer in enumerate(membership)
         }
-        self.tracker = LatencyTracker()
-        self.hedge = HedgePolicy(
-            self.tracker,
-            multiplier=config.hedge_multiplier,
-            min_delay=config.hedge_min_delay,
-            max_delay=config.hedge_max_delay,
-            warmup=config.hedge_warmup,
-            initial=config.hedge_initial,
-        )
         self.health = HealthMonitor(
             membership,
             self.transport,
@@ -339,7 +317,6 @@ class ClusterRouter:
                 name: breaker.state
                 for name, breaker in self.breakers.items()
             },
-            "hedge_delay_ms": round(self.hedge.delay() * 1000, 3),
             "metrics": self.metrics.snapshot(),
             "peers": dict(probed),
         }
@@ -389,7 +366,7 @@ class ClusterRouter:
         # Known-open breakers go to the back of the line: they are
         # still *tried* if everything healthier fails (the health view
         # can be stale), but never before a peer believed alive.
-        remaining = [
+        order = [
             name
             for name in preference
             if self.breakers[name].state != "open"
@@ -399,66 +376,15 @@ class ClusterRouter:
             if self.breakers[name].state == "open"
         ]
         last_refusal: Optional[Dict] = None
-        first_attempt = True
-        while remaining:
+        for index, name in enumerate(order):
             if deadline is not None and deadline.expired:
                 break
-            if not first_attempt:
+            if index:
                 self.metrics.counter("cluster.requests.failover").inc()
-            first_attempt = False
-            primary = remaining[0]
-            backup = remaining[1] if len(remaining) > 1 else None
-            response, winner, failed = await self._race(
-                payload, primary, backup, deadline
-            )
-            for name in failed:
-                if name in remaining:
-                    remaining.remove(name)
-            if response is None:
-                continue
-            if response.get("status") in REFUSAL_STATUSES:
-                last_refusal = response
-                if winner in remaining:
-                    remaining.remove(winner)
-                continue
-            self.metrics.counter(
-                "cluster.requests.routed", label=winner
-            ).inc()
-            if response.get("degraded"):
-                self.metrics.counter("cluster.responses.degraded").inc()
-                donors = [name for name in preference if name != winner]
-                self.repairer.schedule(
-                    response.get("cache_key", ""),
-                    payload,
-                    winner,
-                    donors,
-                )
-            return response
-        if last_refusal is not None:
-            return last_refusal
-        return error_response(
-            "no peer could serve the request", request.request_id
-        )
-
-    async def _race(
-        self,
-        payload: Dict,
-        primary: str,
-        backup: Optional[str],
-        deadline: Optional[Deadline],
-    ) -> Tuple[Optional[Dict], Optional[str], List[str]]:
-        """One attempt round: primary, hedged backup, first winner.
-
-        Returns ``(response, winner_name, failed_names)``; response is
-        None when every racer failed at the transport level.
-        """
-
-        async def attempt(name: str) -> Tuple[str, Dict]:
-            peer = self.membership.get(name)
             breaker = self.breakers[name]
             try:
-                response, elapsed = await self.transport.request(
-                    peer,
+                response, _ = await self.transport.request(
+                    self.membership.get(name),
                     self._attempt_payload(payload, deadline),
                     timeout=self._attempt_timeout(deadline),
                 )
@@ -467,43 +393,26 @@ class ClusterRouter:
                 self.metrics.counter(
                     "cluster.peer.failures", label=name
                 ).inc()
-                raise
+                continue
             breaker.record_success()
-            self.tracker.observe(elapsed)
-            return name, response
-
-        names: Dict[asyncio.Future, str] = {}
-        primary_task = asyncio.ensure_future(attempt(primary))
-        names[primary_task] = primary
-        tasks = {primary_task}
-        backup_task: Optional[asyncio.Task] = None
-        if backup is not None:
-            delay = self.hedge.delay()
-            if deadline is not None:
-                delay = min(delay, max(0.0, deadline.remaining()))
-            done, _ = await asyncio.wait({primary_task}, timeout=delay)
-            if not done:
-                self.metrics.counter("cluster.requests.hedged").inc()
-                backup_task = asyncio.ensure_future(attempt(backup))
-                names[backup_task] = backup
-                tasks.add(backup_task)
-        failed: List[str] = []
-        try:
-            while tasks:
-                done, tasks = await asyncio.wait(
-                    tasks, return_when=asyncio.FIRST_COMPLETED
+            if response.get("status") in REFUSAL_STATUSES:
+                last_refusal = response
+                continue
+            self.metrics.counter(
+                "cluster.requests.routed", label=name
+            ).inc()
+            if response.get("degraded"):
+                self.metrics.counter("cluster.responses.degraded").inc()
+                donors = [peer for peer in preference if peer != name]
+                self.repairer.schedule(
+                    response.get("cache_key", ""),
+                    payload,
+                    name,
+                    donors,
                 )
-                for task in done:
-                    if task.exception() is not None:
-                        failed.append(names[task])
-                        continue
-                    winner, response = task.result()
-                    if task is backup_task:
-                        self.metrics.counter("cluster.hedge.wins").inc()
-                    return response, winner, failed
-            return None, None, failed
-        finally:
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
+            return response
+        if last_refusal is not None:
+            return last_refusal
+        return error_response(
+            "no peer could serve the request", request.request_id
+        )

@@ -11,9 +11,7 @@ against the caller's budget, a mid-frame disconnect, an oversized or
 malformed response line — is normalized to
 :class:`~repro.common.errors.PeerUnavailable`, the single exception the
 failover loop handles.  The cluster chaos plane hooks in here: a
-partitioned peer's connect raises instantly, and a slow-peer stall
-awaits (asynchronously — other requests keep flowing) before the frame
-is sent.
+partitioned peer's connect raises instantly.
 """
 
 from __future__ import annotations
@@ -48,9 +46,6 @@ class PeerTransport:
         self.connect_timeout = connect_timeout
         self.request_timeout = request_timeout
         self.chaos = chaos
-        # Per-peer request counter, feeding the chaos plane's seeded
-        # per-request stall decisions.
-        self._sequences: Dict[str, int] = {}
 
     async def request(
         self,
@@ -64,16 +59,10 @@ class PeerTransport:
             PeerUnavailable: On any transport-level failure — the
                 caller's cue to fail over.
         """
-        sequence = self._sequences.get(peer.name, 0)
-        self._sequences[peer.name] = sequence + 1
         if self.chaos is not None and self.chaos.is_partitioned(peer.name):
             raise PeerUnavailable(
                 f"link to peer {peer.name!r} is partitioned"
             )
-        if self.chaos is not None and self.chaos.decide_stall(
-            peer.name, sequence
-        ):
-            await asyncio.sleep(self.chaos.stall_seconds)
         budget = self.request_timeout if timeout is None else timeout
         if budget <= 0:
             raise PeerUnavailable(

@@ -29,7 +29,6 @@ from repro.common.stats import (
     percentile,
     threshold_classify,
 )
-from repro.common.retry import retry_with_backoff
 from repro.common.rng import make_rng, spawn_rng
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "MemoryAccess",
     "ReproError",
     "SimulationError",
-    "retry_with_backoff",
     "edit_distance",
     "edit_operations",
     "make_rng",

@@ -1,12 +1,11 @@
 """End-to-end deadlines: one absolute time budget shared by every layer.
 
 Per-attempt timeouts compose badly: a request that allows 3 attempts of
-10 s each plus two 5 s backoff sleeps can legally take 40 s even though
-the caller needed an answer in 15.  A :class:`Deadline` is the absolute
-form of the budget — "this work is worthless after T" — created once at
-the edge (a service request, a CLI invocation) and *propagated* down
-through the retry loop (:func:`repro.common.retry.retry_with_backoff`),
-the experiment runner's attempt budgets
+10 s each can legally take 30 s even though the caller needed an answer
+in 15.  A :class:`Deadline` is the absolute form of the budget — "this
+work is worthless after T" — created once at the edge (a service
+request, a CLI invocation) and *propagated* down through the router's
+failover attempts, the experiment runner's attempt loop
 (:meth:`~repro.experiments.runner.ExperimentRunner.run_one`), and across
 process boundaries to supervised workers.  Each layer shrinks its own
 timeout to what remains instead of stacking budgets.
@@ -61,10 +60,6 @@ class Deadline:
     @property
     def expired(self) -> bool:
         return self.clock() >= self.expires_at
-
-    def would_overrun(self, duration: float) -> bool:
-        """True when sleeping/working ``duration`` seconds blows the budget."""
-        return duration > self.remaining()
 
     def bound(self, timeout: Optional[float]) -> float:
         """Shrink a per-attempt timeout to what the deadline allows.

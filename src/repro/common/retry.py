@@ -1,109 +1,21 @@
-"""Retry-with-backoff helper for stochastic or flaky operations.
+"""Full-jitter backoff draws shared by the recovery loops.
 
-The resilient experiment runner retries failing experiments with
-rotated seeds; this module holds the generic retry loop so it can be
-unit-tested on its own and reused anywhere (benchmark harnesses,
-checkpoint IO on contended filesystems).
-
-Backoff supports *full jitter* (AWS architecture-blog style): instead of
-every caller sleeping exactly ``base * 2**n``, the sleep is drawn
-uniformly from ``[0, base * 2**n]``.  Without it, parallel workers that
-fail together (a shared resource hiccup, a chaos-injected crash wave)
-retry together forever; jitter decorrelates the herd.  The jitter RNG is
-seeded through :mod:`repro.common.rng` so retry schedules stay
-reproducible from a seed like everything else in this package.
+*Full jitter* (AWS architecture-blog style): instead of every caller
+sleeping exactly ``base * 2**n``, the sleep is drawn uniformly from
+``[0, base * 2**n]``.  Without it, parallel workers that fail together
+(a shared resource hiccup, a chaos-injected crash wave) retry together
+forever; jitter decorrelates the herd.  The supervised executor's
+worker-respawn throttle draws through here (the circuit breaker's probe
+delay follows the same argument) from an RNG seeded through
+:mod:`repro.common.rng`, so its schedule stays reproducible from a seed
+like everything else in this package.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Optional, Tuple, Type, TypeVar
-
-from repro.common.deadline import Deadline
-from repro.common.rng import RngLike, make_rng
-
-T = TypeVar("T")
-
 
 def full_jitter(delay: float, rng) -> float:
-    """One full-jitter draw: uniform in ``[0, delay]``.
-
-    Exposed on its own so other backoff loops (the supervised executor's
-    worker-respawn throttle) share the exact same jitter semantics.
-    """
+    """One full-jitter draw: uniform in ``[0, delay]``."""
     if delay <= 0:
         return 0.0
     return rng.uniform(0.0, delay)
-
-
-def retry_with_backoff(
-    fn: Callable[[int], T],
-    attempts: int = 3,
-    base_delay: float = 0.1,
-    max_delay: float = 2.0,
-    retry_on: Tuple[Type[BaseException], ...] = (Exception,),
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Optional[Callable[[int, BaseException], None]] = None,
-    jitter: RngLike = None,
-    deadline: Optional[Deadline] = None,
-) -> T:
-    """Call ``fn(attempt)`` until it succeeds, backing off exponentially.
-
-    Args:
-        fn: The operation; receives the zero-based attempt index so
-            callers can rotate seeds or vary parameters per attempt.
-        attempts: Total tries (first call included); must be >= 1.
-        base_delay: Sleep before the first retry, in seconds; each
-            further retry doubles it, capped at ``max_delay``.
-        max_delay: Upper bound for one backoff sleep.
-        retry_on: Exception classes worth retrying; anything else
-            propagates immediately.
-        sleep: Injection point for tests (receives the delay).
-        on_retry: Optional callback invoked as ``on_retry(attempt,
-            error)`` after a failed attempt that will be retried.
-        jitter: When not ``None``, apply full jitter: each sleep is
-            drawn uniformly from ``[0, current_delay]`` using an RNG
-            made by :func:`repro.common.rng.make_rng` from this seed
-            (or the RNG itself), so parallel workers that fail in
-            lockstep do not also retry in lockstep.
-        deadline: Optional overall budget for the whole retry loop.
-            After a failed attempt, if the deadline has expired — or the
-            next backoff sleep would overrun it — the last error is
-            raised instead of retrying, so per-attempt retries compose
-            with an end-to-end deadline instead of exceeding it.  The
-            check happens between attempts only; a running attempt is
-            never interrupted (that is the timeout layer's job).
-
-    Returns:
-        The first successful ``fn`` result.
-
-    Raises:
-        ValueError: If ``attempts`` < 1 or delays are negative.
-        The last error, if every attempt fails.
-    """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    if base_delay < 0 or max_delay < 0:
-        raise ValueError("delays must be >= 0")
-    rng = make_rng(jitter) if jitter is not None else None
-    delay = base_delay
-    for attempt in range(attempts):
-        try:
-            return fn(attempt)
-        except retry_on as error:
-            if attempt == attempts - 1:
-                raise
-            if deadline is not None and deadline.expired:
-                raise
-            bounded = min(delay, max_delay) if delay > 0 else 0.0
-            pause = (
-                full_jitter(bounded, rng) if rng is not None else bounded
-            )
-            if deadline is not None and deadline.would_overrun(pause):
-                raise
-            if on_retry is not None:
-                on_retry(attempt, error)
-            if pause > 0:
-                sleep(pause)
-            delay = min(delay * 2, max_delay) if delay > 0 else 0.0
-    raise AssertionError("unreachable")  # pragma: no cover

@@ -15,7 +15,10 @@ experiment with:
 * **retry with seed rotation** — experiments whose run function takes
   an ``rng`` parameter are retried with a different seed each attempt,
   so a run that landed in a pathological noise realization gets a fresh
-  draw (same idea as re-running a flaky hardware measurement);
+  draw (same idea as re-running a flaky hardware measurement).  The
+  manifest records the seed that actually ran.  The service builds its
+  runner with ``retries=0``: a served answer must be the registered
+  seed's bytes, so there a failure is answered ``degraded`` instead;
 * **graceful degradation** — an experiment that still fails after its
   retries becomes a structured :class:`ExperimentFailure` in the
   report; the remaining experiments run normally and the process exit
@@ -60,7 +63,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.common.atomicio import atomic_write_text, quarantine_file
 from repro.common.deadline import Deadline
 from repro.common.errors import CheckpointCorruptWarning, ExperimentTimeout
-from repro.common.retry import retry_with_backoff
 from repro.experiments.base import EXPERIMENT_REGISTRY, ExperimentResult
 from repro.obs.manifest import RunManifest
 from repro.obs.session import ObsSession, active, observe
@@ -407,9 +409,9 @@ class ExperimentRunner:
             experiment_id: Registered experiment id.
             deadline: Optional end-to-end budget propagated from the
                 caller (a service request, a CLI flag).  Each attempt's
-                timeout is shrunk to the remaining budget, and the retry
-                loop stops early (raising the last error) once the
-                deadline is blown — the attempt/retry budgets compose
+                timeout is shrunk to the remaining budget, and no
+                further attempt starts (the last error is raised) once
+                the deadline has expired — the attempt budgets compose
                 with it instead of stacking past it.
 
         Raises whatever the final attempt raised (or
@@ -443,12 +445,16 @@ class ExperimentRunner:
             self._capture(experiment_id, session, rng_parameter, index)
             return result
 
-        return retry_with_backoff(
-            attempt,
-            attempts=self.retries + 1,
-            base_delay=0.0,
-            deadline=deadline,
-        )
+        index = 0
+        while True:
+            try:
+                return attempt(index)
+            except Exception:
+                index += 1
+                if index > self.retries or (
+                    deadline is not None and deadline.expired
+                ):
+                    raise
 
     def _run_attempt(
         self,

@@ -459,22 +459,6 @@ METRIC_CATALOG: Dict[str, MetricSpec] = dict(
             "refusal, timeout, or disconnect.",
         ),
         _spec(
-            "cluster.requests.hedged",
-            "counter",
-            "requests",
-            "repro.cluster.router",
-            "Backup requests fired at the next replica after the "
-            "adaptive p99 hedge delay elapsed with no primary answer.",
-        ),
-        _spec(
-            "cluster.hedge.wins",
-            "counter",
-            "requests",
-            "repro.cluster.router",
-            "Hedged backup requests that answered before the primary "
-            "(the primary attempt is cancelled).",
-        ),
-        _spec(
             "cluster.responses.degraded",
             "counter",
             "responses",

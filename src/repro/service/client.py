@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.common.errors import ServiceError
-from repro.common.retry import retry_with_backoff
 from repro.service.protocol import MAX_LINE_BYTES, encode_line
 
 
@@ -172,65 +171,3 @@ class ServiceClient:
     def stats(self) -> Dict:
         return self.roundtrip({"op": "stats"})
 
-
-def roundtrip_over_peers(
-    peers: Sequence[Tuple[str, int]],
-    payload: Dict,
-    timeout: float = 10.0,
-    attempts: Optional[int] = None,
-    base_delay: float = 0.05,
-    max_delay: float = 1.0,
-    jitter: int = 0,
-    sleep: Optional[Callable[[float], None]] = None,
-    on_retry: Optional[Callable] = None,
-) -> Dict:
-    """One request, retried with jittered backoff across a peer list.
-
-    A dead node becomes a retry at the next peer instead of a client
-    error: attempt ``i`` targets ``peers[i % len(peers)]`` on a fresh
-    connection, and transport failures (connect refusal, mid-frame
-    disconnect, malformed response) back off through
-    :func:`repro.common.retry.retry_with_backoff` with full jitter —
-    decorrelated, yet reproducible from the jitter seed.
-
-    Args:
-        peers: ``(host, port)`` pairs, typically from a membership
-            config (``peers.json`` / ``--peers``).
-        payload: The request object (one wire line).
-        timeout: Socket timeout per attempt.
-        attempts: Total tries; defaults to two passes over the list.
-        base_delay: First backoff sleep; doubles per retry up to
-            ``max_delay``.
-        max_delay: Upper bound for one backoff sleep.
-        jitter: Seed for the full-jitter draws.
-        sleep: Injection point for tests.
-        on_retry: Optional ``(attempt, error)`` callback per retry.
-
-    Raises:
-        ServiceError: When ``peers`` is empty, or (like ``OSError``)
-            when every attempt failed.
-    """
-    peer_list: List[Tuple[str, int]] = list(peers)
-    if not peer_list:
-        raise ServiceError("peer list is empty")
-    if attempts is None:
-        attempts = 2 * len(peer_list)
-
-    def one_attempt(attempt: int) -> Dict:
-        host, port = peer_list[attempt % len(peer_list)]
-        with ServiceClient(host, port, timeout=timeout) as client:
-            return client.roundtrip(payload)
-
-    kwargs: Dict = {}
-    if sleep is not None:
-        kwargs["sleep"] = sleep
-    return retry_with_backoff(
-        one_attempt,
-        attempts=attempts,
-        base_delay=base_delay,
-        max_delay=max_delay,
-        retry_on=(OSError, ServiceError),
-        jitter=jitter,
-        on_retry=on_retry,
-        **kwargs,
-    )

@@ -17,7 +17,7 @@ Execution itself happens off the loop, one single-thread executor per
 pool, through one of two backends:
 
 * ``inline`` — an :class:`~repro.experiments.runner.ExperimentRunner`
-  in the pool's thread: cheap, and still timeout/retry/deadline-aware;
+  in the pool's thread: cheap, and still timeout/deadline-aware;
 * ``supervised`` — each request becomes a one-task
   :class:`~repro.experiments.supervisor.SupervisedExecutor` batch in a
   real worker *process*: crashes (including chaos-injected or external
@@ -77,8 +77,10 @@ class ServiceConfig:
         backend: ``"inline"`` (runner in the pool thread) or
             ``"supervised"`` (one worker process per request via the
             supervised executor — survives SIGKILL).
-        timeout_seconds: Per-attempt wall-clock budget for executions.
-        retries: Extra attempts per failing execution.
+        timeout_seconds: Wall-clock budget for one execution.  Each
+            request runs once: a failure is the pool breaker's evidence
+            and the client gets a ``degraded`` answer, never a result
+            computed from another seed.
         sanitize: Run executions with the runtime sanitizer armed.
         breaker_failures: Consecutive failures that open a pool's
             circuit breaker.
@@ -111,7 +113,6 @@ class ServiceConfig:
     burst: int = 50
     backend: str = "inline"
     timeout_seconds: Optional[float] = None
-    retries: int = 1
     sanitize: bool = False
     breaker_failures: int = 3
     breaker_reset: float = 1.0
@@ -280,7 +281,7 @@ class InlineBackend:
 
         self.runner = ExperimentRunner(
             timeout_seconds=config.timeout_seconds,
-            retries=config.retries,
+            retries=0,
             sanitize=config.sanitize,
             registry=registry,
         )
@@ -376,14 +377,11 @@ class SupervisedBackend:
             timeout = remaining
         task_deadline = None
         if timeout is not None:
-            task_deadline = (
-                timeout * (config.retries + 1)
-                + ExperimentRunner.TASK_DEADLINE_GRACE
-            )
+            task_deadline = timeout + ExperimentRunner.TASK_DEADLINE_GRACE
         spec = (
             experiment_id,
             timeout,
-            config.retries,
+            0,
             config.sanitize,
             None if self.registry is None else self.registry[experiment_id],
             False,

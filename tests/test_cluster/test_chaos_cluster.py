@@ -9,6 +9,8 @@ reproduction's whole contract: any replica computes any key
 bit-identically, so *which* node answered is invisible in the results.
 """
 
+import asyncio
+import dataclasses
 import json
 import threading
 import time
@@ -16,7 +18,10 @@ import time
 import pytest
 
 from repro.cluster.chaos import ClusterChaosConfig
+from repro.cluster.membership import Peer
 from repro.cluster.router import routing_key
+from repro.cluster.transport import PeerTransport
+from repro.common.errors import PeerUnavailable
 from repro.service.loadgen import build_schedule, run_load
 from repro.service.protocol import parse_request
 
@@ -32,40 +37,44 @@ EXPECTED_ROWS = {
 
 
 class TestChaosConfig:
-    def test_decisions_replay_from_seed(self):
-        first = ClusterChaosConfig(
-            seed=9, slow_peer=0.3, stall_seconds=0.1
-        )
-        second = ClusterChaosConfig(
-            seed=9, slow_peer=0.3, stall_seconds=0.1
-        )
-        decisions = [
-            first.decide_stall("node1", sequence) for sequence in range(200)
-        ]
-        assert decisions == [
-            second.decide_stall("node1", sequence)
-            for sequence in range(200)
-        ]
-        assert any(decisions) and not all(decisions)
-
     def test_partition_is_static(self):
-        chaos = ClusterChaosConfig(seed=1, partitioned=("node1",))
+        chaos = ClusterChaosConfig(partitioned=("node1",))
         assert chaos.is_partitioned("node1")
         assert not chaos.is_partitioned("node0")
 
-    def test_round_trips_through_dict(self):
-        chaos = ClusterChaosConfig(
-            seed=3,
-            partitioned=("node2",),
-            slow_peer=0.5,
-            stall_seconds=0.25,
-            only_peers=("node0",),
-        )
-        assert ClusterChaosConfig.from_dict(chaos.to_dict()) == chaos
+    def test_default_plan_partitions_nothing(self):
+        chaos = ClusterChaosConfig()
+        assert chaos.partitioned == ()
+        assert not chaos.is_partitioned("node0")
 
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            ClusterChaosConfig(slow_peer=1.5)
+    def test_plan_is_immutable(self):
+        chaos = ClusterChaosConfig(partitioned=("node1",))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chaos.partitioned = ()
+
+
+class TestPartitionedTransport:
+    def _request(self, transport, name, timeout):
+        peer = Peer(name=name, host="127.0.0.1", port=9)
+        return asyncio.run(
+            transport.request(peer, {"op": "ping"}, timeout=timeout)
+        )
+
+    def test_partitioned_link_fails_before_any_connect(self):
+        transport = PeerTransport(
+            chaos=ClusterChaosConfig(partitioned=("node1",))
+        )
+        with pytest.raises(PeerUnavailable, match="partitioned"):
+            self._request(transport, "node1", timeout=5.0)
+
+    def test_other_links_reach_the_transport(self):
+        # A zero budget stops the attempt right after the partition
+        # check, so no socket is opened either way.
+        transport = PeerTransport(
+            chaos=ClusterChaosConfig(partitioned=("node1",))
+        )
+        with pytest.raises(PeerUnavailable, match="no budget"):
+            self._request(transport, "node0", timeout=0.0)
 
 
 def routed_total(router):
@@ -78,7 +87,7 @@ def run_acceptance_batch(cluster_factory, load_seed):
     """One full chaos batch; returns the LoadReport."""
     cluster = cluster_factory(
         router_kwargs={
-            "chaos": ClusterChaosConfig(seed=7, partitioned=("node1",)),
+            "chaos": ClusterChaosConfig(partitioned=("node1",)),
             "health_interval": 0.2,
             "seed": 7,
         }
@@ -150,10 +159,7 @@ class TestMidRequestKill:
     def test_kill_while_serving_fails_over(self, cluster_factory):
         registry = dict(fakes.FAST_REGISTRY)
         registry["sleepy"] = fakes.run_sleepy
-        cluster = cluster_factory(
-            registry=registry,
-            router_kwargs={"hedge_initial": 5.0, "hedge_warmup": 10**6},
-        )
+        cluster = cluster_factory(registry=registry)
         key = routing_key(
             parse_request(b'{"op": "run", "experiment_id": "sleepy"}\n')
         )
@@ -177,40 +183,3 @@ class TestMidRequestKill:
         assert response["degraded"] is False
         assert response["result"]["rows"] == [[2]]
 
-
-class TestSlowPeerHedging:
-    def test_hedge_rescues_a_stalling_primary(self, cluster_factory):
-        key = routing_key(
-            parse_request(b'{"op": "run", "experiment_id": "alpha"}\n')
-        )
-        # Compute placement up front so only the primary stalls.
-        from repro.cluster import Membership
-        from repro.cluster.ring import HashRing
-
-        names = ["node0", "node1", "node2"]
-        membership = Membership.from_spec(
-            ",".join(f"{n}=h:{7300 + i}" for i, n in enumerate(names))
-        )
-        primary = HashRing(membership.peers, replicas=2).preference(key)[0]
-        cluster = cluster_factory(
-            router_kwargs={
-                "chaos": ClusterChaosConfig(
-                    seed=3,
-                    slow_peer=1.0,
-                    stall_seconds=2.0,
-                    only_peers=(primary,),
-                ),
-                "hedge_initial": 0.05,
-                "health_interval": 30.0,
-            }
-        )
-        start = time.monotonic()
-        with cluster.client(timeout=30.0) as client:
-            response = client.request("alpha")
-        elapsed = time.monotonic() - start
-        assert response["status"] == "ok"
-        assert response["result"]["rows"] == [[22]]
-        assert elapsed < 1.5, "the hedged backup should answer first"
-        counters = cluster.router.metrics.snapshot()["counters"]
-        assert counters.get("cluster.requests.hedged", 0) >= 1
-        assert counters.get("cluster.hedge.wins", 0) >= 1

@@ -1,82 +1,14 @@
-"""Unit tests: latency tracking, hedge policy, health checks, repair
-queueing — each against fakes, no sockets."""
+"""Unit tests: health checks and repair queueing — each against fakes,
+no sockets."""
 
 import asyncio
 
-import pytest
-
-from repro.cluster.hedge import HedgePolicy, LatencyTracker
 from repro.cluster.health import HealthMonitor
 from repro.cluster.membership import Membership
 from repro.cluster.repair import AntiEntropyRepairer
 from repro.common.breaker import CircuitBreaker
 from repro.common.errors import PeerUnavailable
 from repro.obs.session import ObsSession
-
-
-class TestLatencyTracker:
-    def test_empty_window_p99_is_zero(self):
-        assert LatencyTracker().p99() == 0.0
-
-    def test_p99_tracks_the_tail(self):
-        tracker = LatencyTracker(window=200)
-        for _ in range(98):
-            tracker.observe(0.01)
-        tracker.observe(5.0)
-        tracker.observe(5.0)
-        # Nearest-rank p99 of 100 samples is the 99th — inside the
-        # two-sample tail.
-        assert tracker.p99() == 5.0
-
-    def test_window_slides(self):
-        tracker = LatencyTracker(window=10)
-        tracker.observe(9.0)
-        for _ in range(10):
-            tracker.observe(0.01)
-        assert tracker.p99() == 0.01
-
-    def test_negative_samples_ignored(self):
-        tracker = LatencyTracker()
-        tracker.observe(-1.0)
-        assert tracker.count == 0
-
-    def test_rejects_zero_window(self):
-        with pytest.raises(ValueError):
-            LatencyTracker(window=0)
-
-
-class TestHedgePolicy:
-    def test_initial_delay_during_warmup(self):
-        policy = HedgePolicy(LatencyTracker(), warmup=5, initial=0.25)
-        assert policy.delay() == 0.25
-
-    def test_tracks_p99_after_warmup(self):
-        tracker = LatencyTracker()
-        policy = HedgePolicy(
-            tracker,
-            multiplier=2.0,
-            min_delay=0.0,
-            max_delay=10.0,
-            warmup=3,
-        )
-        for _ in range(5):
-            tracker.observe(0.1)
-        assert policy.delay() == pytest.approx(0.2)
-
-    def test_clamped_to_bounds(self):
-        tracker = LatencyTracker()
-        policy = HedgePolicy(
-            tracker, min_delay=0.05, max_delay=0.5, warmup=1
-        )
-        tracker.observe(0.0001)
-        assert policy.delay() == 0.05
-        for _ in range(50):
-            tracker.observe(30.0)
-        assert policy.delay() == 0.5
-
-    def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            HedgePolicy(LatencyTracker(), min_delay=1.0, max_delay=0.5)
 
 
 class FakeTransport:

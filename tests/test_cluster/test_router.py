@@ -1,4 +1,4 @@
-"""Router behavior: placement, failover, hedging, anti-entropy.
+"""Router behavior: placement, failover, anti-entropy.
 
 Two layers of test: ``_route`` unit tests against a scripted fake
 transport (no sockets — exact control over refusals, failures, and
@@ -14,6 +14,7 @@ import pytest
 from repro.cluster import ClusterRouter, Membership, RouterConfig
 from repro.cluster.ring import HashRing
 from repro.cluster.router import routing_key
+from repro.common.deadline import Deadline
 from repro.common.errors import PeerUnavailable
 from repro.service.protocol import parse_request
 
@@ -56,7 +57,11 @@ class TestRoutingKey:
 
 
 class ScriptedTransport:
-    """Peer name -> async callable(payload) -> (response, elapsed)."""
+    """Peer name -> async callable(payload) -> (response, elapsed).
+
+    Honors the attempt budget the way the real transport does: a peer
+    still silent when ``timeout`` runs out is ``PeerUnavailable``.
+    """
 
     def __init__(self, behavior):
         self.behavior = behavior
@@ -64,7 +69,12 @@ class ScriptedTransport:
 
     async def request(self, peer, payload, timeout=None):
         self.calls.append(peer.name)
-        return await self.behavior[peer.name](dict(payload))
+        try:
+            return await asyncio.wait_for(
+                self.behavior[peer.name](dict(payload)), timeout
+            )
+        except asyncio.TimeoutError:
+            raise PeerUnavailable(f"{peer.name} did not answer in time")
 
 
 def ok_response(name, degraded=False, latency=0.0):
@@ -103,7 +113,6 @@ def make_router(behavior, **config_overrides):
         ",".join(f"{name}=h:{7001 + i}"
                  for i, name in enumerate(sorted(behavior)))
     )
-    config_overrides.setdefault("hedge_initial", 0.05)
     router = ClusterRouter(RouterConfig(**config_overrides), membership)
     router.transport = ScriptedTransport(behavior)
     return router
@@ -167,31 +176,100 @@ class TestRouteUnit:
             for breaker in router.breakers.values()
         )
 
-    def test_hedged_backup_wins_over_slow_primary(self):
+    def test_slow_but_alive_primary_gets_one_attempt(self):
         behavior = {name: ok_response(name) for name in "abc"}
-        router = make_router(behavior, hedge_initial=0.02)
+        router = make_router(behavior, request_timeout=2.0)
         order = router.ring.preference(routing_key(make_request(RUN)))
         router.transport.behavior[order[0]] = ok_response(
-            order[0], latency=1.0
+            order[0], latency=0.3
+        )
+        response = self._route(router, RUN)
+        assert response["result"] == {"from": order[0]}
+        assert router.transport.calls == [order[0]]
+        counters = router.metrics.snapshot()["counters"]
+        assert "cluster.requests.failover" not in counters
+
+    def test_primary_past_request_timeout_fails_over_in_budget(self):
+        behavior = {name: ok_response(name) for name in "abc"}
+        router = make_router(behavior, request_timeout=0.2)
+        order = router.ring.preference(routing_key(make_request(RUN)))
+        router.transport.behavior[order[0]] = ok_response(
+            order[0], latency=5.0
         )
         start = time.monotonic()
-        response = self._route(router, RUN)
+        response = self._route(router, dict(RUN, deadline_ms=2000))
         elapsed = time.monotonic() - start
         assert response["result"] == {"from": order[1]}
-        assert elapsed < 0.8, "hedge should beat the slow primary"
+        assert elapsed < 2.0, "failover must fit the client's budget"
+        assert router.transport.calls == order[:2]
         counters = router.metrics.snapshot()["counters"]
-        assert counters["cluster.requests.hedged"] == 1
-        assert counters["cluster.hedge.wins"] == 1
+        assert counters["cluster.requests.failover"] == 1
+        assert counters["cluster.peer.failures"] == {order[0]: 1}
 
-    def test_fast_primary_never_hedges(self):
-        router = make_router(
-            {name: ok_response(name) for name in "abc"},
-            hedge_initial=0.2,
-        )
+    def test_each_dead_peer_is_tried_exactly_once(self):
+        router = make_router({name: unavailable() for name in "abc"})
+        order = router.ring.preference(routing_key(make_request(RUN)))
         self._route(router, RUN)
+        assert router.transport.calls == order
         counters = router.metrics.snapshot()["counters"]
-        assert "cluster.requests.hedged" not in counters
-        assert len(router.transport.calls) == 1
+        assert counters["cluster.requests.failover"] == len(order) - 1
+
+    def test_refusing_peers_are_tried_exactly_once(self):
+        router = make_router({name: refuse("draining") for name in "abc"})
+        order = router.ring.preference(routing_key(make_request(RUN)))
+        response = self._route(router, RUN)
+        assert response["status"] == "draining"
+        assert router.transport.calls == order
+
+    def test_refusal_fails_over_without_a_breaker_failure(self):
+        behavior = {name: ok_response(name) for name in "abc"}
+        router = make_router(behavior)
+        order = router.ring.preference(routing_key(make_request(RUN)))
+        router.transport.behavior[order[0]] = refuse("rejected")
+        response = self._route(router, RUN)
+        assert response["result"] == {"from": order[1]}
+        assert router.transport.calls == order[:2]
+        # A refusal is an alive peer saying no: its breaker stays clean.
+        assert router.breakers[order[0]]._consecutive_failures == 0
+        counters = router.metrics.snapshot()["counters"]
+        assert counters["cluster.requests.failover"] == 1
+        assert "cluster.peer.failures" not in counters
+
+    def test_degraded_answer_is_not_failed_over(self):
+        behavior = {name: ok_response(name) for name in "abc"}
+        router = make_router(behavior)
+        order = router.ring.preference(routing_key(make_request(RUN)))
+        router.transport.behavior[order[0]] = ok_response(
+            order[0], degraded=True
+        )
+        response = self._route(router, RUN)
+        assert response["result"] == {"from": order[0]}
+        assert router.transport.calls == [order[0]]
+
+    def test_failover_attempt_carries_only_the_remaining_budget(self):
+        seen = []
+
+        async def record_then_fail(payload):
+            seen.append(payload.get("deadline_ms"))
+            await asyncio.sleep(0.05)
+            raise PeerUnavailable("scripted failure")
+
+        router = make_router({name: record_then_fail for name in "abc"})
+        response = self._route(router, dict(RUN, deadline_ms=2000))
+        assert response["status"] == "error"
+        assert len(seen) == 3
+        assert all(0 < budget <= 2000 for budget in seen)
+        assert seen == sorted(seen, reverse=True)
+        assert seen[0] - seen[-1] >= 90, "each hop re-derives the budget"
+
+    def test_attempt_timeout_is_request_timeout_capped_by_deadline(self):
+        router = make_router(
+            {name: ok_response(name) for name in "ab"},
+            request_timeout=3.0,
+        )
+        assert router._attempt_timeout(None) == 3.0
+        assert router._attempt_timeout(Deadline.after(60.0)) == 3.0
+        assert router._attempt_timeout(Deadline.after(0.5)) <= 0.5
 
     def test_degraded_answer_schedules_repair(self):
         behavior = {name: ok_response(name) for name in "abc"}
@@ -292,6 +370,31 @@ class TestClusterIntegration:
             forwarded += counters.get("cluster.requests.forwarded", 0)
         assert forwarded >= 1
 
+    def test_failure_on_registered_seed_is_degraded_not_rotated(
+        self, cluster_factory
+    ):
+        registry = dict(fakes.FAST_REGISTRY, flaky=fakes.run_flaky)
+        cluster = cluster_factory(node_count=2, registry=registry)
+        with cluster.client() as client:
+            response = client.request("flaky")
+        assert response["status"] == "ok"
+        assert response["degraded"] is True
+        assert response["error"]["type"] == "RuntimeError"
+        # The degraded answer queues a repair; the donor replica fails
+        # the same way, so nothing is backfilled.
+        deadline = time.monotonic() + 10.0
+        while (
+            cluster.router.repairer.processed < 1
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.05)
+        counters = cluster.router.metrics.snapshot()["counters"]
+        assert counters.get("cluster.repairs.failed") == 1
+        for service in cluster.services.values():
+            assert service.pools[0].breaker._consecutive_failures == 1
+            key = service._key_for("flaky")
+            assert service.cache.get_payload(key) is None
+
 
 def find_primary(names, experiment_id):
     """Placement for an experiment, computed without a live cluster."""
@@ -317,7 +420,7 @@ class TestAntiEntropy:
         broken_registry["alpha"] = fakes.run_alpha_boom
         cluster = cluster_factory(
             per_node_registry={broken: broken_registry},
-            node_kwargs={"breaker_failures": 1, "retries": 0},
+            node_kwargs={"breaker_failures": 1},
             router_kwargs={"health_interval": 0.2},
         )
         # Trip the broken node's pool breaker with direct requests so

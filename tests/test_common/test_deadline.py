@@ -47,14 +47,6 @@ class TestDeadline:
         deadline = Deadline.after(0.0, clock=clock)
         assert deadline.expired
 
-    def test_would_overrun(self):
-        clock = FakeClock()
-        deadline = Deadline.after(2.0, clock=clock)
-        assert not deadline.would_overrun(1.5)
-        assert deadline.would_overrun(2.5)
-        clock.advance(1.0)
-        assert deadline.would_overrun(1.5)
-
     def test_bound_caps_a_finite_timeout(self):
         clock = FakeClock()
         deadline = Deadline.after(3.0, clock=clock)

@@ -1,238 +1,7 @@
-"""Unit tests for the generic retry-with-backoff helper."""
+"""Unit tests for the full-jitter backoff draw."""
 
-import pytest
-
-from repro.common.deadline import Deadline
 from repro.common.rng import make_rng
-from repro.common.retry import full_jitter, retry_with_backoff
-
-
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-class TestRetryWithBackoff:
-    def test_returns_first_success_without_sleeping(self):
-        sleeps = []
-        result = retry_with_backoff(
-            lambda attempt: "ok", sleep=sleeps.append
-        )
-        assert result == "ok"
-        assert sleeps == []
-
-    def test_passes_zero_based_attempt_index(self):
-        seen = []
-
-        def fn(attempt):
-            seen.append(attempt)
-            if attempt < 2:
-                raise ValueError("not yet")
-            return attempt
-
-        assert retry_with_backoff(fn, attempts=3, sleep=lambda _: None) == 2
-        assert seen == [0, 1, 2]
-
-    def test_raises_last_error_when_exhausted(self):
-        def fn(attempt):
-            raise RuntimeError(f"attempt {attempt}")
-
-        with pytest.raises(RuntimeError, match="attempt 2"):
-            retry_with_backoff(fn, attempts=3, sleep=lambda _: None)
-
-    def test_backoff_doubles_and_caps(self):
-        sleeps = []
-
-        def fn(attempt):
-            raise ValueError("always")
-
-        with pytest.raises(ValueError):
-            retry_with_backoff(
-                fn,
-                attempts=5,
-                base_delay=0.1,
-                max_delay=0.3,
-                sleep=sleeps.append,
-            )
-        assert sleeps == [0.1, 0.2, 0.3, 0.3]
-
-    def test_non_matching_error_propagates_immediately(self):
-        calls = []
-
-        def fn(attempt):
-            calls.append(attempt)
-            raise KeyError("wrong kind")
-
-        with pytest.raises(KeyError):
-            retry_with_backoff(
-                fn, attempts=3, retry_on=(ValueError,), sleep=lambda _: None
-            )
-        assert calls == [0]
-
-    def test_on_retry_callback_sees_attempt_and_error(self):
-        observed = []
-
-        def fn(attempt):
-            if attempt == 0:
-                raise ValueError("flaky")
-            return "done"
-
-        retry_with_backoff(
-            fn,
-            attempts=2,
-            sleep=lambda _: None,
-            on_retry=lambda attempt, error: observed.append(
-                (attempt, str(error))
-            ),
-        )
-        assert observed == [(0, "flaky")]
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            retry_with_backoff(lambda a: a, attempts=0)
-        with pytest.raises(ValueError):
-            retry_with_backoff(lambda a: a, base_delay=-1.0)
-
-    def test_zero_base_delay_never_sleeps(self):
-        sleeps = []
-
-        def fn(attempt):
-            if attempt < 2:
-                raise ValueError("again")
-            return attempt
-
-        retry_with_backoff(
-            fn, attempts=3, base_delay=0.0, sleep=sleeps.append
-        )
-        assert sleeps == []
-
-
-class TestDeadlineAwareRetry:
-    def test_expired_deadline_raises_last_error_instead_of_retrying(self):
-        clock = FakeClock()
-        deadline = Deadline.after(5.0, clock=clock)
-        calls = []
-
-        def fn(attempt):
-            calls.append(attempt)
-            clock.advance(6.0)  # the attempt itself eats the budget
-            raise RuntimeError(f"attempt {attempt}")
-
-        with pytest.raises(RuntimeError, match="attempt 0"):
-            retry_with_backoff(
-                fn, attempts=3, sleep=lambda _: None, deadline=deadline
-            )
-        assert calls == [0]
-
-    def test_sleep_that_would_overrun_aborts_the_loop(self):
-        clock = FakeClock()
-        deadline = Deadline.after(1.0, clock=clock)
-        sleeps = []
-
-        def fn(attempt):
-            clock.advance(0.8)  # 0.2 s left; next backoff is 0.5 s
-            raise RuntimeError(f"attempt {attempt}")
-
-        with pytest.raises(RuntimeError, match="attempt 0"):
-            retry_with_backoff(
-                fn,
-                attempts=3,
-                base_delay=0.5,
-                sleep=sleeps.append,
-                deadline=deadline,
-            )
-        assert sleeps == []  # never slept into the overrun
-
-    def test_retries_proceed_while_budget_allows(self):
-        clock = FakeClock()
-        deadline = Deadline.after(10.0, clock=clock)
-        sleeps = []
-
-        def sleeping(pause):
-            sleeps.append(pause)
-            clock.advance(pause)
-
-        def fn(attempt):
-            clock.advance(0.1)
-            if attempt < 2:
-                raise RuntimeError("flaky")
-            return attempt
-
-        result = retry_with_backoff(
-            fn,
-            attempts=3,
-            base_delay=0.5,
-            sleep=sleeping,
-            deadline=deadline,
-        )
-        assert result == 2
-        assert sleeps == [0.5, 1.0]
-
-    def test_on_retry_not_fired_when_deadline_aborts(self):
-        # The callback announces "this error will be retried"; an abort
-        # must not lie about that.
-        clock = FakeClock()
-        deadline = Deadline.after(1.0, clock=clock)
-        observed = []
-
-        def fn(attempt):
-            clock.advance(2.0)
-            raise RuntimeError("slow failure")
-
-        with pytest.raises(RuntimeError):
-            retry_with_backoff(
-                fn,
-                attempts=3,
-                sleep=lambda _: None,
-                on_retry=lambda attempt, error: observed.append(attempt),
-                deadline=deadline,
-            )
-        assert observed == []
-
-    def test_no_deadline_means_no_budget_checks(self):
-        def fn(attempt):
-            if attempt < 2:
-                raise RuntimeError("flaky")
-            return "done"
-
-        assert (
-            retry_with_backoff(fn, attempts=3, sleep=lambda _: None)
-            == "done"
-        )
-
-    def test_jittered_sleep_is_checked_against_the_budget(self):
-        # The overrun check uses the *drawn* pause, not the un-jittered
-        # bound: a draw that fits must sleep, one that does not must
-        # abort.  With base 2.0 and 1.0 s left, seed 3's first draw is
-        # small enough to fit.
-        clock = FakeClock()
-        rng = make_rng(3)
-        first_draw = rng.uniform(0.0, 2.0)
-        deadline = Deadline.after(first_draw + 0.5, clock=clock)
-        sleeps = []
-
-        def fn(attempt):
-            if attempt == 0:
-                raise RuntimeError("flaky")
-            return "ok"
-
-        result = retry_with_backoff(
-            fn,
-            attempts=2,
-            base_delay=2.0,
-            max_delay=2.0,
-            sleep=sleeps.append,
-            jitter=make_rng(3),
-            deadline=deadline,
-        )
-        assert result == "ok"
-        assert sleeps == [pytest.approx(first_draw)]
+from repro.common.retry import full_jitter
 
 
 class TestFullJitter:
@@ -253,60 +22,17 @@ class TestFullJitter:
         b = [full_jitter(1.0, make_rng(7)) for _ in range(1)]
         assert a == b
 
-    def test_jittered_backoff_stays_under_deterministic_schedule(self):
-        sleeps = []
+    def test_draws_spread_across_the_range(self):
+        rng = make_rng(3)
+        draws = [full_jitter(1.0, rng) for _ in range(400)]
+        assert min(draws) < 0.1
+        assert max(draws) > 0.9
+        assert 0.4 < sum(draws) / len(draws) < 0.6
 
-        def fn(attempt):
-            raise ValueError("always")
-
-        with pytest.raises(ValueError):
-            retry_with_backoff(
-                fn,
-                attempts=5,
-                base_delay=0.1,
-                max_delay=0.3,
-                sleep=sleeps.append,
-                jitter=42,
-            )
-        # Same schedule shape as the deterministic test above, but each
-        # sleep is drawn uniformly from [0, bounded delay].
-        assert len(sleeps) == 4
-        for drawn, bound in zip(sleeps, [0.1, 0.2, 0.3, 0.3]):
-            assert 0.0 <= drawn <= bound
-        # And not accidentally deterministic: the draws differ.
-        assert len(set(sleeps)) > 1
-
-    def test_jitter_accepts_an_rng_instance(self):
-        sleeps = []
-
-        def fn(attempt):
-            if attempt == 0:
-                raise ValueError("flaky")
-            return "ok"
-
-        result = retry_with_backoff(
-            fn,
-            attempts=2,
-            base_delay=0.5,
-            sleep=sleeps.append,
-            jitter=make_rng(3),
-        )
-        assert result == "ok"
-        assert len(sleeps) == 1
-        assert 0.0 <= sleeps[0] <= 0.5
-
-    def test_without_jitter_schedule_is_unchanged(self):
-        sleeps = []
-
-        def fn(attempt):
-            raise ValueError("always")
-
-        with pytest.raises(ValueError):
-            retry_with_backoff(
-                fn,
-                attempts=3,
-                base_delay=0.1,
-                max_delay=1.0,
-                sleep=sleeps.append,
-            )
-        assert sleeps == [0.1, 0.2]
+    def test_consumes_one_uniform_draw_per_call(self):
+        # Callers that share an RNG (the supervisor's respawn throttle)
+        # must see the same stream as a direct uniform draw.
+        jittered = make_rng(11)
+        direct = make_rng(11)
+        for delay in (0.5, 1.0, 4.0):
+            assert full_jitter(delay, jittered) == direct.uniform(0.0, delay)

@@ -17,6 +17,17 @@ from repro.experiments.runner import (
 )
 
 
+class FakeClock:
+    def __init__(self, now=0.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+    def advance(self, seconds):
+        self.now += seconds
+
+
 def _result(experiment_id, rows=None):
     return ExperimentResult(
         experiment_id=experiment_id,
@@ -85,6 +96,122 @@ class TestRunOne:
             ExperimentRunner(retries=-1)
 
 
+class TestAttemptLoop:
+    """``run_one``'s attempt loop: retries + 1 tries, seeds rotated."""
+
+    def test_first_success_runs_once_on_the_registered_seed(self):
+        seeds = []
+
+        def fn(rng: int = 7):
+            seeds.append(rng)
+            return _result("x")
+
+        runner = ExperimentRunner(retries=3, registry={"x": fn})
+        runner.run_one("x")
+        assert seeds == [7]
+
+    def test_zero_retries_runs_exactly_once(self):
+        seeds = []
+
+        def fn(rng: int = 7):
+            seeds.append(rng)
+            raise RuntimeError("broken")
+
+        runner = ExperimentRunner(retries=0, registry={"x": fn})
+        with pytest.raises(RuntimeError, match="broken"):
+            runner.run_one("x")
+        assert seeds == [7]
+
+    @pytest.mark.parametrize("retries", [1, 2, 4])
+    def test_attempt_count_is_retries_plus_one(self, retries):
+        calls = []
+
+        def fn():
+            calls.append(True)
+            raise RuntimeError("always fails")
+
+        runner = ExperimentRunner(retries=retries, registry={"x": fn})
+        with pytest.raises(RuntimeError):
+            runner.run_one("x")
+        assert len(calls) == retries + 1
+
+    def test_raises_the_last_attempts_error(self):
+        def fn(rng: int = 7):
+            raise RuntimeError(f"attempt with seed {rng}")
+
+        runner = ExperimentRunner(retries=2, registry={"x": fn})
+        with pytest.raises(RuntimeError, match="seed 2007"):
+            runner.run_one("x")
+
+    def test_experiment_without_rng_is_retried_unchanged(self):
+        calls = []
+
+        def fn(**kwargs):
+            calls.append(kwargs)
+            if len(calls) < 2:
+                raise RuntimeError("flaky")
+            return _result("x")
+
+        runner = ExperimentRunner(retries=1, registry={"x": fn})
+        runner.run_one("x")
+        assert calls == [{}, {}]
+
+    def test_base_exception_is_not_retried(self):
+        calls = []
+
+        def fn():
+            calls.append(True)
+            raise KeyboardInterrupt
+
+        runner = ExperimentRunner(retries=3, registry={"x": fn})
+        with pytest.raises(KeyboardInterrupt):
+            runner.run_one("x")
+        assert len(calls) == 1
+
+    def test_observed_capture_is_the_winning_attempt(self):
+        def fn(rng: int = 7):
+            if rng < 2007:
+                raise RuntimeError("flaky")
+            return _result("x", rows=[[rng]])
+
+        runner = ExperimentRunner(
+            retries=2, observe=True, registry={"x": fn}
+        )
+        assert runner.run_one("x").rows == [[2007]]
+        capture = runner.captures["x"]
+        assert capture.manifest.seed == 2007
+        assert capture.manifest.attempts == 3
+        assert capture.metrics["counters"]["runner.retries"] == 2
+
+    def test_deadline_expiring_mid_loop_stops_after_that_attempt(self):
+        clock = FakeClock()
+        deadline = Deadline.after(5.0, clock=clock)
+        seeds = []
+
+        def fn(rng: int = 7):
+            seeds.append(rng)
+            clock.advance(3.0)  # the second attempt crosses the budget
+            raise RuntimeError(f"attempt with seed {rng}")
+
+        runner = ExperimentRunner(retries=5, registry={"x": fn})
+        with pytest.raises(RuntimeError, match="seed 1007"):
+            runner.run_one("x", deadline=deadline)
+        assert seeds == [7, 1007]
+
+    def test_attempt_that_overruns_the_deadline_keeps_its_result(self):
+        # The deadline only gates *further* attempts; a success that
+        # finishes after it expired is still returned.
+        clock = FakeClock()
+        deadline = Deadline.after(1.0, clock=clock)
+
+        def fn():
+            clock.advance(2.0)
+            return _result("x")
+
+        runner = ExperimentRunner(retries=2, registry={"x": fn})
+        assert runner.run_one("x", deadline=deadline).experiment_id == "x"
+
+
 class TestRunMany:
     def test_failures_do_not_stop_the_batch(self):
         def broken():
@@ -119,6 +246,21 @@ class TestRunMany:
         )
         assert completed == ["a"]
         assert failed == ["b"]
+
+    def test_rotates_seed_and_records_it_in_the_manifest(self):
+        def seeded(rng: int = 5):
+            if rng == 5:
+                raise RuntimeError("fails on its registered seed")
+            return _result("seeded", rows=[[rng]])
+
+        runner = ExperimentRunner(
+            retries=1, observe=True, registry={"seeded": seeded}
+        )
+        report = runner.run_many(["seeded"])
+        assert report.results[0].rows == [[1005]]
+        manifest = runner.captures["seeded"].manifest
+        assert manifest.seed == 1005
+        assert manifest.attempts == 2
 
     def test_failure_record_is_structured(self):
         def broken():
@@ -320,6 +462,37 @@ class TestRunOneDeadline:
         with pytest.raises((RuntimeError, ExperimentTimeout)):
             runner.run_one("slow", deadline=Deadline.after(0.2))
         assert len(calls) <= 2
+
+    def test_expired_deadline_raises_last_error_instead_of_retrying(self):
+        clock = FakeClock()
+        deadline = Deadline.after(5.0, clock=clock)
+        seeds = []
+
+        def fn(rng: int = 7):
+            seeds.append(rng)
+            clock.advance(6.0)  # the attempt itself eats the budget
+            raise RuntimeError(f"attempt with seed {rng}")
+
+        runner = ExperimentRunner(retries=2, registry={"x": fn})
+        with pytest.raises(RuntimeError, match="seed 7"):
+            runner.run_one("x", deadline=deadline)
+        assert seeds == [7]
+
+    def test_retries_proceed_while_budget_allows(self):
+        clock = FakeClock()
+        deadline = Deadline.after(10.0, clock=clock)
+        seeds = []
+
+        def fn(rng: int = 7):
+            seeds.append(rng)
+            clock.advance(0.1)
+            if len(seeds) < 3:
+                raise RuntimeError("flaky")
+            return _result("x")
+
+        runner = ExperimentRunner(retries=2, registry={"x": fn})
+        assert runner.run_one("x", deadline=deadline).experiment_id == "x"
+        assert seeds == [7, 1007, 2007]
 
     def test_generous_deadline_changes_nothing(self):
         runner = ExperimentRunner(

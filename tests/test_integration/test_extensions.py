@@ -123,3 +123,34 @@ class TestCLI:
 
         assert main(["demo"]) == 0
         assert "channel works" in capsys.readouterr().out
+
+
+class TestRequestPathFlags:
+    """Failover belongs to `route`; `serve` and `request` run once."""
+
+    def _parse(self, argv):
+        from repro.__main__ import build_parser
+
+        return build_parser().parse_args(argv)
+
+    def test_serve_has_no_retries_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            self._parse(["serve", "--retries", "1"])
+        assert exit_info.value.code == 2
+        assert "--retries" in capsys.readouterr().err
+
+    def test_request_has_no_peers_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            self._parse(["request", "alpha", "--peers", "a=h:1"])
+        assert exit_info.value.code == 2
+        assert "--peers" in capsys.readouterr().err
+
+    def test_route_still_takes_peers(self):
+        args = self._parse(["route", "--peers", "a=h:1,b=h:2"])
+        assert args.peers == "a=h:1,b=h:2"
+
+    def test_request_without_port_is_a_usage_error(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["request", "alpha"]) == 2
+        assert "--port is required" in capsys.readouterr().err

@@ -59,6 +59,18 @@ def run_alpha_boom(rng: int = 11):
     raise RuntimeError("deterministically broken experiment")
 
 
+def run_flaky(rng: int = 5):
+    """Fails on its registered seed 5 and succeeds on any other.
+
+    A server that retried with a rotated seed would answer this with
+    another seed's rows under the seed-5 cache key; it must answer
+    degraded instead.
+    """
+    if rng == 5:
+        raise RuntimeError("fails on its registered seed")
+    return _result("flaky", rng)
+
+
 FAST_REGISTRY = {
     "alpha": run_alpha,
     "beta": run_beta,

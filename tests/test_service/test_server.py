@@ -11,7 +11,14 @@ import time
 
 import pytest
 
+from repro.common.deadline import Deadline
 from repro.common.errors import ServiceError
+from repro.experiments.runner import ExperimentRunner
+from repro.service.server import (
+    InlineBackend,
+    ServiceConfig,
+    SupervisedBackend,
+)
 from tests.test_service import fakes
 
 
@@ -173,6 +180,41 @@ class TestDegradedServing:
         assert counters["service.requests.degraded"] == 3
         gauges = stats["metrics"]["gauges"]
         assert gauges["service.breaker.state"]["pool-0"] == 2  # open
+
+    @pytest.mark.parametrize("backend", ["inline", "supervised"])
+    def test_failure_on_registered_seed_is_not_retried_with_another(
+        self, harness_factory, backend
+    ):
+        harness = harness_factory(
+            registry={"flaky": fakes.run_flaky}, pools=1, backend=backend
+        )
+        with harness.client() as client:
+            response = client.request("flaky")
+        assert response["status"] == "ok"
+        assert response["degraded"] is True
+        assert response["source"] == "stub"
+        assert response["error"]["type"] == "RuntimeError"
+        service = harness.service
+        assert service.pools[0].breaker._consecutive_failures == 1
+        assert service.cache.get_payload(service._key_for("flaky")) is None
+
+    def test_failed_execution_is_recomputed_on_the_next_request(
+        self, harness_factory
+    ):
+        # Nothing from the failed execution is cached, so a repeat
+        # request executes again (and fails again) on the same seed.
+        harness = harness_factory(
+            registry={"flaky": fakes.run_flaky}, pools=1
+        )
+        with harness.client() as client:
+            first = client.request("flaky")
+            second = client.request("flaky")
+        for response in (first, second):
+            assert response["degraded"] is True
+            assert response["error"]["type"] == "RuntimeError"
+        service = harness.service
+        assert service.pools[0].breaker._consecutive_failures == 2
+        assert service.cache.get_payload(service._key_for("flaky")) is None
 
     def test_open_breaker_serves_cached_result_for_healthy_key(
         self, harness_factory
@@ -364,3 +406,108 @@ class TestBatchTrials:
             response = client.request("alpha", trials=10)
         assert response["status"] == "error"
         assert "unknown batch algorithm" in response["error"]["message"]
+
+
+class FakeSupervisedExecutor:
+    """Records what SupervisedBackend asks for; answers with a failure."""
+
+    made = []
+
+    def __init__(self, **kwargs):
+        self.kwargs = kwargs
+        self.tasks = None
+        FakeSupervisedExecutor.made.append(self)
+
+    def run(self, tasks, on_record):
+        self.tasks = list(tasks)
+        experiment_id = self.tasks[0][0]
+        on_record(
+            (
+                experiment_id,
+                "failure",
+                {"error_type": "RuntimeError", "message": "scripted"},
+                None,
+                None,
+            )
+        )
+
+
+class TestBackendsRunOnce:
+    """Each service execution is one attempt on the registered seed."""
+
+    @pytest.fixture
+    def fake_executor(self, monkeypatch):
+        import repro.experiments.supervisor as supervisor
+
+        FakeSupervisedExecutor.made = []
+        monkeypatch.setattr(
+            supervisor, "SupervisedExecutor", FakeSupervisedExecutor
+        )
+        return FakeSupervisedExecutor.made
+
+    def test_service_config_has_no_retry_knob(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(retries=1)
+
+    def test_inline_backend_builds_a_single_attempt_runner(self):
+        backend = InlineBackend(
+            ServiceConfig(timeout_seconds=2.0), {"alpha": fakes.run_alpha}
+        )
+        assert backend.runner.retries == 0
+        assert backend.runner.timeout_seconds == 2.0
+
+    def test_inline_backend_executes_a_failing_experiment_once(self):
+        seeds = []
+
+        def flaky(rng: int = 5):
+            seeds.append(rng)
+            return fakes.run_flaky(rng)
+
+        backend = InlineBackend(ServiceConfig(), {"flaky": flaky})
+        outcome = backend.execute("flaky", None)
+        assert outcome["ok"] is False
+        assert outcome["error"]["type"] == "RuntimeError"
+        assert seeds == [5]
+
+    def test_supervised_backend_asks_for_one_attempt(self, fake_executor):
+        backend = SupervisedBackend(
+            ServiceConfig(timeout_seconds=2.0), {"flaky": fakes.run_flaky}
+        )
+        outcome = backend.execute("flaky", None)
+        assert outcome == {
+            "ok": False,
+            "error": {"type": "RuntimeError", "message": "scripted"},
+        }
+        (executor,) = fake_executor
+        (task_id, spec), = executor.tasks
+        assert task_id == "flaky"
+        experiment_id, timeout, retries = spec[:3]
+        assert (experiment_id, timeout, retries) == ("flaky", 2.0, 0)
+        assert executor.kwargs["task_deadline"] == (
+            2.0 + ExperimentRunner.TASK_DEADLINE_GRACE
+        )
+
+    def test_supervised_backend_without_timeout_has_no_task_deadline(
+        self, fake_executor
+    ):
+        backend = SupervisedBackend(
+            ServiceConfig(), {"flaky": fakes.run_flaky}
+        )
+        backend.execute("flaky", None)
+        (executor,) = fake_executor
+        assert executor.tasks[0][1][1] is None
+        assert executor.kwargs["task_deadline"] is None
+
+    def test_supervised_backend_bounds_timeout_by_request_deadline(
+        self, fake_executor
+    ):
+        backend = SupervisedBackend(
+            ServiceConfig(timeout_seconds=60.0), {"flaky": fakes.run_flaky}
+        )
+        backend.execute("flaky", Deadline.after(0.5))
+        (executor,) = fake_executor
+        timeout = executor.tasks[0][1][1]
+        assert 0 < timeout <= 0.5
+        assert executor.kwargs["task_deadline"] == (
+            timeout + ExperimentRunner.TASK_DEADLINE_GRACE
+        )

@@ -24,7 +24,7 @@ from repro.obs.instruments import for_protocol
 from repro.obs.session import active as obs_active
 from repro.sim.machine import Machine
 from repro.sim.ops import Access, Compute, ReadTSC, SleepUntil
-from repro.sim.thread import SimThread
+from repro.sim.thread import Choose, LoopProgram, SimThread
 from repro.timing.measurement import observed_chase_latency
 
 
@@ -128,15 +128,18 @@ class CovertChannelProtocol:
     Args:
         machine: The simulated platform (provides hierarchy and TSC).
         channel: An Algorithm 1 or Algorithm 2 channel instance.
-        config: Protocol timing parameters.
+        config: Protocol timing parameters; None builds a fresh default
+            :class:`ProtocolConfig`.
     """
 
     def __init__(
         self,
         machine: Machine,
         channel: LRUChannel,
-        config: ProtocolConfig = ProtocolConfig(),
+        config: Optional[ProtocolConfig] = None,
     ):
+        if config is None:
+            config = ProtocolConfig()
         config.validate_for_target(channel.layout.target_set)
         self.machine = machine
         self.channel = channel
@@ -203,44 +206,30 @@ class CovertChannelProtocol:
         operation count tractable without changing what a context-switch
         boundary observes.
         """
-        channel = self.channel
-        pause = Compute(encode_period)
+        return LoopProgram(
+            [Access(address) for address in self.channel.sender_addresses(bit)]
+            + [Compute(encode_period)]
+        )
 
-        def program():
-            while True:
-                addresses = channel.sender_addresses(bit)
-                for address in addresses:
-                    yield Access(address)
-                yield pause
-
-        return program
-
-    def _noise_program(self, working_set_lines: int, pace: float):
+    def _noise_program(
+        self, working_set_lines: int, pace: float, process: int = 0
+    ):
         """A benign background process, for time-sliced realism.
 
         The paper observes that under time-slicing "any other processes
         running during Tr could pollute the target set"; this thread
         models them with a Zipf-less random sweep over its own working
         set (which spans all cache sets, including the target set).
+        Each ``process`` draws its own line stream.
         """
         l1 = self.machine.spec.hierarchy.l1
-        rng = make_rng(0xBEEF)
-        # One prebuilt op per working-set line: this thread issues most
-        # of a time-sliced run's operations.
         accesses = [
             Access((1 << 27) + line * l1.line_size)
             for line in range(working_set_lines)
         ]
-        pause = Compute(pace)
         # ``choice`` draws exactly as ``randrange(len(accesses))`` does.
-        choice = rng.choice
-
-        def program():
-            while True:
-                yield choice(accesses)
-                yield pause
-
-        return program
+        choice = make_rng(0xBEEF + process).choice
+        return LoopProgram([Choose(accesses, choice), Compute(pace)])
 
     def _receiver_program(self, num_samples: int, run: ChannelRun):
         """Receiver: init, sleep to the Tr boundary, decode, probe.
@@ -394,7 +383,9 @@ class CovertChannelProtocol:
             threads.append(
                 SimThread(
                     f"noise{i}",
-                    self._noise_program(working_set_lines=256, pace=200.0),
+                    self._noise_program(
+                        working_set_lines=256, pace=200.0, process=i
+                    ),
                     thread_id=10 + i,
                     address_space=10 + i,
                 )

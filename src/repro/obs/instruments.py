@@ -128,6 +128,13 @@ class HierarchyInstruments:
         if self._l1_hit_touch:
             self.l1_transitions.inc()
 
+    def record_l1_hits(self, latency, n) -> None:
+        """``n`` consecutive counted L1 hits: ``n`` ``record_l1_hit`` calls."""
+        self.l1_hits.inc(n)
+        self.latency.observe_many(latency, n)
+        if self._l1_hit_touch:
+            self.l1_transitions.inc(n)
+
     def record_l2_hit(self, latency, count, l1_evicted) -> None:
         if count:
             self.l1_misses.inc()

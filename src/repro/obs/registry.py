@@ -71,6 +71,19 @@ class Histogram:
         self.count += 1
         self.total += value
 
+    def observe_many(self, value, n: int) -> None:
+        """Exactly ``n`` calls of :meth:`observe` with one value.
+
+        ``total`` takes the same ``n`` float additions in the same
+        order, so it matches to the last bit.
+        """
+        self.counts[bisect_left(self.edges, value)] += n
+        self.count += n
+        total = self.total
+        for _ in range(n):
+            total += value
+        self.total = total
+
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 

@@ -13,20 +13,27 @@ The paper evaluates both co-residency modes (Section III):
   only the receiver's first iteration after a context switch observes
   the sender — the effect behind the paper's ~2 bps time-sliced rate
   (Section V-B).
+
+The time-sliced scheduler runs :class:`~repro.sim.thread.LoopProgram`
+threads (the constant sender and the background noise, which issue
+almost every op of a time-sliced run) through a *slice kernel*: a tight
+loop over the program's prebuilt ops with the fast engine's L1 hit path
+inlined.  It produces exactly the state, times, counters and draws the
+general per-op loop produces; see :meth:`TimeSlicedScheduler.run`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import SimulationError
 from repro.common.rng import RngLike, make_rng
-from repro.common.types import MemoryAccess
+from repro.common.types import AccessType, MemoryAccess
 from repro.obs.instruments import for_scheduler
 from repro.obs.session import active as obs_active
 from repro.sim.ops import Access, Compute, ReadTSC, READ_TSC_COST, SleepUntil
-from repro.sim.thread import SimThread
+from repro.sim.thread import Choose, LoopProgram, SimThread
 
 
 class _SchedulerBase:
@@ -209,6 +216,10 @@ class HyperThreadedScheduler(_SchedulerBase):
         return last_time
 
 
+#: Slice-kernel step kinds (see :meth:`TimeSlicedScheduler._compile_loop`).
+_COMPUTE, _L1_PROBE, _ACCESS, _CHOOSE = range(4)
+
+
 class TimeSlicedScheduler(_SchedulerBase):
     """OS time-sharing of one core between two (or more) threads.
 
@@ -250,6 +261,15 @@ class TimeSlicedScheduler(_SchedulerBase):
 
         A finished thread simply stops taking slices; the run continues
         until ``until_cycle`` or until every thread has finished.
+
+        A :class:`~repro.sim.thread.LoopProgram` thread spends its
+        slices in the slice kernel (:meth:`_run_loop`) whenever nothing
+        could observe individual ops: no fault model attached, no
+        prefetcher, no per-instance wrapper on ``_execute`` or on the
+        hierarchy's ``access`` (the sanitizer and
+        :class:`~repro.sim.tracing.AccessTracer` install one), and the
+        ``fast`` or ``batch`` engine.  Every other thread, and every
+        thread on the reference engine, runs the general per-op loop.
         """
         threads = self.threads
         for thread in threads:
@@ -263,6 +283,7 @@ class TimeSlicedScheduler(_SchedulerBase):
         obs = self._obs
         switch_cost = self.switch_cost
         models = self._fault_models()
+        kernel_steps = self._kernel_steps()
         count = len(threads)
         now = 0.0
         index = 0
@@ -278,6 +299,12 @@ class TimeSlicedScheduler(_SchedulerBase):
             ready = thread.ready_at
             if ready < now:
                 ready = thread.ready_at = now
+            steps = kernel_steps.get(thread)
+            if steps is not None:
+                ready = self._run_loop(thread, steps, ready, slice_end)
+                thread.ready_at = ready
+                now = slice_end + switch_cost
+                continue
             send = thread._program.send
             while ready < slice_end:
                 if models:
@@ -298,3 +325,171 @@ class TimeSlicedScheduler(_SchedulerBase):
             # keeps its own ready_at and simply does nothing next slice.
             now = slice_end + switch_cost
         return now
+
+    # ------------------------------------------------------------------
+    # The slice kernel
+    # ------------------------------------------------------------------
+
+    def _kernel_steps(self) -> Dict[SimThread, tuple]:
+        """Compiled steps of every thread that runs in the kernel this run.
+
+        Eligibility is derived from what is attached, never configured:
+        the kernel skips ``_execute``, the fault hooks and the
+        prefetcher, so any of them being live (or wrapped) keeps every
+        thread on the general loop.
+        """
+        hierarchy = self.hierarchy
+        eligible = (
+            not self._fault_models()
+            and hierarchy.prefetcher is None
+            and hierarchy.engine in ("fast", "batch")
+            and getattr(self._execute, "__func__", None)
+            is _SchedulerBase._execute
+            and getattr(hierarchy.access, "__func__", None)
+            is CacheHierarchy.access
+        )
+        if not eligible:
+            return {}
+        kernel_steps = {}
+        for thread in self.threads:
+            program = thread.program_factory
+            if type(program) is LoopProgram:
+                steps = self._compile_loop(program)
+                if steps is not None:
+                    kernel_steps[thread] = steps
+        return kernel_steps
+
+    def _compile_loop(self, program: LoopProgram):
+        """Lower a loop program to kernel steps, or None if it can't run.
+
+        Steps are tuples tagged by kind:
+
+        * ``(_COMPUTE, cycles)``;
+        * ``(_L1_PROBE, tag_map.get, tag, touch, op)`` — a counted
+          access whose L1 hit the kernel performs inline, exactly as the
+          fast engine's ``lookup`` does (``touch`` is the set policy's
+          bound ``touch``, None when hits do not update it); a miss
+          goes through the hierarchy;
+        * ``(_ACCESS, op)`` — an access that always goes through
+          ``hierarchy.access`` (another L1, a way predictor, a flush, a
+          speculative load or an uncounted access);
+        * ``(_CHOOSE, choice, steps)`` — one of ``steps``, drawn by the
+          program's own ``choice``.
+        """
+        l1 = self.hierarchy.l1
+        # Only the fast engine's plain cache has the inlinable hit path.
+        inline = (
+            getattr(l1, "_plain_hit_path", False) and l1.way_predictor is None
+        )
+
+        def lower(op):
+            kind = type(op)
+            if kind is Compute:
+                return (_COMPUTE, op.cycles)
+            if kind is not Access:
+                # ReadTSC and SleepUntil results or costs depend on the
+                # clock; they stay on the general loop.
+                return None
+            if (
+                inline
+                and op.count
+                and op.access_type is not AccessType.FLUSH
+                and not op.speculative
+            ):
+                address = op.address
+                index = (address >> l1._offset_bits) & l1._index_mask
+                cache_set = l1.sets[index]
+                return (
+                    _L1_PROBE,
+                    cache_set._tag_map.get,
+                    address >> l1._tag_shift,
+                    cache_set.policy.touch if l1._update_on_hit else None,
+                    op,
+                )
+            return (_ACCESS, op)
+
+        steps = []
+        for op in program.ops:
+            if type(op) is Choose:
+                options = tuple(lower(option) for option in op.options)
+                step = None
+                if None not in options:
+                    step = (_CHOOSE, op.choice, options)
+            else:
+                step = lower(op)
+            if step is None:
+                return None
+            steps.append(step)
+        return tuple(steps)
+
+    def _run_loop(
+        self, thread: SimThread, steps: tuple, ready: float, slice_end: float
+    ) -> float:
+        """Run one slice of a loop program; return the thread's new time.
+
+        Issues exactly the ops, in exactly the order, that the general
+        loop would, and adds their costs to ``ready`` in the same order,
+        so times are bit-identical.  L1 hits are done inline and only
+        counted; the counts go to the L1's reference counter at the end
+        of the slice (plain ints, so the order of additions cannot
+        show), and to an observing session's hit metrics before the next
+        miss and at the end, so its latency histogram takes its float
+        additions in the general loop's order.
+        """
+        hierarchy = self.hierarchy
+        access = hierarchy.access
+        hit_latency = hierarchy.config.l1.hit_latency
+        obs = hierarchy._obs
+        record_hits = None if obs is None else obs.record_l1_hits
+        tid = thread.thread_id
+        space = thread.address_space
+        program = thread.program_factory
+        last = len(steps) - 1
+        position = program.position
+        issued = 0
+        hits = 0
+        recorded = 0
+        while ready < slice_end:
+            step = steps[position]
+            position = 0 if position == last else position + 1
+            issued += 1
+            kind = step[0]
+            if kind == _CHOOSE:
+                step = step[1](step[2])
+                kind = step[0]
+            if kind == _COMPUTE:
+                ready += step[1]
+                continue
+            if kind == _L1_PROBE:
+                way = step[1](step[2])
+                if way is not None:
+                    touch = step[3]
+                    if touch is not None:
+                        touch(way)
+                    hits += 1
+                    ready += hit_latency
+                    continue
+            if record_hits is not None and hits != recorded:
+                record_hits(hit_latency, hits - recorded)
+                recorded = hits
+            op = step[-1]
+            ready += access(
+                MemoryAccess(
+                    op.address,
+                    op.access_type,
+                    tid,
+                    space,
+                    op.locked,
+                    op.unlock,
+                    op.speculative,
+                ),
+                count=op.count,
+            ).latency
+        program.position = position
+        if hits:
+            hierarchy.l1.counters.references[tid] += hits
+            if record_hits is not None and hits != recorded:
+                record_hits(hit_latency, hits - recorded)
+        if self._obs is not None:
+            self._obs.ops.inc(issued)
+        return ready

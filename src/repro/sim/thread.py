@@ -2,11 +2,17 @@
 
 Wraps a generator-based program with its identity (thread id, address
 space) and its scheduling state (the cycle at which it can next issue).
+
+Most programs are generator functions.  A program that ignores every
+result and repeats one fixed cycle of ops forever (the time-sliced
+constant sender and background noise) is a :class:`LoopProgram`
+instead: the same program as data, which the time-sliced scheduler can
+run without resuming a generator per op.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.common.errors import SimulationError
 
@@ -15,14 +21,74 @@ from repro.common.errors import SimulationError
 Program = Generator
 
 
+class Choose:
+    """A loop-program element that issues one of ``options`` each time.
+
+    Args:
+        options: The prebuilt ops to choose among.
+        choice: The drawing function, normally a bound
+            ``random.Random.choice``; it is called as ``choice(seq)``
+            with a sequence as long as ``options``, and its draw depends
+            only on that length.
+    """
+
+    __slots__ = ("options", "choice")
+
+    def __init__(self, options: Sequence, choice: Callable[[Sequence], Any]):
+        self.options = tuple(options)
+        if not self.options:
+            raise SimulationError("Choose needs at least one option")
+        self.choice = choice
+
+
+class LoopProgram:
+    """A program that repeats a fixed cycle of prebuilt ops forever.
+
+    ``ops`` holds operations from :mod:`repro.sim.ops` and
+    :class:`Choose` elements; results are never read.  ``position`` is
+    the index of the next op to issue, and it is the program's only
+    state besides the RNGs its ``Choose`` elements draw from.
+
+    The instance is its own program factory: calling it restarts at the
+    first op and returns the generator form, which reads and advances
+    the same ``position``.  A scheduler that walks ``ops`` directly (the
+    time-sliced slice kernel) and the generator can therefore take turns
+    on one thread without drifting apart.
+    """
+
+    __slots__ = ("ops", "position")
+
+    def __init__(self, ops: Sequence):
+        self.ops = tuple(ops)
+        if not self.ops:
+            raise SimulationError("a loop program needs at least one op")
+        self.position = 0
+
+    def __call__(self) -> Program:
+        self.position = 0
+        return self._steps()
+
+    def _steps(self) -> Program:
+        ops = self.ops
+        last = len(ops) - 1
+        while True:
+            position = self.position
+            op = ops[position]
+            self.position = 0 if position == last else position + 1
+            if type(op) is Choose:
+                op = op.choice(op.options)
+            yield op
+
+
 class SimThread:
     """One schedulable instruction stream.
 
     Args:
         name: Human-readable label for traces and errors.
         program_factory: Zero-argument callable returning a fresh
-            program generator.  Factories (rather than generators) let a
-            thread be restarted for repeated experiment trials.
+            program generator, or a :class:`LoopProgram`.  Factories
+            (rather than generators) let a thread be restarted for
+            repeated experiment trials.
         thread_id: Identity used for performance counters.
         address_space: Virtual address space id; threads of one process
             share a space (pthread senders in Section VI-B), separate

@@ -1,5 +1,7 @@
 """Tests for the Algorithm 3 covert-channel protocol."""
 
+import random
+
 import pytest
 
 from repro.channels.algorithm1 import SharedMemoryLRUChannel
@@ -63,6 +65,16 @@ class TestProtocolConfig:
         )
         with pytest.raises(ProtocolError):
             CovertChannelProtocol(machine, channel, ProtocolConfig())
+
+    def test_default_config_is_fresh_per_protocol(self):
+        machine = Machine(INTEL_E5_2690, rng=1)
+        channel = SharedMemoryLRUChannel.build(machine.spec.hierarchy.l1, 1)
+        first = CovertChannelProtocol(machine, channel)
+        second = CovertChannelProtocol(machine, channel)
+        assert first.config == ProtocolConfig()
+        assert first.config is not second.config
+        first.config.tr = 1234.0
+        assert second.config.tr == ProtocolConfig().tr
 
 
 class TestHyperThreadedRun:
@@ -144,6 +156,26 @@ class TestTimeSlicedRun:
             return vals[1] - vals[0]
 
         assert contrast(0) > contrast(2)
+
+    @staticmethod
+    def _noise_lines(protocol, process, count=64):
+        steps = protocol._noise_program(
+            working_set_lines=256, pace=200.0, process=process
+        )()
+        ops = [next(steps) for _ in range(2 * count)]
+        return [op.address for op in ops[::2]]
+
+    def test_noise_processes_draw_independent_streams(self):
+        protocol = make_protocol()
+        first = self._noise_lines(protocol, 0)
+        second = self._noise_lines(protocol, 1)
+        assert first != second
+        # Process 0 keeps the stream every committed result was made with.
+        rng = random.Random(0xBEEF)
+        line_size = INTEL_E5_2690.hierarchy.l1.line_size
+        assert first == [
+            (1 << 27) + rng.randrange(256) * line_size for _ in range(64)
+        ]
 
     def test_invalid_bit_rejected(self):
         protocol = make_protocol()

@@ -91,6 +91,18 @@ class TestHistogramBuckets:
         assert histogram.mean() == 4.0
         assert Histogram(edges=(1.0,)).mean() == 0.0
 
+    def test_observe_many_is_repeated_observe(self):
+        # 0.1 is not a binary fraction, so a multiplied total would
+        # differ from the summed one in the last bits.
+        one, many = Histogram(edges=(4.0, 8.0)), Histogram(edges=(4.0, 8.0))
+        for value, n in ((12.3, 1), (4.1, 1000), (0.1, 7), (4.1, 3)):
+            for _ in range(n):
+                one.observe(value)
+            many.observe_many(value, n)
+        assert (many.counts, many.count) == (one.counts, one.count)
+        assert many.total == one.total
+        assert many.total != 12.3 + 4.1 * 1003 + 0.1 * 7
+
     def test_unsorted_or_duplicate_edges_rejected(self):
         with pytest.raises(ObservabilityError, match="strictly increasing"):
             Histogram(edges=(8.0, 4.0))

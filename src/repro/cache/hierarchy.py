@@ -84,6 +84,17 @@ class CacheHierarchy:
             self.llc = cache_cls(config.llc, rng=spawn_rng(base_rng, "llc"))
         self.prefetcher = prefetcher
         self.invisible_speculation = invisible_speculation
+        # Shared immutable outcomes for the two results that carry no
+        # eviction address: most accesses are L1 hits, so this saves an
+        # allocation on each of them.
+        self._l1_hit = AccessOutcome(
+            hit_level=CacheLevel.L1, latency=config.l1.hit_latency
+        )
+        self._utag_miss = AccessOutcome(
+            hit_level=CacheLevel.L1,
+            latency=config.l2.hit_latency,
+            was_way_predictor_miss=True,
+        )
         # Observability handles, bound once at construction; None when no
         # session is active, so the access path pays one `is None` check.
         self._obs = for_hierarchy(obs_active(), config)
@@ -113,19 +124,10 @@ class CacheHierarchy:
                 # replays through the slow path and observes ~L2 latency.
                 if obs is not None:
                     obs.record_l1_hit(self.config.l2.hit_latency, count)
-                return AccessOutcome(
-                    access=access,
-                    hit_level=CacheLevel.L1,
-                    latency=self.config.l2.hit_latency,
-                    was_way_predictor_miss=True,
-                )
+                return self._utag_miss
             if obs is not None:
                 obs.record_l1_hit(self.config.l1.hit_latency, count)
-            return AccessOutcome(
-                access=access,
-                hit_level=CacheLevel.L1,
-                latency=self.config.l1.hit_latency,
-            )
+            return self._l1_hit
 
         l2_result = self.l2.lookup(access, count=count)
         if l2_result.hit:
@@ -135,7 +137,6 @@ class CacheHierarchy:
                     self.config.l2.hit_latency, count, fill.evicted_address
                 )
             return AccessOutcome(
-                access=access,
                 hit_level=CacheLevel.L2,
                 latency=self.config.l2.hit_latency,
                 evicted_address=fill.evicted_address,
@@ -154,7 +155,6 @@ class CacheHierarchy:
                         l2_fill.evicted_address,
                     )
                 return AccessOutcome(
-                    access=access,
                     hit_level=CacheLevel.LLC,
                     latency=self.config.llc.hit_latency,
                     evicted_address=fill.evicted_address,
@@ -175,7 +175,6 @@ class CacheHierarchy:
                 had_llc=self.llc is not None,
             )
         return AccessOutcome(
-            access=access,
             hit_level=CacheLevel.MEMORY,
             latency=self.config.memory_latency,
             evicted_address=fill.evicted_address,
@@ -191,7 +190,7 @@ class CacheHierarchy:
             level, latency = CacheLevel.LLC, self.config.llc.hit_latency
         else:
             level, latency = CacheLevel.MEMORY, self.config.memory_latency
-        return AccessOutcome(access=access, hit_level=level, latency=latency)
+        return AccessOutcome(hit_level=level, latency=latency)
 
     def _flush(self, access: MemoryAccess) -> AccessOutcome:
         """clflush semantics: invalidate in every level."""
@@ -202,7 +201,6 @@ class CacheHierarchy:
         if self._obs is not None:
             self._obs.record_flush()
         return AccessOutcome(
-            access=access,
             hit_level=CacheLevel.MEMORY,
             latency=self.config.flush_latency,
         )

@@ -101,20 +101,20 @@ class MultiCoreSystem:
         core = self._core(core_id)
         if core.l1.lookup(access, count=count).hit:
             return AccessOutcome(
-                access=access, hit_level=CacheLevel.L1,
+                hit_level=CacheLevel.L1,
                 latency=self.config.l1.hit_latency,
             )
         if core.l2.lookup(access, count=count).hit:
             core.l1.fill(access)
             return AccessOutcome(
-                access=access, hit_level=CacheLevel.L2,
+                hit_level=CacheLevel.L2,
                 latency=self.config.l2.hit_latency,
             )
         if self.llc.lookup(access, count=count).hit:
             core.l2.fill(access)
             fill = core.l1.fill(access)
             return AccessOutcome(
-                access=access, hit_level=CacheLevel.LLC,
+                hit_level=CacheLevel.LLC,
                 latency=self.config.llc.hit_latency,
                 evicted_address=fill.evicted_address,
             )
@@ -125,7 +125,7 @@ class MultiCoreSystem:
         core.l2.fill(access)
         fill = core.l1.fill(access)
         return AccessOutcome(
-            access=access, hit_level=CacheLevel.MEMORY,
+            hit_level=CacheLevel.MEMORY,
             latency=self.config.memory_latency,
             evicted_address=fill.evicted_address,
         )
@@ -139,7 +139,7 @@ class MultiCoreSystem:
         self._back_invalidate(access.address)
         self.llc.flush(access.address)
         return AccessOutcome(
-            access=access, hit_level=CacheLevel.MEMORY,
+            hit_level=CacheLevel.MEMORY,
             latency=self.config.flush_latency,
         )
 

@@ -171,10 +171,16 @@ class CovertChannelProtocol:
         obs = self._obs
         session = self._session
 
-        # Ops that do not depend on a runtime value are built once.
+        # Ops that do not depend on a runtime value are built once;
+        # the channel's address sequences are pure, so each bit's
+        # encoding accesses are too.
         read_tsc = ReadTSC()
         silent = Compute(4.0)
         gap = Compute(config.encode_gap)
+        encodings = {
+            bit: tuple(Access(a) for a in channel.sender_addresses(bit))
+            for bit in (0, 1)
+        }
 
         def program():
             now = yield read_tsc
@@ -185,11 +191,11 @@ class CovertChannelProtocol:
                     obs.bits_sent.inc()
                     session.event("channel.bit", bit=bit, cycle=now)
                 deadline = now + config.ts
+                encode = encodings[bit]
                 while now < deadline:
-                    addresses = channel.sender_addresses(bit)
-                    for address in addresses:
-                        yield Access(address)
-                    if not addresses:
+                    for op in encode:
+                        yield op
+                    if not encode:
                         # Bit 0: the sender stays silent but still burns
                         # the loop's bookkeeping time.
                         yield silent
@@ -247,25 +253,30 @@ class CovertChannelProtocol:
         obs = self._obs
         session = self._session
         read_tsc = ReadTSC()
-        chase = [Access(address) for address in self.chain_addresses]
+        chain = self.chain_addresses
+        warm = [Access(address, count=False) for address in chain]
+        chase = [Access(address) for address in chain]
+        init = [Access(address) for address in channel.init_addresses()]
+        decode = [Access(address) for address in channel.decode_addresses()]
+        probe = Access(channel.probe_address)
 
         def program():
             # Prime the pointer-chase chain once (uncounted warm-up).
-            for address in self.chain_addresses:
-                yield Access(address, count=False)
+            for op in warm:
+                yield op
             t_last = yield read_tsc
             for sequence in range(num_samples):
-                for address in channel.init_addresses():
-                    yield Access(address)
+                for op in init:
+                    yield op
                 yield SleepUntil(t_last + config.tr)
                 t_last = yield read_tsc
-                for address in channel.decode_addresses():
-                    yield Access(address)
+                for op in decode:
+                    yield op
                 total = 0.0
                 for op in chase:
                     outcome = yield op
                     total += outcome.latency
-                outcome = yield Access(channel.probe_address)
+                outcome = yield probe
                 total += outcome.latency
                 latency = observed_chase_latency(
                     tsc, total, config.chain_length

@@ -77,8 +77,11 @@ class MemoryAccess:
 class AccessOutcome:
     """The result of pushing one :class:`MemoryAccess` through a hierarchy.
 
+    Outcomes carry no reference to their access, so a hierarchy can
+    hand out one shared instance for every outcome without an eviction
+    address (see :meth:`repro.cache.hierarchy.CacheHierarchy.access`).
+
     Attributes:
-        access: The access this outcome describes.
         hit_level: The level that served the data (``MEMORY`` for a full
             miss).  Flushes report the deepest level they had to touch.
         latency: Cycles the access took, according to the hierarchy's
@@ -91,7 +94,6 @@ class AccessOutcome:
             latency even though the data was present.
     """
 
-    access: MemoryAccess
     hit_level: CacheLevel
     latency: float
     evicted_address: Optional[int] = None

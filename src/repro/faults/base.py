@@ -14,7 +14,9 @@ into the simulator at three injection points:
   due);
 * **TSC readout** — every ``ReadTSC`` result is routed through the
   models, which may add jitter or drift (Section VI-A's coarse AMD
-  counter is the extreme case);
+  counter is the extreme case); only models whose class overrides
+  :meth:`FaultModel.perturb_tsc` are called, and the schedulers skip
+  the hook while there are none;
 * **observation delivery** — each receiver sample passes through the
   models, which may drop or duplicate it (lost and repeated samples are
   two of the paper's three error types).
@@ -231,6 +233,8 @@ class FaultInjector:
         # Earliest time any model's time-advance hook can act; see
         # FaultModel.next_event_at.
         self._next_due = math.inf
+        # The attached models whose perturb_tsc is not the identity.
+        self._tsc_models: List[FaultModel] = []
 
     @property
     def active(self) -> bool:
@@ -268,6 +272,8 @@ class FaultInjector:
                 session.note_fault_model(model.name)
         self.models.append(model)
         self._next_due = min(self._next_due, model.next_event_at())
+        if type(model).perturb_tsc is not FaultModel.perturb_tsc:
+            self._tsc_models.append(model)
         return model
 
     def attach_all(self, models: Sequence[FaultModel]) -> None:
@@ -305,7 +311,9 @@ class FaultInjector:
         )
 
     def perturb_tsc(self, value: float) -> float:
-        for model in self.models:
+        # Models that keep FaultModel.perturb_tsc return ``value`` as
+        # is, so skipping them changes nothing.
+        for model in self._tsc_models:
             value = model.perturb_tsc(value)
         return value
 

@@ -14,12 +14,17 @@ The paper evaluates both co-residency modes (Section III):
   the sender — the effect behind the paper's ~2 bps time-sliced rate
   (Section V-B).
 
-The time-sliced scheduler runs :class:`~repro.sim.thread.LoopProgram`
+Both schedulers do their per-op work in place whenever nothing could
+observe the individual calls (see :meth:`_SchedulerBase._inlinable`).
+The hyper-threaded loop is then an *op kernel*: it executes every
+operation itself, with the fast engine's L1 hit path inlined.  The
+time-sliced scheduler runs :class:`~repro.sim.thread.LoopProgram`
 threads (the constant sender and the background noise, which issue
 almost every op of a time-sliced run) through a *slice kernel*: a tight
-loop over the program's prebuilt ops with the fast engine's L1 hit path
-inlined.  It produces exactly the state, times, counters and draws the
-general per-op loop produces; see :meth:`TimeSlicedScheduler.run`.
+loop over the program's prebuilt ops with the same hit path.  Each
+produces exactly the state, times, counters and draws the general
+per-op route through ``_execute`` produces; see
+:meth:`HyperThreadedScheduler.run` and :meth:`TimeSlicedScheduler.run`.
 """
 
 from __future__ import annotations
@@ -83,10 +88,44 @@ class _SchedulerBase:
         """The live list of attached fault models (empty without faults)."""
         return self.faults.models if self.faults is not None else ()
 
+    def _inlinable(self) -> bool:
+        """Whether a run may do its per-op work in place.
+
+        Eligibility is derived from what is attached, never configured:
+        an in-place op skips ``_execute``, ``hierarchy.access`` (on an
+        L1 hit) and the prefetcher, so none of them may be live or
+        wrapped on the instance (the sanitizer and
+        :class:`~repro.sim.tracing.AccessTracer` install wrappers), and
+        the reference engine, the oracle, always takes the general route.
+        """
+        hierarchy = self.hierarchy
+        return (
+            hierarchy.prefetcher is None
+            and hierarchy.engine in ("fast", "batch")
+            and getattr(self._execute, "__func__", None)
+            is _SchedulerBase._execute
+            and getattr(hierarchy.access, "__func__", None)
+            is CacheHierarchy.access
+        )
+
+    def _plain_l1(self):
+        """The L1 if its hits can be done in place, else None.
+
+        Only the fast engine's plain cache (no way predictor, no keyed
+        index, no lock or hit-state hooks) has the inlinable hit path:
+        one tag-map probe, one ``policy.touch`` when hits update the
+        policy, and one reference count.
+        """
+        l1 = self.hierarchy.l1
+        if getattr(l1, "_plain_hit_path", False) and l1.way_predictor is None:
+            return l1
+        return None
+
     def _execute(self, thread: SimThread, op, now: float) -> float:
-        """Run one operation at time ``now``; return its cycle cost."""
-        if self._obs is not None:
-            self._obs.ops.inc()
+        """Run one operation at time ``now``; return its cycle cost.
+
+        The calling loop counts the op in ``sched.ops``.
+        """
         kind = type(op)
         if kind not in _OP_KINDS:
             kind = _op_kind(op)
@@ -108,7 +147,7 @@ class _SchedulerBase:
             return outcome.latency
         if kind is ReadTSC:
             faults = self.faults
-            if faults is not None and faults.models:
+            if faults is not None and faults._tsc_models:
                 now = faults.perturb_tsc(now)
             thread.pending_result = now
             return READ_TSC_COST
@@ -170,6 +209,22 @@ class HyperThreadedScheduler(_SchedulerBase):
         """Run until every thread finishes or the deadline passes.
 
         Returns the cycle time of the last completed operation.
+
+        When :meth:`_inlinable` holds, the loop is an *op kernel*: it
+        executes ``Access``, ``Compute``, ``ReadTSC`` and ``SleepUntil``
+        ops itself, exactly as ``_execute`` would.  On a plain
+        fast-engine L1 (:meth:`_plain_l1`) a counted, non-flush,
+        non-speculative access probes its set's tag map; a hit touches
+        the policy, counts the reference, costs the L1 hit latency and
+        delivers the hierarchy's shared L1-hit outcome.  Every other
+        access goes through ``hierarchy.access``.  Otherwise, and for
+        op subclasses, every op goes through ``_execute``.
+
+        Under an observing session, L1 hits done in place reach the
+        hierarchy's metrics as runs of hits before the next counted
+        access (fault disturbances are uncounted and observe no
+        latency), so the latency histogram takes its float additions in
+        the general route's order.
         """
         threads = self.threads
         for thread in threads:
@@ -181,7 +236,29 @@ class HyperThreadedScheduler(_SchedulerBase):
         rand = self.rng.random
         jitter = self.jitter
         execute = self._execute
+        faults = self.faults
         models = self._fault_models()
+        tsc_models = faults._tsc_models if faults is not None else ()
+        # Op types the loop executes in place; the rest take _execute.
+        kernel_kinds = _OP_KINDS if self._inlinable() else ()
+        hierarchy = self.hierarchy
+        access = hierarchy.access
+        l1 = self._plain_l1()
+        if l1 is not None:
+            sets = l1.sets
+            offset_bits = l1._offset_bits
+            index_mask = l1._index_mask
+            tag_shift = l1._tag_shift
+            update_on_hit = l1._update_on_hit
+            references = l1._references
+        hit_latency = hierarchy.config.l1.hit_latency
+        hit_outcome = hierarchy._l1_hit
+        obs = hierarchy._obs
+        record_hits = None if obs is None else obs.record_l1_hits
+        flush_type = AccessType.FLUSH
+        issued = 0
+        hits = 0
+        recorded = 0
         last_time = 0.0
         while True:
             thread = None
@@ -197,7 +274,11 @@ class HyperThreadedScheduler(_SchedulerBase):
                 break
             if until_cycle is not None and now >= until_cycle:
                 break
-            if models:
+            # A skipped wake-stall step is one in which no model could
+            # fire and no sleep ends: it would add 0.0.
+            if models and (
+                now >= faults._next_due or thread._slept_from is not None
+            ):
                 now += self._fault_wake_stall(thread, now)
                 thread.ready_at = now
             try:
@@ -205,14 +286,74 @@ class HyperThreadedScheduler(_SchedulerBase):
             except StopIteration:
                 thread.alive = False
                 continue
-            thread.pending_result = None
-            if op is None:
-                continue
+            kind = type(op)
+            if kind not in kernel_kinds:
+                thread.pending_result = None
+                if op is None:
+                    continue
+                if record_hits is not None and hits != recorded:
+                    record_hits(hit_latency, hits - recorded)
+                    recorded = hits
+                cost = execute(thread, op, now)
+            elif kind is Access:
+                way = None
+                if (
+                    l1 is not None
+                    and op.count
+                    and not op.speculative
+                    and op.access_type is not flush_type
+                ):
+                    address = op.address
+                    cache_set = sets[(address >> offset_bits) & index_mask]
+                    way = cache_set._tag_map.get(address >> tag_shift)
+                if way is not None:
+                    if update_on_hit:
+                        cache_set.policy.touch(way)
+                    references[thread.thread_id] += 1
+                    hits += 1
+                    thread.pending_result = hit_outcome
+                    cost = hit_latency
+                else:
+                    if record_hits is not None and hits != recorded:
+                        record_hits(hit_latency, hits - recorded)
+                        recorded = hits
+                    outcome = access(
+                        MemoryAccess(
+                            op.address,
+                            op.access_type,
+                            thread.thread_id,
+                            thread.address_space,
+                            op.locked,
+                            op.unlock,
+                            op.speculative,
+                        ),
+                        count=op.count,
+                    )
+                    thread.pending_result = outcome
+                    cost = outcome.latency
+            elif kind is Compute:
+                thread.pending_result = None
+                cost = op.cycles
+            elif kind is ReadTSC:
+                thread.pending_result = (
+                    faults.perturb_tsc(now) if tsc_models else now
+                )
+                cost = READ_TSC_COST
+            else:  # SleepUntil
+                thread.pending_result = None
+                if models:
+                    thread._slept_from = now
+                cost = max(0.0, op.cycle - now)
+            issued += 1
             # ``jitter * rand()`` is ``uniform(0.0, jitter)`` bit for bit.
-            now += execute(thread, op, now) + jitter * rand()
+            now += cost + jitter * rand()
             thread.ready_at = now
             if now > last_time:
                 last_time = now
+        if record_hits is not None and hits != recorded:
+            record_hits(hit_latency, hits - recorded)
+        if self._obs is not None:
+            self._obs.ops.inc(issued)
         return last_time
 
 
@@ -264,12 +405,9 @@ class TimeSlicedScheduler(_SchedulerBase):
 
         A :class:`~repro.sim.thread.LoopProgram` thread spends its
         slices in the slice kernel (:meth:`_run_loop`) whenever nothing
-        could observe individual ops: no fault model attached, no
-        prefetcher, no per-instance wrapper on ``_execute`` or on the
-        hierarchy's ``access`` (the sanitizer and
-        :class:`~repro.sim.tracing.AccessTracer` install one), and the
-        ``fast`` or ``batch`` engine.  Every other thread, and every
-        thread on the reference engine, runs the general per-op loop.
+        could observe individual ops: no fault model attached and
+        :meth:`_inlinable` holds.  Every other thread, and every thread
+        on the reference engine, runs the general per-op loop.
         """
         threads = self.threads
         for thread in threads:
@@ -287,6 +425,7 @@ class TimeSlicedScheduler(_SchedulerBase):
         count = len(threads)
         now = 0.0
         index = 0
+        issued = 0
         while now < until_cycle and any(t.alive for t in threads):
             thread = threads[index % count]
             index += 1
@@ -318,12 +457,15 @@ class TimeSlicedScheduler(_SchedulerBase):
                 thread.pending_result = None
                 if op is None:
                     break
+                issued += 1
                 ready += execute(thread, op, ready)
                 thread.ready_at = ready
             # The core moves on at the end of the slice; a thread whose
             # last operation overran (or that is sleeping far ahead)
             # keeps its own ready_at and simply does nothing next slice.
             now = slice_end + switch_cost
+        if obs is not None:
+            obs.ops.inc(issued)
         return now
 
     # ------------------------------------------------------------------
@@ -333,22 +475,11 @@ class TimeSlicedScheduler(_SchedulerBase):
     def _kernel_steps(self) -> Dict[SimThread, tuple]:
         """Compiled steps of every thread that runs in the kernel this run.
 
-        Eligibility is derived from what is attached, never configured:
-        the kernel skips ``_execute``, the fault hooks and the
-        prefetcher, so any of them being live (or wrapped) keeps every
-        thread on the general loop.
+        The kernel skips the fault hooks as well as what
+        :meth:`_inlinable` rules out, so an attached fault model keeps
+        every thread on the general loop.
         """
-        hierarchy = self.hierarchy
-        eligible = (
-            not self._fault_models()
-            and hierarchy.prefetcher is None
-            and hierarchy.engine in ("fast", "batch")
-            and getattr(self._execute, "__func__", None)
-            is _SchedulerBase._execute
-            and getattr(hierarchy.access, "__func__", None)
-            is CacheHierarchy.access
-        )
-        if not eligible:
+        if self._fault_models() or not self._inlinable():
             return {}
         kernel_steps = {}
         for thread in self.threads:
@@ -376,11 +507,7 @@ class TimeSlicedScheduler(_SchedulerBase):
         * ``(_CHOOSE, choice, steps)`` — one of ``steps``, drawn by the
           program's own ``choice``.
         """
-        l1 = self.hierarchy.l1
-        # Only the fast engine's plain cache has the inlinable hit path.
-        inline = (
-            getattr(l1, "_plain_hit_path", False) and l1.way_predictor is None
-        )
+        l1 = self._plain_l1()
 
         def lower(op):
             kind = type(op)
@@ -391,7 +518,7 @@ class TimeSlicedScheduler(_SchedulerBase):
                 # clock; they stay on the general loop.
                 return None
             if (
-                inline
+                l1 is not None
                 and op.count
                 and op.access_type is not AccessType.FLUSH
                 and not op.speculative

@@ -48,14 +48,11 @@ class TestMemoryAccess:
 
 class TestAccessOutcome:
     def test_l1_hit_property(self):
-        access = MemoryAccess(address=0)
-        outcome = AccessOutcome(access=access, hit_level=CacheLevel.L1, latency=4.0)
+        outcome = AccessOutcome(hit_level=CacheLevel.L1, latency=4.0)
         assert outcome.l1_hit
 
     def test_way_predictor_miss_is_not_l1_hit(self):
-        access = MemoryAccess(address=0)
         outcome = AccessOutcome(
-            access=access,
             hit_level=CacheLevel.L1,
             latency=17.0,
             was_way_predictor_miss=True,
@@ -63,8 +60,7 @@ class TestAccessOutcome:
         assert not outcome.l1_hit
 
     def test_l2_is_not_l1_hit(self):
-        access = MemoryAccess(address=0)
-        outcome = AccessOutcome(access=access, hit_level=CacheLevel.L2, latency=12.0)
+        outcome = AccessOutcome(hit_level=CacheLevel.L2, latency=12.0)
         assert not outcome.l1_hit
 
 

@@ -9,6 +9,8 @@ model would have fired.
 import math
 import random
 
+import pytest
+
 from repro.cache.config import HierarchyConfig
 from repro.cache.hierarchy import CacheHierarchy
 from repro.faults import (
@@ -179,3 +181,60 @@ class TestGate:
         assert [s.snapshot() for s in gated.hierarchy.l1.sets] == [
             s.snapshot() for s in ungated.hierarchy.l1.sets
         ]
+
+
+class _UngatedTscInjector(FaultInjector):
+    """Reference TSC fan-out: every model on every readout."""
+
+    def attach(self, model):
+        super().attach(model)
+        # The schedulers skip the hook only while this list is empty.
+        self._tsc_models = list(self.models)
+        return model
+
+    def perturb_tsc(self, value):
+        for model in self.models:
+            value = model.perturb_tsc(value)
+        return value
+
+
+class TestTscGate:
+    def test_only_overriding_models_are_fanned_out_to(self):
+        injector = FaultInjector(
+            _hierarchy(), rng_source=lambda: random.Random(1)
+        )
+        injector.attach(InterruptBurstFault(rate_per_mcycle=100.0))
+        injector.attach(_EveryAdvance())
+        assert injector._tsc_models == []
+        tsc = injector.attach(TSCFault(jitter_cycles=2.0))
+        assert injector._tsc_models == [tsc]
+
+    @pytest.mark.parametrize("with_tsc", [False, True])
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_matches_ungated_fan_out(self, with_tsc, engine):
+        def run(injector_cls, recorded):
+            h = CacheHierarchy(HierarchyConfig(), rng=7, engine=engine)
+            injector = injector_cls(h, rng_source=lambda: random.Random(11))
+            injector.attach(InterruptBurstFault(rate_per_mcycle=300.0))
+            if with_tsc:
+                injector.attach(TSCFault(jitter_cycles=3.0, drift_ppm=200.0))
+            scheduler = HyperThreadedScheduler(
+                h, _channel_threads(800), rng=5, faults=injector
+            )
+            if recorded:
+                # An instance wrapper sends every op through _execute.
+                execute = scheduler._execute
+                scheduler._execute = lambda *args: execute(*args)
+            end = scheduler.run()
+            return {
+                "end": end,
+                "events": list(injector.event_log),
+                "rngs": [m.rng.getstate() for m in injector.models],
+                "sets": [s.snapshot() for s in h.l1.sets],
+                "scheduler_rng": scheduler.rng.getstate(),
+            }
+
+        for recorded in (False, True):
+            gated = run(FaultInjector, recorded)
+            assert len(gated["events"]) > 5
+            assert gated == run(_UngatedTscInjector, recorded)

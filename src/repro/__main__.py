@@ -345,7 +345,6 @@ def _cmd_serve(
     queue_depth: int = 8,
     rate: float = 200.0,
     burst: int = 50,
-    backend: str = "inline",
     timeout: float = None,
     sanitize: bool = False,
     cache_dir: str = "service-cache",
@@ -371,7 +370,6 @@ def _cmd_serve(
             queue_depth=queue_depth,
             rate=rate,
             burst=burst,
-            backend=backend,
             timeout_seconds=timeout,
             sanitize=sanitize,
             cache_dir=cache_dir,
@@ -540,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget per experiment attempt (default: none)",
+        help="wall-clock budget per experiment, retries included, "
+        "enforced by killing its worker process (default: none)",
     )
     run_parser.add_argument(
         "--retries",
@@ -735,19 +734,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission-control burst allowance (default: 50)",
     )
     serve_parser.add_argument(
-        "--backend",
-        choices=["inline", "supervised"],
-        default="inline",
-        help="'inline' runs experiments in the pool thread; "
-        "'supervised' runs each in a supervised worker process that "
-        "survives crashes and SIGKILL (default: inline)",
-    )
-    serve_parser.add_argument(
         "--timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget per execution (default: none)",
+        help="wall-clock budget per execution; a bounded execution runs "
+        "in a supervised worker process (default: none)",
     )
     serve_parser.add_argument(
         "--sanitize",
@@ -990,7 +982,6 @@ def main(argv: list = None) -> int:
             queue_depth=args.queue_depth,
             rate=args.rate,
             burst=args.burst,
-            backend=args.backend,
             timeout=args.timeout,
             sanitize=args.sanitize,
             cache_dir=args.cache_dir,

@@ -5,13 +5,13 @@ go; a single wedged or crashing experiment should cost that one
 experiment, not the whole batch.  The runner wraps each registered
 experiment with:
 
-* a **wall-clock timeout** — the experiment runs on a worker thread and
-  is abandoned (the daemon thread is left to die with the process) if
-  it exceeds the budget, surfacing as
-  :class:`~repro.common.errors.ExperimentTimeout`.  The abandoned
-  thread's result slot is *sealed* at the timeout verdict, so a late
-  result is provably discarded (never merged into the checkpoint), and
-  the leak is counted via ``runner.timeouts.leaked_threads``;
+* a **wall-clock budget** — ``timeout_seconds`` (shrunk by a caller's
+  end-to-end ``deadline``) bounds one experiment, all attempts
+  included.  A bounded experiment runs in a supervised worker process,
+  which the supervisor SIGKILLs at the budget; the experiment then
+  fails as :class:`~repro.common.errors.ExperimentTimeout`.  Nothing
+  else bounds a run: with no budget (and ``jobs=1``) the experiment
+  runs in this process;
 * **retry with seed rotation** — experiments whose run function takes
   an ``rng`` parameter are retried with a different seed each attempt,
   so a run that landed in a pathological noise realization gets a fresh
@@ -53,7 +53,6 @@ import hashlib
 import inspect
 import json
 import os
-import threading
 import time
 import warnings
 from contextlib import nullcontext
@@ -62,7 +61,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.atomicio import atomic_write_text, quarantine_file
 from repro.common.deadline import Deadline
-from repro.common.errors import CheckpointCorruptWarning, ExperimentTimeout
+from repro.common.errors import CheckpointCorruptWarning
 from repro.experiments.base import EXPERIMENT_REGISTRY, ExperimentResult
 from repro.obs.manifest import RunManifest
 from repro.obs.session import ObsSession, active, observe
@@ -102,40 +101,6 @@ def _maybe_observe(session: Optional[ObsSession]):
     if session is None:
         return nullcontext()
     return observe(session)
-
-
-class _AttemptBox:
-    """Single-use, sealable result slot shared with a worker thread.
-
-    The timeout path cannot kill a wedged thread — but it *can* make the
-    thread's eventual result unreachable.  The parent seals the box the
-    instant the timeout verdict is reached; a publish after the seal is
-    rejected (returns False) and the value is dropped on the floor, so a
-    late result can never race its way into the checkpoint or overwrite
-    a retry's result.  All transitions happen under one lock, so there
-    is no window where "timed out" and "result accepted" both hold.
-    """
-
-    __slots__ = ("_lock", "_sealed", "_outcome")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._sealed = False
-        self._outcome: Dict = {}
-
-    def publish(self, key: str, value) -> bool:
-        """Store the worker's outcome; False means the box was sealed."""
-        with self._lock:
-            if self._sealed:
-                return False
-            self._outcome[key] = value
-            return True
-
-    def seal(self) -> Dict:
-        """Close the box forever and return whatever arrived in time."""
-        with self._lock:
-            self._sealed = True
-            return dict(self._outcome)
 
 
 @dataclass
@@ -224,8 +189,8 @@ def _pool_worker(spec: Tuple) -> Tuple[str, str, Dict, float, Optional[Dict]]:
     """Run one experiment in a worker process; returns a picklable record.
 
     This is the task body the supervised executor's workers run.
-    ``spec`` is ``(experiment_id, timeout, retries, sanitize, fn,
-    observe, trace_depth)`` where ``fn`` is None for globally registered
+    ``spec`` is ``(experiment_id, retries, sanitize, fn, observe,
+    trace_depth)`` where ``fn`` is None for globally registered
     experiments (the worker re-imports the registry — cheap under fork,
     required under spawn) or the pickled callable for custom registries.
     Results come back as ``to_dict`` payloads, the same round-trip
@@ -233,9 +198,11 @@ def _pool_worker(spec: Tuple) -> Tuple[str, str, Dict, float, Optional[Dict]]:
     worker's :class:`ObsCapture` (manifest/metrics/events) when
     observability was on.  Task-level errors are caught and returned as
     structured failure records — an exception escaping this function
-    would kill the worker and be misread as a crash.
+    would kill the worker and be misread as a crash.  The worker's
+    runner has no wall-clock bound: the supervisor's task deadline is
+    the only one.
     """
-    experiment_id, timeout, retries, sanitize, fn, observing, trace_depth = spec
+    experiment_id, retries, sanitize, fn, observing, trace_depth = spec
     if fn is None:
         import repro.experiments  # noqa: F401 - populates the registry
 
@@ -243,7 +210,6 @@ def _pool_worker(spec: Tuple) -> Tuple[str, str, Dict, float, Optional[Dict]]:
     else:
         registry = {experiment_id: fn}
     runner = ExperimentRunner(
-        timeout_seconds=timeout,
         retries=retries,
         sanitize=sanitize,
         registry=registry,
@@ -287,8 +253,10 @@ class ExperimentRunner:
     """Runs registered experiments with isolation between them.
 
     Args:
-        timeout_seconds: Wall-clock budget per attempt; ``None``
-            disables the timeout.
+        timeout_seconds: Wall-clock budget for one experiment, all
+            attempts included; ``None`` disables it.  A bounded
+            experiment runs in a supervised worker process that is
+            SIGKILLed at the budget (see :meth:`run_many`).
         retries: Extra attempts after the first failure (0 = fail
             fast).  Attempts rotate the experiment's ``rng`` seed when
             its run function accepts one.
@@ -313,23 +281,15 @@ class ExperimentRunner:
         trace_depth: Ring-buffer depth for the per-attempt trace bus
             (only meaningful with ``trace_path``).
         max_task_crashes: Consecutive worker crashes one experiment may
-            cause under ``jobs > 1`` before it is quarantined as a
-            structured failure instead of re-queued.
-        heartbeat_interval: Worker heartbeat period under ``jobs > 1``.
+            cause in the supervised executor before it is quarantined
+            as a structured failure instead of re-queued.
+        heartbeat_interval: Worker heartbeat period in the supervised
+            executor.
         drain_timeout: After SIGINT/SIGTERM, how long in-flight
             experiments may finish before being killed.
-        task_deadline_seconds: Hard per-task wall-clock backstop
-            enforced by worker SIGKILL; default derives from
-            ``timeout_seconds`` (attempts budget plus grace), ``None``
-            with no timeout.
         chaos: Test-only :class:`~repro.experiments.chaos.ChaosConfig`
             injected into workers.
     """
-
-    #: Grace added to the derived per-task deadline: the worker's own
-    #: cooperative timeout fires first; the supervisor kill is for
-    #: processes too wedged to honor it.
-    TASK_DEADLINE_GRACE = 30.0
 
     def __init__(
         self,
@@ -344,7 +304,6 @@ class ExperimentRunner:
         max_task_crashes: int = 3,
         heartbeat_interval: float = 1.0,
         drain_timeout: float = 10.0,
-        task_deadline_seconds: Optional[float] = None,
         chaos=None,
     ):
         if timeout_seconds is not None and timeout_seconds <= 0:
@@ -366,7 +325,6 @@ class ExperimentRunner:
         self.max_task_crashes = max_task_crashes
         self.heartbeat_interval = heartbeat_interval
         self.drain_timeout = drain_timeout
-        self.task_deadline_seconds = task_deadline_seconds
         self.chaos = chaos
         # Whether per-attempt sessions carry a trace bus (the worker
         # flips this on without a file path of its own).
@@ -378,12 +336,11 @@ class ExperimentRunner:
         #: (:class:`~repro.experiments.supervisor.ExecutorStats`), or
         #: None when the batch ran in-process.
         self.executor_stats = None
+        #: The supervised executor of the batch in flight, or None.
+        self.executor = None
         #: Corrupt durable artifacts detected (and quarantined) by this
         #: runner — surfaces in the trace header.
         self.corrupt_artifacts_detected = 0
-        #: Worker threads abandoned by a per-attempt timeout (they die
-        #: with the process; their late results are sealed out).
-        self.leaked_timeout_threads = 0
         #: Snapshot of the batch-level (parent-process) metrics of the
         #: last ``run_many`` call, when observability was on: executor
         #: recovery counters, checkpoint corruption detections.
@@ -398,24 +355,13 @@ class ExperimentRunner:
 
     # -- single experiment ---------------------------------------------
 
-    def run_one(
-        self,
-        experiment_id: str,
-        deadline: Optional[Deadline] = None,
-    ) -> ExperimentResult:
-        """Run one experiment through the timeout/retry harness.
+    def run_one(self, experiment_id: str) -> ExperimentResult:
+        """Run one experiment in this process through the retry loop.
 
-        Args:
-            experiment_id: Registered experiment id.
-            deadline: Optional end-to-end budget propagated from the
-                caller (a service request, a CLI flag).  Each attempt's
-                timeout is shrunk to the remaining budget, and no
-                further attempt starts (the last error is raised) once
-                the deadline has expired — the attempt budgets compose
-                with it instead of stacking past it.
-
-        Raises whatever the final attempt raised (or
-        :class:`ExperimentTimeout`) once retries are exhausted.
+        Nothing here bounds the run's wall clock: :meth:`run_many`
+        moves a bounded experiment into a supervised worker process.
+        Raises whatever the final attempt raised once retries are
+        exhausted.
         """
         fn = self.registry[experiment_id]
         # Resolve the signature once; retries reuse the parameter
@@ -427,7 +373,7 @@ class ExperimentRunner:
             if rng_parameter is not None and index > 0:
                 kwargs["rng"] = self._rotated_seed(rng_parameter, index)
             if not self.observe:
-                return self._run_attempt(experiment_id, fn, kwargs, deadline)
+                return self._run_attempt(fn, kwargs)
             # A fresh session per attempt: counts never bleed between
             # retries, and only the winning attempt's capture survives.
             session = ObsSession(
@@ -437,40 +383,26 @@ class ExperimentRunner:
                 with session.span(
                     "experiment", experiment_id=experiment_id, attempt=index
                 ):
-                    result = self._run_attempt(
-                        experiment_id, fn, kwargs, deadline
-                    )
+                    result = self._run_attempt(fn, kwargs)
             if index > 0:
                 session.metrics.counter("runner.retries").inc(index)
             self._capture(experiment_id, session, rng_parameter, index)
             return result
 
-        index = 0
-        while True:
+        for index in range(self.retries):
             try:
                 return attempt(index)
-            except Exception:
-                index += 1
-                if index > self.retries or (
-                    deadline is not None and deadline.expired
-                ):
-                    raise
+            except Exception:  # noqa: BLE001 - the next attempt runs
+                pass
+        return attempt(self.retries)
 
-    def _run_attempt(
-        self,
-        experiment_id: str,
-        fn: Callable,
-        kwargs: Dict,
-        deadline: Optional[Deadline] = None,
-    ) -> ExperimentResult:
+    def _run_attempt(self, fn: Callable, kwargs: Dict) -> ExperimentResult:
         if self.sanitize:
             from repro.analysis.sanitize import scoped_sanitize
 
             with scoped_sanitize():
-                return self._call_with_timeout(
-                    experiment_id, fn, kwargs, deadline
-                )
-        return self._call_with_timeout(experiment_id, fn, kwargs, deadline)
+                return fn(**kwargs)
+        return fn(**kwargs)
 
     def _capture(
         self,
@@ -524,62 +456,6 @@ class ExperimentRunner:
             return default if isinstance(default, int) else None
         return ExperimentRunner._rotated_seed(parameter, attempt)
 
-    def _call_with_timeout(
-        self,
-        experiment_id: str,
-        fn: Callable,
-        kwargs: Dict,
-        deadline: Optional[Deadline] = None,
-    ) -> ExperimentResult:
-        timeout = self.timeout_seconds
-        if deadline is not None:
-            if deadline.expired:
-                raise ExperimentTimeout(
-                    f"experiment {experiment_id!r} not started: "
-                    "end-to-end deadline already expired"
-                )
-            # A deadline always implies *some* per-attempt bound, even
-            # when the runner itself has no timeout configured.
-            timeout = deadline.bound(timeout)
-        if timeout is None:
-            return fn(**kwargs)
-        box = _AttemptBox()
-
-        def worker():
-            try:
-                result = fn(**kwargs)
-            except BaseException as error:  # noqa: BLE001 - reported below
-                box.publish("error", error)
-            else:
-                box.publish("result", result)
-
-        thread = threading.Thread(
-            target=worker, name=f"experiment-{experiment_id}", daemon=True
-        )
-        thread.start()
-        thread.join(timeout)
-        # Seal *before* inspecting: from this instant any result the
-        # worker produces is provably discarded, closing the race where
-        # an attempt finishes between the join timeout and the verdict.
-        outcome = box.seal()
-        if not outcome:
-            # The worker cannot be killed; as a daemon it dies with the
-            # process, and the batch moves on without it — but the leak
-            # is counted, not silent.
-            self.leaked_timeout_threads += 1
-            session = active()
-            if session is not None:
-                session.metrics.counter(
-                    "runner.timeouts.leaked_threads"
-                ).inc()
-            raise ExperimentTimeout(
-                f"experiment {experiment_id!r} exceeded "
-                f"{timeout:.1f}s wall-clock budget"
-            )
-        if "error" in outcome:
-            raise outcome["error"]
-        return outcome["result"]
-
     # -- batches --------------------------------------------------------
 
     def run_many(
@@ -588,8 +464,15 @@ class ExperimentRunner:
         on_result: Optional[Callable[[ExperimentResult, float], None]] = None,
         on_failure: Optional[Callable[[ExperimentFailure], None]] = None,
         jobs: int = 1,
+        deadline: Optional[Deadline] = None,
     ) -> RunReport:
         """Run a batch, isolating failures and checkpointing progress.
+
+        This is the one place that decides where an experiment runs.
+        With no wall-clock bound and ``jobs == 1`` (or a single pending
+        experiment) it runs in this process.  Otherwise the batch goes
+        to the supervised executor, whose SIGKILL at the task deadline
+        is the only thing that bounds an experiment.
 
         Args:
             ids: Experiment ids, in execution order.  Results and
@@ -598,14 +481,20 @@ class ExperimentRunner:
             on_result: Callback fired after each completion (restored
                 checkpoint entries fire it with 0.0 elapsed seconds).
             on_failure: Callback fired after each terminal failure.
-            jobs: Number of worker processes.  1 (the default) runs in
-                this process; higher values fan pending experiments out
-                over the supervised executor
+            jobs: Number of worker processes.  1 (the default) runs an
+                unbounded batch in this process; higher values fan
+                pending experiments out over the supervised executor
                 (:mod:`repro.experiments.supervisor`), which survives
                 worker crashes, hangs, and signals.  Seeds are derived
                 from each experiment's own registered defaults, so
                 parallel results are identical to sequential ones even
                 when a task re-runs after a crash.
+            deadline: Optional end-to-end budget from the caller (a
+                service request).  Each experiment's task deadline is
+                the smaller of ``timeout_seconds`` and the time the
+                deadline has left when the batch starts; once it has
+                expired, pending experiments fail as
+                ``ExperimentTimeout`` without starting a worker.
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -644,13 +533,36 @@ class ExperimentRunner:
                         on_result(result, 0.0)
                 else:
                     pending.append(experiment_id)
-            if jobs == 1 or len(pending) <= 1:
-                self._run_sequential(
-                    pending, report, completed, on_result, on_failure
+            task_deadline = self.timeout_seconds
+            if deadline is not None:
+                task_deadline = deadline.bound(task_deadline)
+            if task_deadline is not None and task_deadline <= 0:
+                for experiment_id in pending:
+                    failure = ExperimentFailure(
+                        experiment_id=experiment_id,
+                        error_type="ExperimentTimeout",
+                        message="not started: end-to-end deadline expired",
+                        attempts=0,
+                        elapsed_seconds=0.0,
+                    )
+                    report.failures.append(failure)
+                    if on_failure is not None:
+                        on_failure(failure)
+            elif pending and (
+                task_deadline is not None or (jobs > 1 and len(pending) > 1)
+            ):
+                self._run_parallel(
+                    pending,
+                    report,
+                    completed,
+                    on_result,
+                    on_failure,
+                    jobs,
+                    task_deadline,
                 )
             else:
-                self._run_parallel(
-                    pending, report, completed, on_result, on_failure, jobs
+                self._run_sequential(
+                    pending, report, completed, on_result, on_failure
                 )
         if batch_session is not None:
             self.batch_metrics = batch_session.metrics.snapshot()
@@ -858,20 +770,6 @@ class ExperimentRunner:
             if on_result is not None:
                 on_result(result, time.monotonic() - start)
 
-    def _task_deadline(self) -> Optional[float]:
-        """The supervisor's hard per-task kill budget.
-
-        Explicit ``task_deadline_seconds`` wins; otherwise derive from
-        the cooperative per-attempt timeout (which the worker enforces
-        itself) — all attempts plus grace — or no deadline at all.
-        """
-        if self.task_deadline_seconds is not None:
-            return self.task_deadline_seconds
-        if self.timeout_seconds is None:
-            return None
-        budget = self.timeout_seconds * (self.retries + 1)
-        return budget + self.TASK_DEADLINE_GRACE
-
     def _run_parallel(
         self,
         pending: Sequence[str],
@@ -880,14 +778,17 @@ class ExperimentRunner:
         on_result,
         on_failure,
         jobs: int,
+        task_deadline: Optional[float],
     ) -> None:
-        """Fan pending experiments out over the supervised executor.
+        """Run pending experiments on the supervised executor.
 
         Callbacks and checkpoint merges happen in this (parent) process
         as completions arrive; the final report lists results in
         submission order so output is stable across schedules.  Worker
-        crashes re-queue their task (the re-run is bit-identical) and
-        poison tasks arrive as structured ``WorkerCrashed`` failures.
+        crashes re-queue their task (the re-run is bit-identical),
+        poison tasks arrive as structured ``WorkerCrashed`` failures,
+        and a task past ``task_deadline`` is killed and arrives as an
+        ``ExperimentTimeout`` failure.
         """
         from repro.experiments.supervisor import SupervisedExecutor
 
@@ -897,7 +798,6 @@ class ExperimentRunner:
                 experiment_id,
                 (
                     experiment_id,
-                    self.timeout_seconds,
                     self.retries,
                     self.sanitize,
                     None if global_registry else self.registry[experiment_id],
@@ -934,12 +834,16 @@ class ExperimentRunner:
             worker_fn=_pool_worker,
             jobs=min(jobs, len(tasks)),
             heartbeat_interval=self.heartbeat_interval,
-            task_deadline=self._task_deadline(),
+            task_deadline=task_deadline,
             max_task_crashes=self.max_task_crashes,
             drain_timeout=self.drain_timeout,
             chaos=self.chaos,
         )
-        outcome = executor.run(tasks, on_record)
+        self.executor = executor
+        try:
+            outcome = executor.run(tasks, on_record)
+        finally:
+            self.executor = None
         self.executor_stats = outcome.stats
         report.interrupted = outcome.interrupted
         report.unfinished = list(outcome.unfinished)

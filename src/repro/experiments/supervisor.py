@@ -8,20 +8,22 @@ the pool with a small supervisor built the way long-running campaign
 drivers (gem5 batch runners, cluster schedulers) are built:
 
 * **long-lived workers, explicit assignment** — each worker process
-  pulls from its own single-slot queue, so the supervisor always knows
-  exactly which task every worker owns; nothing is ever lost "somewhere
-  in a shared queue";
+  owns a pair of one-way pipes, tasks in and results out, so the
+  supervisor always knows exactly which task every worker owns, and a
+  worker that dies can lose only its own in-flight record (no shared
+  queue whose lock a dying writer could take with it);
 * **heartbeats** — a worker-side thread stamps a shared array every
   ``heartbeat_interval`` seconds; a stale stamp means the process is
   frozen (not merely busy: the heartbeat thread beats through a busy
   main thread) and gets hard-killed;
-* **per-task deadlines** — a backstop *around* the worker's own
-  cooperative per-attempt timeout: a worker wedged in C past the
-  deadline is SIGKILLed and respawned;
-* **re-queue on worker death** — a task whose worker died goes back to
-  the front of the queue and re-runs; experiment seeds derive from
-  registered defaults, so a re-run is bit-identical to an undisturbed
-  run;
+* **per-task deadlines** — the one wall-clock bound on an experiment: a
+  task still running at its deadline has its worker SIGKILLed and ends
+  as an ``ExperimentTimeout`` failure record.  It is not re-queued: a
+  re-run is bit-identical, so it could only time out again;
+* **re-queue on worker death** — a task whose worker crashed (or was
+  killed for a stale heartbeat) goes back to the front of the queue and
+  re-runs; experiment seeds derive from registered defaults, so a
+  re-run is bit-identical to an undisturbed run;
 * **poison-task quarantine** — a task that kills its worker
   ``max_task_crashes`` times in a row is converted into a structured
   failure record (``error_type: WorkerCrashed``) instead of crashing
@@ -39,12 +41,11 @@ deterministic tests rather than trusted on faith.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import queue as queue_module
 import signal as signal_module
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutorError
@@ -108,9 +109,11 @@ class _WorkerSlot:
 
     index: int
     process: Optional[multiprocessing.Process] = None
-    task_queue: Optional[multiprocessing.Queue] = None
+    #: Send end of the worker's task pipe.
+    tasks: Optional[Connection] = None
+    #: Receive end of the worker's result pipe; None once it hit EOF.
+    results: Optional[Connection] = None
     task_id: Optional[str] = None
-    attempt: int = 0
     assigned_at: float = 0.0
     respawns_without_completion: int = 0
     dead: bool = False
@@ -122,8 +125,8 @@ class _WorkerSlot:
 
 def _worker_main(
     index: int,
-    task_queue,
-    result_queue,
+    tasks: Connection,
+    results: Connection,
     heartbeats,
     heartbeat_interval: float,
     worker_fn: Callable,
@@ -133,7 +136,8 @@ def _worker_main(
 
     SIGINT is ignored so a terminal Ctrl-C (which signals the whole
     foreground process group) reaches only the supervisor, which then
-    drains cleanly.  The task loop runs until the ``None`` sentinel.
+    drains cleanly.  The task loop runs until the ``None`` sentinel or
+    end of file on the task pipe.
     """
     signal_module.signal(signal_module.SIGINT, signal_module.SIG_IGN)
     chaos = None
@@ -159,7 +163,10 @@ def _worker_main(
     beater.start()
     try:
         while True:
-            item = task_queue.get()
+            try:
+                item = tasks.recv()
+            except EOFError:
+                break
             if item is None:
                 break
             task_id, attempt, spec = item
@@ -176,7 +183,9 @@ def _worker_main(
                     chaos_exit()
             else:
                 record = worker_fn(spec)
-            result_queue.put((index, task_id, record))
+            # A direct write on this worker's own pipe: no feeder
+            # thread and no lock shared with other workers.
+            results.send((task_id, record))
     finally:
         stop.set()
 
@@ -196,7 +205,8 @@ class SupervisedExecutor:
             declared frozen and killed; default
             ``HEARTBEAT_TIMEOUT_INTERVALS * heartbeat_interval``.
         task_deadline: Hard wall-clock budget for one task execution,
-            enforced by SIGKILL + respawn; ``None`` disables it.
+            enforced by SIGKILL + respawn; the task then ends as an
+            ``ExperimentTimeout`` failure record.  ``None`` disables it.
         max_task_crashes: Consecutive worker deaths one task may cause
             before it is quarantined as a structured failure.
         drain_timeout: After the first SIGINT/SIGTERM, how long
@@ -273,13 +283,10 @@ class SupervisedExecutor:
     ) -> ExecutorOutcome:
         """Execute every (task_id, spec) pair, surviving worker failures.
 
-        ``on_record`` fires in this process, in completion order, with
-        each worker record — plus synthesized quarantine records for
-        poison tasks, shaped like ``worker_fn`` failure records.  A task
-        re-run after a worker death may (rarely, when the dying worker's
-        result was already in flight) deliver its record twice;
-        consumers must be idempotent per task id, which checkpoint-merge
-        semantics already are.
+        ``on_record`` fires in this process, in completion order, once
+        per task: with each worker record, or with a synthesized failure
+        record (shaped like ``worker_fn``'s) for a task that timed out
+        or was quarantined as poison.
         """
         self._pending: List[str] = [task_id for task_id, _ in tasks]
         self._specs: Dict[str, object] = dict(tasks)
@@ -287,9 +294,7 @@ class SupervisedExecutor:
             raise ValueError("duplicate task ids in batch")
         self._crashes: Dict[str, int] = {}
         self._first_assigned: Dict[str, float] = {}
-        self._completed: set = set()
         self._on_record = on_record
-        self._result_queue: multiprocessing.Queue = multiprocessing.Queue()
         self._heartbeats = multiprocessing.Array(
             "d", max(self.jobs, 1), lock=False
         )
@@ -362,38 +367,38 @@ class SupervisedExecutor:
             if slot.process is None or not slot.process.is_alive():
                 continue
             task_id = self._pending.pop(0)
-            attempt = self._crashes.get(task_id, 0)
             self._first_assigned.setdefault(task_id, time.monotonic())
             slot.task_id = task_id
-            slot.attempt = attempt
             slot.assigned_at = time.monotonic()
-            slot.task_queue.put((task_id, attempt, self._specs[task_id]))
+            attempt = self._crashes.get(task_id, 0)
+            try:
+                slot.tasks.send((task_id, attempt, self._specs[task_id]))
+            except OSError:
+                # The worker died after the liveness check; policing
+                # finds it dead and re-queues the task.
+                pass
 
     def _drain_results(self) -> None:
-        try:
-            message = self._result_queue.get(timeout=self.poll_interval)
-        except queue_module.Empty:
-            return
-        while True:
-            self._handle_result(message)
-            try:
-                message = self._result_queue.get_nowait()
-            except queue_module.Empty:
-                return
+        """Wait up to one poll interval for records on any result pipe."""
+        owners = {
+            slot.results: slot
+            for slot in self._slots
+            if slot.results is not None
+        }
+        for reader in wait(list(owners), timeout=self.poll_interval):
+            self._receive(owners[reader])
 
-    def _handle_result(self, message) -> None:
-        index, task_id, record = message
-        slot = self._slots[index]
-        if slot.task_id == task_id:
-            slot.task_id = None
-            slot.attempt = 0
-            slot.respawns_without_completion = 0
-        self._crashes.pop(task_id, None)
-        if task_id in self._completed:
-            # Late duplicate from a worker that died mid-report after a
-            # re-run already finished; results are bit-identical, drop.
+    def _receive(self, slot: _WorkerSlot) -> None:
+        """Take one record off ``slot``'s pipe; EOF means its worker died."""
+        try:
+            task_id, record = slot.results.recv()
+        except (EOFError, OSError):
+            slot.results.close()
+            slot.results = None
             return
-        self._completed.add(task_id)
+        slot.task_id = None
+        slot.respawns_without_completion = 0
+        self._crashes.pop(task_id, None)
         self._on_record(record)
 
     def _police_workers(self) -> None:
@@ -424,7 +429,14 @@ class SupervisedExecutor:
         process.join(5.0)
 
     def _handle_worker_death(self, slot: _WorkerSlot, cause: str) -> None:
-        """Account for a dead worker, requeue/quarantine its task, respawn."""
+        """Account for a dead worker, settle its task, respawn.
+
+        A deadline kill ends the task as a timeout; any other death
+        re-queues it (or quarantines it once it has killed
+        ``max_task_crashes`` workers).  The respawn closes the dead
+        worker's pipes, so a record it wrote but the parent never read
+        is dropped with them: every task is reported exactly once.
+        """
         if slot.process is not None:
             slot.process.join(5.0)
         self.stats.workers_crashed += 1
@@ -435,11 +447,18 @@ class SupervisedExecutor:
             self.stats.workers_killed_heartbeat += 1
         task_id = slot.task_id
         slot.task_id = None
-        slot.attempt = 0
         if task_id is not None:
             crashes = self._crashes.get(task_id, 0) + 1
             self._crashes[task_id] = crashes
-            if crashes >= self.max_task_crashes:
+            if cause == "deadline":
+                self._fail(
+                    task_id,
+                    "ExperimentTimeout",
+                    f"{task_id!r} exceeded its {self.task_deadline:.1f}s "
+                    "wall-clock deadline; its worker was killed",
+                    crashes,
+                )
+            elif crashes >= self.max_task_crashes:
                 self._quarantine(task_id, crashes, cause)
             elif not self.draining:
                 self._pending.insert(0, task_id)
@@ -453,6 +472,7 @@ class SupervisedExecutor:
         if slot.respawns_without_completion > MAX_SLOT_RESPAWNS:
             slot.dead = True
             slot.process = None
+            self._close_pipes(slot)
             self._check_slots_remaining()
             return
         # Full-jitter backoff so a crash-looping slot does not spin hot
@@ -478,33 +498,41 @@ class SupervisedExecutor:
         """Convert a poison task into a structured failure record."""
         self.stats.tasks_quarantined += 1
         self._metric("executor.tasks.quarantined")
-        elapsed = time.monotonic() - self._first_assigned.get(
-            task_id, time.monotonic()
-        )
         detail = {
             "crashed": "its worker process died",
-            "deadline": "it exceeded the task deadline and was killed",
             "heartbeat": "its worker's heartbeat went stale and it "
             "was killed",
         }.get(cause, cause)
+        self._fail(
+            task_id,
+            "WorkerCrashed",
+            f"quarantined after {crashes} consecutive worker crash(es); "
+            f"last one: {detail}",
+            crashes,
+        )
+
+    def _fail(
+        self, task_id: str, error_type: str, message: str, attempts: int
+    ) -> None:
+        """Deliver a synthesized failure record for ``task_id``."""
+        elapsed = time.monotonic() - self._first_assigned.get(
+            task_id, time.monotonic()
+        )
         payload = {
             "experiment_id": task_id,
-            "error_type": "WorkerCrashed",
-            "message": (
-                f"quarantined after {crashes} consecutive worker "
-                f"crash(es); last one: {detail}"
-            ),
-            "attempts": crashes,
+            "error_type": error_type,
+            "message": message,
+            "attempts": attempts,
             "elapsed_seconds": elapsed,
         }
-        self._completed.add(task_id)
         self._on_record((task_id, "failure", payload, elapsed, None))
 
     # -- worker lifecycle -----------------------------------------------
 
     def _spawn(self, slot: _WorkerSlot) -> None:
-        self._discard_queue(slot.task_queue)
-        slot.task_queue = multiprocessing.Queue()
+        self._close_pipes(slot)
+        task_reader, slot.tasks = multiprocessing.Pipe(duplex=False)
+        slot.results, result_writer = multiprocessing.Pipe(duplex=False)
         self._heartbeats[slot.index] = time.monotonic()
         chaos_data = self.chaos.to_dict() if self.chaos is not None else None
         slot.process = multiprocessing.Process(
@@ -512,8 +540,8 @@ class SupervisedExecutor:
             name=f"repro-worker-{slot.index}",
             args=(
                 slot.index,
-                slot.task_queue,
-                self._result_queue,
+                task_reader,
+                result_writer,
                 self._heartbeats,
                 self.heartbeat_interval,
                 self.worker_fn,
@@ -522,31 +550,33 @@ class SupervisedExecutor:
             daemon=True,
         )
         slot.process.start()
+        # The worker holds the only other ends: its death is EOF on
+        # ``slot.results`` and a broken pipe on ``slot.tasks``.
+        task_reader.close()
+        result_writer.close()
         self.stats.workers_spawned += 1
 
     @staticmethod
-    def _discard_queue(task_queue) -> None:
-        """Abandon a dead worker's queue without blocking on its feeder."""
-        if task_queue is None:
-            return
-        task_queue.close()
-        task_queue.cancel_join_thread()
+    def _close_pipes(slot: _WorkerSlot) -> None:
+        for end in (slot.tasks, slot.results):
+            if end is not None:
+                end.close()
+        slot.tasks = slot.results = None
 
     def _shutdown(self) -> None:
         for slot in self._slots:
             process = slot.process
-            if process is None:
-                continue
-            if process.is_alive():
+            if process is not None and process.is_alive():
                 if slot.idle:
-                    slot.task_queue.put(None)
+                    try:
+                        slot.tasks.send(None)
+                    except OSError:
+                        pass
                     process.join(2.0)
                 if process.is_alive():
                     process.kill()
                     process.join(5.0)
-            self._discard_queue(slot.task_queue)
-        self._result_queue.close()
-        self._result_queue.cancel_join_thread()
+            self._close_pipes(slot)
 
     # -- signal handling ------------------------------------------------
 

@@ -301,14 +301,6 @@ METRIC_CATALOG: Dict[str, MetricSpec] = dict(
             "were quarantined to <name>.corrupt.",
         ),
         _spec(
-            "runner.timeouts.leaked_threads",
-            "counter",
-            "threads",
-            "repro.experiments.runner",
-            "Worker threads abandoned by a per-attempt timeout; their "
-            "late results are sealed out of the checkpoint.",
-        ),
-        _spec(
             "runner.jobs.oversubscribed",
             "counter",
             "batches",

@@ -14,15 +14,14 @@ buffers unboundedly and nothing blocks a client on a pool that recent
 history says is broken.
 
 Execution itself happens off the loop, one single-thread executor per
-pool, through one of two backends:
-
-* ``inline`` — an :class:`~repro.experiments.runner.ExperimentRunner`
-  in the pool's thread: cheap, and still timeout/deadline-aware;
-* ``supervised`` — each request becomes a one-task
-  :class:`~repro.experiments.supervisor.SupervisedExecutor` batch in a
-  real worker *process*: crashes (including chaos-injected or external
-  SIGKILL) are survived by the PR-5 recovery machinery, and the worker
-  pid is exposed so the chaos suite can kill it mid-request.
+pool, through :class:`InlineBackend`: each request is a one-experiment
+``ExperimentRunner.run_many`` batch with the request's deadline.  A
+request with no wall-clock bound (no ``deadline_ms`` and no
+``--timeout``) runs in the pool's thread.  A bounded one runs in a
+supervised worker *process* that is SIGKILLed at the bound: crashes
+(including chaos-injected or external SIGKILL) are survived by the
+executor's recovery machinery, and the worker pid is exposed so the
+chaos suite can kill it mid-request.
 
 Graceful drain reuses the PR-5 semantics: on ``drain()`` the service
 stops admitting (``draining`` responses), lets in-flight requests finish
@@ -74,10 +73,8 @@ class ServiceConfig:
             sheds (never unbounded buffering).
         rate: Token-bucket refill rate, requests/second.
         burst: Token-bucket capacity (burst allowance).
-        backend: ``"inline"`` (runner in the pool thread) or
-            ``"supervised"`` (one worker process per request via the
-            supervised executor — survives SIGKILL).
-        timeout_seconds: Wall-clock budget for one execution.  Each
+        timeout_seconds: Wall-clock budget for one execution; a bounded
+            execution runs in a supervised worker process.  Each
             request runs once: a failure is the pool breaker's evidence
             and the client gets a ``degraded`` answer, never a result
             computed from another seed.
@@ -92,14 +89,14 @@ class ServiceConfig:
         seed: Master seed for breaker probe jitter.
         trace_depth: Ring-buffer depth for request-scoped trace spans;
             0 disables tracing (metrics stay on).
-        heartbeat_interval: Worker heartbeat period (supervised
-            backend).
-        max_task_crashes: Worker crashes one request may cause before
-            the supervised backend reports it failed.
+        heartbeat_interval: Worker heartbeat period of a bounded
+            execution's worker process.
+        max_task_crashes: Worker crashes one bounded request may cause
+            before it is reported failed.
         chaos: Optional
             :class:`~repro.experiments.chaos.ServiceChaosConfig`
             (tests only): cache corruption after writes, worker chaos
-            forwarded to supervised pools.
+            forwarded to bounded executions' workers.
         name: Node identity within a cluster (peers.json name); echoed
             in ``stats`` responses so the router's stats federation can
             attribute each node's snapshot.  Empty outside a cluster.
@@ -111,7 +108,6 @@ class ServiceConfig:
     queue_depth: int = 8
     rate: float = 200.0
     burst: int = 50
-    backend: str = "inline"
     timeout_seconds: Optional[float] = None
     sanitize: bool = False
     breaker_failures: int = 3
@@ -137,11 +133,6 @@ class ServiceConfig:
             raise ServiceError(
                 f"rate must be > 0 and burst >= 1, got rate={self.rate} "
                 f"burst={self.burst}"
-            )
-        if self.backend not in ("inline", "supervised"):
-            raise ServiceError(
-                f"backend must be 'inline' or 'supervised', "
-                f"got {self.backend!r}"
             )
 
 
@@ -193,7 +184,7 @@ class TokenBucket:
 
 
 # ----------------------------------------------------------------------
-# Execution backends (run in the pool's single executor thread)
+# Execution (runs in the pool's single executor thread)
 # ----------------------------------------------------------------------
 
 
@@ -201,8 +192,8 @@ def _execute_trials(algorithm: str, trials: int) -> Dict:
     """One multi-trial batch request, executed inline.
 
     The lockstep batch engine (:mod:`repro.sim.batch`) is deterministic
-    and fast enough that crash isolation buys nothing here, so both
-    backends share this path.  The payload is an aggregate summary —
+    and fast enough that crash isolation buys nothing here, so it never
+    goes to a worker process.  The payload is an aggregate summary —
     one row, not one per trial — so a 100k-trial answer still fits the
     wire's line bound.
     """
@@ -251,8 +242,8 @@ def _execute_defended(channel_id: str, defense: str) -> Dict:
     """One defended-channel request, executed inline.
 
     Mirrors :func:`_execute_trials`: the defended run is a
-    deterministic scalar simulation (seconds, not minutes), so both
-    backends share this path and crash isolation buys nothing.  The
+    deterministic scalar simulation (seconds, not minutes), so crash
+    isolation buys nothing and it never goes to a worker process.  The
     payload is one matrix cell — the same row shape as the
     ``ext_randomized`` baseline (see ``docs/DEFENSES.md``).
     """
@@ -272,9 +263,12 @@ def _execute_defended(channel_id: str, defense: str) -> Dict:
 
 
 class InlineBackend:
-    """Execute requests with an in-process :class:`ExperimentRunner`."""
+    """Execute requests through a single-attempt :class:`ExperimentRunner`.
 
-    name = "inline"
+    A custom registry works for bounded requests too, as long as its
+    callables are picklable (module-level): the worker process gets the
+    function, as under ``run_many(jobs=N)``.
+    """
 
     def __init__(self, config: ServiceConfig, registry: Optional[Dict]):
         from repro.experiments.runner import ExperimentRunner
@@ -284,148 +278,33 @@ class InlineBackend:
             retries=0,
             sanitize=config.sanitize,
             registry=registry,
-        )
-
-    def execute(
-        self,
-        experiment_id: str,
-        deadline: Optional[Deadline],
-        trials: int = 0,
-        defense: str = "none",
-    ) -> Dict:
-        if trials:
-            return _execute_trials(experiment_id, trials)
-        if defense != "none":
-            return _execute_defended(experiment_id, defense)
-        try:
-            result = self.runner.run_one(experiment_id, deadline=deadline)
-        except Exception as error:  # noqa: BLE001 - becomes degraded response
-            return {
-                "ok": False,
-                "error": {
-                    "type": type(error).__name__,
-                    "message": str(error),
-                },
-            }
-        return {"ok": True, "result": result.to_dict()}
-
-    def worker_pids(self) -> List[int]:
-        return []
-
-
-class SupervisedBackend:
-    """Execute each request as a one-task supervised-executor batch.
-
-    Heavyweight but crash-proof: the experiment runs in a real worker
-    process with heartbeats and a hard kill deadline; worker death
-    (chaos-injected or an external SIGKILL) is survived by re-queue, and
-    a poison request comes back as a structured failure instead of
-    wedging the pool.  The live worker pid is exposed through
-    :meth:`worker_pids` so the chaos suite can kill it mid-request.
-    """
-
-    name = "supervised"
-
-    def __init__(self, config: ServiceConfig, registry: Optional[Dict]):
-        # A custom registry works here too, as long as its callables
-        # are picklable (module-level): the spec carries the function
-        # across the fork/spawn boundary, mirroring run_many(jobs=N).
-        self.registry = registry
-        self.config = config
-        worker_chaos = None
-        if config.chaos is not None:
-            worker_chaos = config.chaos.worker
-        self.worker_chaos = worker_chaos
-        self._executor = None
-
-    def execute(
-        self,
-        experiment_id: str,
-        deadline: Optional[Deadline],
-        trials: int = 0,
-        defense: str = "none",
-    ) -> Dict:
-        from repro.experiments.runner import ExperimentRunner, _pool_worker
-        from repro.experiments.supervisor import SupervisedExecutor
-
-        if trials:
-            # Batch-trial requests run inline even under the supervised
-            # backend: the vectorized engine holds no machine state a
-            # crash could corrupt, and a worker round-trip would cost
-            # more than the transfer itself.
-            return _execute_trials(experiment_id, trials)
-        if defense != "none":
-            # Same reasoning: a defended run is a short deterministic
-            # scalar simulation, not a crash risk worth a worker.
-            return _execute_defended(experiment_id, defense)
-
-        config = self.config
-        timeout = config.timeout_seconds
-        if deadline is not None:
-            # Serialize the *remaining* budget into the worker's
-            # cooperative timeout (monotonic clocks do not cross
-            # process boundaries).
-            remaining = deadline.bound(timeout)
-            if remaining <= 0:
-                return {
-                    "ok": False,
-                    "error": {
-                        "type": "ExperimentTimeout",
-                        "message": "deadline expired before execution",
-                    },
-                }
-            timeout = remaining
-        task_deadline = None
-        if timeout is not None:
-            task_deadline = timeout + ExperimentRunner.TASK_DEADLINE_GRACE
-        spec = (
-            experiment_id,
-            timeout,
-            0,
-            config.sanitize,
-            None if self.registry is None else self.registry[experiment_id],
-            False,
-            0,
-        )
-        records: List = []
-        executor = SupervisedExecutor(
-            worker_fn=_pool_worker,
-            jobs=1,
-            heartbeat_interval=config.heartbeat_interval,
-            task_deadline=task_deadline,
             max_task_crashes=config.max_task_crashes,
+            heartbeat_interval=config.heartbeat_interval,
             drain_timeout=config.drain_timeout,
-            chaos=self.worker_chaos,
+            chaos=None if config.chaos is None else config.chaos.worker,
         )
-        self._executor = executor
-        try:
-            executor.run([(experiment_id, spec)], records.append)
-        finally:
-            self._executor = None
-        for record in records:
-            _, kind, payload, _, _ = record
-            if kind == "result":
-                return {"ok": True, "result": payload}
-            return {
-                "ok": False,
-                "error": {
-                    "type": payload.get("error_type", "ExecutorError"),
-                    "message": payload.get("message", ""),
-                },
-            }
-        return {
-            "ok": False,
-            "error": {
-                "type": "ExecutorError",
-                "message": "execution produced no record (interrupted?)",
-            },
-        }
+
+    def execute(
+        self,
+        experiment_id: str,
+        deadline: Optional[Deadline],
+        trials: int = 0,
+        defense: str = "none",
+    ) -> Dict:
+        if trials:
+            return _execute_trials(experiment_id, trials)
+        if defense != "none":
+            return _execute_defended(experiment_id, defense)
+        report = self.runner.run_many([experiment_id], deadline=deadline)
+        if report.results:
+            return {"ok": True, "result": report.results[0].to_dict()}
+        (failure,) = report.failures
+        error = {"type": failure.error_type, "message": failure.message}
+        return {"ok": False, "error": error}
 
     def worker_pids(self) -> List[int]:
-        executor = self._executor
-        if executor is None:
-            return []
-        return executor.worker_pids()
+        executor = self.runner.executor
+        return [] if executor is None else executor.worker_pids()
 
 
 # ----------------------------------------------------------------------
@@ -549,8 +428,8 @@ class ExperimentService:
     Args:
         config: Every knob (:class:`ServiceConfig`).
         registry: Experiment-id → callable mapping; defaults to the
-            global registry (injection point for tests; inline backend
-            only).
+            global registry (injection point for tests; bounded
+            executions need module-level callables).
     """
 
     def __init__(
@@ -585,11 +464,6 @@ class ExperimentService:
 
     # -- lifecycle ------------------------------------------------------
 
-    def _make_backend(self):
-        if self.config.backend == "supervised":
-            return SupervisedBackend(self.config, self._custom_registry)
-        return InlineBackend(self.config, self._custom_registry)
-
     async def start(self) -> None:
         """Bind the listener and start the pool loops."""
         if self._custom_registry is None:
@@ -597,7 +471,8 @@ class ExperimentService:
 
         self._drained = asyncio.Event()
         for index in range(self.config.pools):
-            pool = _Pool(index, f"pool-{index}", self, self._make_backend())
+            backend = InlineBackend(self.config, self._custom_registry)
+            pool = _Pool(index, f"pool-{index}", self, backend)
             self.pools.append(pool)
             pool.start()
         self.server = await asyncio.start_server(
@@ -678,7 +553,7 @@ class ExperimentService:
             self._drained.set()
 
     def worker_pids(self) -> Dict[str, List[int]]:
-        """Live worker pids per pool (supervised backend; chaos hooks)."""
+        """Live worker pids per pool (bounded executions; chaos hooks)."""
         return {
             pool.name: pool.backend.worker_pids() for pool in self.pools
         }

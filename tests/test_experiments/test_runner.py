@@ -13,19 +13,7 @@ from repro.experiments.runner import (
     ExperimentFailure,
     ExperimentRunner,
     RunReport,
-    _AttemptBox,
 )
-
-
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
 
 
 def _result(experiment_id, rows=None):
@@ -35,6 +23,23 @@ def _result(experiment_id, rows=None):
         columns=["x"],
         rows=rows if rows is not None else [[1]],
     )
+
+
+# Module level, so a bounded run can pickle them into its worker process.
+
+
+def wedged():
+    time.sleep(30.0)
+    return _result("wedged")
+
+
+def slow_failure():
+    time.sleep(0.15)
+    raise RuntimeError("failing slowly")
+
+
+def seeded(rng: int = 7):
+    return _result("seeded", rows=[[rng]])
 
 
 class TestRunOne:
@@ -77,17 +82,6 @@ class TestRunOne:
         runner = ExperimentRunner(retries=1, registry={"broken": broken})
         with pytest.raises(ValueError, match="deterministically broken"):
             runner.run_one("broken")
-
-    def test_timeout_surfaces_as_experiment_timeout(self):
-        def wedged():
-            time.sleep(30.0)
-            return _result("wedged")
-
-        runner = ExperimentRunner(
-            timeout_seconds=0.1, retries=0, registry={"wedged": wedged}
-        )
-        with pytest.raises(ExperimentTimeout, match="wall-clock"):
-            runner.run_one("wedged")
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -182,35 +176,6 @@ class TestAttemptLoop:
         assert capture.manifest.seed == 2007
         assert capture.manifest.attempts == 3
         assert capture.metrics["counters"]["runner.retries"] == 2
-
-    def test_deadline_expiring_mid_loop_stops_after_that_attempt(self):
-        clock = FakeClock()
-        deadline = Deadline.after(5.0, clock=clock)
-        seeds = []
-
-        def fn(rng: int = 7):
-            seeds.append(rng)
-            clock.advance(3.0)  # the second attempt crosses the budget
-            raise RuntimeError(f"attempt with seed {rng}")
-
-        runner = ExperimentRunner(retries=5, registry={"x": fn})
-        with pytest.raises(RuntimeError, match="seed 1007"):
-            runner.run_one("x", deadline=deadline)
-        assert seeds == [7, 1007]
-
-    def test_attempt_that_overruns_the_deadline_keeps_its_result(self):
-        # The deadline only gates *further* attempts; a success that
-        # finishes after it expired is still returned.
-        clock = FakeClock()
-        deadline = Deadline.after(1.0, clock=clock)
-
-        def fn():
-            clock.advance(2.0)
-            return _result("x")
-
-        runner = ExperimentRunner(retries=2, registry={"x": fn})
-        assert runner.run_one("x", deadline=deadline).experiment_id == "x"
-
 
 class TestRunMany:
     def test_failures_do_not_stop_the_batch(self):
@@ -360,146 +325,71 @@ class TestRunReport:
         assert RunReport().ok
 
 
-class TestAttemptBox:
-    def test_publish_before_seal_is_kept(self):
-        box = _AttemptBox()
-        assert box.publish("result", 42)
-        assert box.seal() == {"result": 42}
+class TestBoundedRuns:
+    """A wall-clock bound moves the experiment into a worker process."""
 
-    def test_publish_after_seal_is_rejected(self):
-        # The exact race the box exists to close: a worker finishing
-        # between the join timeout and the parent's verdict must find
-        # the box already sealed.
-        box = _AttemptBox()
-        assert box.seal() == {}
-        assert not box.publish("result", "too late")
-        assert box.seal() == {}
-
-
-class TestTimeoutDiscard:
-    def test_late_result_is_discarded_and_leak_counted(self):
-        release = threading.Event()
-        finished = threading.Event()
-
-        def wedged():
-            release.wait(5.0)
-            finished.set()
-            return _result("wedged")
-
+    def test_wedged_experiment_times_out_and_leaves_no_thread(self):
+        threads_before = threading.active_count()
         runner = ExperimentRunner(
-            timeout_seconds=0.1, retries=0, registry={"wedged": wedged}
+            timeout_seconds=0.3,
+            retries=0,
+            registry={"wedged": wedged},
+            heartbeat_interval=0.05,
         )
-        with pytest.raises(ExperimentTimeout):
-            runner.run_one("wedged")
-        assert runner.leaked_timeout_threads == 1
-        # Let the stuck worker finish *after* the verdict: its result
-        # lands in a sealed box, so nothing observable changes.
-        release.set()
-        assert finished.wait(5.0)
-        assert runner.leaked_timeout_threads == 1
-
-    def test_leak_metric_lands_on_the_active_session(self):
-        from repro.obs.session import ObsSession, observe
-
-        def wedged():
-            time.sleep(5.0)
-            return _result("wedged")
-
-        runner = ExperimentRunner(
-            timeout_seconds=0.05, retries=0, registry={"wedged": wedged}
-        )
-        session = ObsSession()
-        with observe(session):
-            with pytest.raises(ExperimentTimeout):
-                runner.run_one("wedged")
-        counters = session.metrics.snapshot()["counters"]
-        assert counters["runner.timeouts.leaked_threads"] == 1
-
-    def test_fast_attempt_leaks_nothing(self):
-        runner = ExperimentRunner(
-            timeout_seconds=5.0, retries=0, registry={"quick": lambda: _result("quick")}
-        )
-        assert runner.run_one("quick").experiment_id == "quick"
-        assert runner.leaked_timeout_threads == 0
-
-
-class TestRunOneDeadline:
-    def test_expired_deadline_refuses_to_start(self):
-        calls = []
-
-        def fn():
-            calls.append(True)
-            return _result("x")
-
-        runner = ExperimentRunner(retries=0, registry={"x": fn})
-        deadline = Deadline.after(0.0)
-        with pytest.raises(ExperimentTimeout, match="not started"):
-            runner.run_one("x", deadline=deadline)
-        assert calls == []
-
-    def test_deadline_bounds_attempt_even_without_configured_timeout(self):
-        def wedged():
-            time.sleep(5.0)
-            return _result("wedged")
-
-        runner = ExperimentRunner(retries=0, registry={"wedged": wedged})
         start = time.monotonic()
-        with pytest.raises(ExperimentTimeout):
-            runner.run_one("wedged", deadline=Deadline.after(0.2))
+        report = runner.run_many(["wedged"], jobs=1)
         assert time.monotonic() - start < 2.0
+        (failure,) = report.failures
+        assert failure.error_type == "ExperimentTimeout"
+        assert "wall-clock" in failure.message
+        assert runner.executor_stats.workers_killed_deadline == 1
+        assert threading.active_count() == threads_before
 
-    def test_deadline_stops_the_retry_loop_early(self):
-        calls = []
-
-        def slow_failure():
-            calls.append(True)
-            time.sleep(0.15)
-            raise RuntimeError("failing slowly")
-
+    def test_timeout_covers_every_attempt(self):
+        # Eleven attempts of 0.15 s cannot fit a 0.5 s budget: the
+        # budget is per experiment, not per attempt.
         runner = ExperimentRunner(
-            retries=10, registry={"slow": slow_failure}
+            timeout_seconds=0.5,
+            retries=10,
+            registry={"slow": slow_failure},
+            heartbeat_interval=0.05,
         )
-        with pytest.raises((RuntimeError, ExperimentTimeout)):
-            runner.run_one("slow", deadline=Deadline.after(0.2))
-        assert len(calls) <= 2
+        (failure,) = runner.run_many(["slow"]).failures
+        assert failure.error_type == "ExperimentTimeout"
 
-    def test_expired_deadline_raises_last_error_instead_of_retrying(self):
-        clock = FakeClock()
-        deadline = Deadline.after(5.0, clock=clock)
-        seeds = []
-
-        def fn(rng: int = 7):
-            seeds.append(rng)
-            clock.advance(6.0)  # the attempt itself eats the budget
-            raise RuntimeError(f"attempt with seed {rng}")
-
-        runner = ExperimentRunner(retries=2, registry={"x": fn})
-        with pytest.raises(RuntimeError, match="seed 7"):
-            runner.run_one("x", deadline=deadline)
-        assert seeds == [7]
-
-    def test_retries_proceed_while_budget_allows(self):
-        clock = FakeClock()
-        deadline = Deadline.after(10.0, clock=clock)
-        seeds = []
-
-        def fn(rng: int = 7):
-            seeds.append(rng)
-            clock.advance(0.1)
-            if len(seeds) < 3:
-                raise RuntimeError("flaky")
-            return _result("x")
-
-        runner = ExperimentRunner(retries=2, registry={"x": fn})
-        assert runner.run_one("x", deadline=deadline).experiment_id == "x"
-        assert seeds == [7, 1007, 2007]
-
-    def test_generous_deadline_changes_nothing(self):
+    def test_deadline_bounds_a_run_without_configured_timeout(self):
         runner = ExperimentRunner(
-            retries=1, registry={"ok": lambda: _result("ok")}
+            retries=0, registry={"wedged": wedged}, heartbeat_interval=0.05
         )
-        result = runner.run_one("ok", deadline=Deadline.after(60.0))
-        assert result.experiment_id == "ok"
+        start = time.monotonic()
+        report = runner.run_many(["wedged"], deadline=Deadline.after(0.3))
+        assert time.monotonic() - start < 2.0
+        assert report.failures[0].error_type == "ExperimentTimeout"
+
+    def test_expired_deadline_starts_no_worker(self):
+        failed = []
+        runner = ExperimentRunner(retries=0, registry={"x": wedged})
+        report = runner.run_many(
+            ["x"], on_failure=failed.append, deadline=Deadline.after(0.0)
+        )
+        (failure,) = report.failures
+        assert failed == [failure]
+        assert failure.error_type == ExperimentTimeout.__name__
+        assert "not started" in failure.message
+        assert failure.attempts == 0
+        assert runner.executor_stats is None
+
+    def test_generous_deadline_gives_the_unbounded_bytes(self):
+        unbounded = ExperimentRunner(
+            retries=1, registry={"seeded": seeded}
+        ).run_many(["seeded"])
+        bounded = ExperimentRunner(
+            retries=1, registry={"seeded": seeded}
+        ).run_many(["seeded"], deadline=Deadline.after(60.0))
+        assert bounded.ok
+        assert [r.to_dict() for r in bounded.results] == [
+            r.to_dict() for r in unbounded.results
+        ]
 
 
 class TestRunTrials:

@@ -182,20 +182,26 @@ class TestCrashRecovery:
 
 
 class TestDeadlineAndHeartbeat:
-    def test_deadline_kill_quarantines_the_wedged_task(self):
+    def test_deadline_kill_is_a_timeout_and_is_not_requeued(self):
+        # A re-run is bit-identical, so it could only time out again:
+        # the first deadline kill ends the task even with crash budget
+        # left.
         records, on_record = collect()
         executor = SupervisedExecutor(
             worker_fn=sleepy_worker,
             jobs=1,
             heartbeat_interval=0.05,
             task_deadline=0.3,
-            max_task_crashes=1,
+            max_task_crashes=3,
         )
         outcome = executor.run([("wedged", ("wedged", 30.0))], on_record)
-        assert records[0][1] == "failure"
-        assert "deadline" in records[0][2]["message"]
+        (record,) = records
+        assert record[1] == "failure"
+        assert record[2]["error_type"] == "ExperimentTimeout"
+        assert "deadline" in record[2]["message"]
         assert outcome.stats.workers_killed_deadline == 1
-        assert outcome.stats.tasks_quarantined == 1
+        assert outcome.stats.tasks_requeued == 0
+        assert outcome.stats.tasks_quarantined == 0
 
     def test_stale_heartbeat_kill(self):
         records, on_record = collect()

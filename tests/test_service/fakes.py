@@ -1,6 +1,6 @@
 """Fast, deterministic fake experiments for service tests.
 
-Module-level functions so they are picklable: the supervised backend
+Module-level functions so they are picklable: a bounded execution
 ships the callable to its worker process by qualified name.
 """
 

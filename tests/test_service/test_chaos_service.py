@@ -34,10 +34,12 @@ def exact_baselines():
 
 
 class TestSupervisedBackend:
+    """A bounded execution runs in a supervised worker process."""
+
     def test_supervised_execution_matches_inline(self, harness_factory):
         harness = harness_factory(
             registry=dict(fakes.FAST_REGISTRY),
-            backend="supervised",
+            timeout_seconds=60.0,
             pools=1,
         )
         with harness.client(timeout=60.0) as client:
@@ -51,7 +53,7 @@ class TestSupervisedBackend:
         registry["slow"] = fakes.run_slow
         harness = harness_factory(
             registry=registry,
-            backend="supervised",
+            timeout_seconds=60.0,
             pools=1,
             max_task_crashes=3,
         )
@@ -98,7 +100,7 @@ class TestSupervisedBackend:
         )
         harness = harness_factory(
             registry=dict(fakes.FAST_REGISTRY),
-            backend="supervised",
+            timeout_seconds=60.0,
             pools=1,
             max_task_crashes=2,
             chaos=chaos,

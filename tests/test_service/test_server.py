@@ -13,12 +13,8 @@ import pytest
 
 from repro.common.deadline import Deadline
 from repro.common.errors import ServiceError
-from repro.experiments.runner import ExperimentRunner
-from repro.service.server import (
-    InlineBackend,
-    ServiceConfig,
-    SupervisedBackend,
-)
+from repro.experiments.supervisor import ExecutorOutcome, ExecutorStats
+from repro.service.server import InlineBackend, ServiceConfig
 from tests.test_service import fakes
 
 
@@ -181,12 +177,14 @@ class TestDegradedServing:
         gauges = stats["metrics"]["gauges"]
         assert gauges["service.breaker.state"]["pool-0"] == 2  # open
 
-    @pytest.mark.parametrize("backend", ["inline", "supervised"])
+    @pytest.mark.parametrize(
+        "bound", [{}, {"timeout_seconds": 30.0}], ids=["unbounded", "timeout"]
+    )
     def test_failure_on_registered_seed_is_not_retried_with_another(
-        self, harness_factory, backend
+        self, harness_factory, bound
     ):
         harness = harness_factory(
-            registry={"flaky": fakes.run_flaky}, pools=1, backend=backend
+            registry={"flaky": fakes.run_flaky}, pools=1, **bound
         )
         with harness.client() as client:
             response = client.request("flaky")
@@ -409,7 +407,7 @@ class TestBatchTrials:
 
 
 class FakeSupervisedExecutor:
-    """Records what SupervisedBackend asks for; answers with a failure."""
+    """Records what a bounded execution asks for; answers with a failure."""
 
     made = []
 
@@ -421,18 +419,18 @@ class FakeSupervisedExecutor:
     def run(self, tasks, on_record):
         self.tasks = list(tasks)
         experiment_id = self.tasks[0][0]
-        on_record(
-            (
-                experiment_id,
-                "failure",
-                {"error_type": "RuntimeError", "message": "scripted"},
-                None,
-                None,
-            )
-        )
+        payload = {
+            "experiment_id": experiment_id,
+            "error_type": "RuntimeError",
+            "message": "scripted",
+            "attempts": 1,
+            "elapsed_seconds": 0.0,
+        }
+        on_record((experiment_id, "failure", payload, 0.0, None))
+        return ExecutorOutcome(stats=ExecutorStats())
 
 
-class TestBackendsRunOnce:
+class TestBackendRunsOnce:
     """Each service execution is one attempt on the registered seed."""
 
     @pytest.fixture
@@ -445,18 +443,22 @@ class TestBackendsRunOnce:
         )
         return FakeSupervisedExecutor.made
 
-    def test_service_config_has_no_retry_knob(self):
+    def test_service_config_has_no_retry_or_backend_knob(self):
         with pytest.raises(TypeError):
             ServiceConfig(retries=1)
+        with pytest.raises(TypeError):
+            ServiceConfig(backend="supervised")
 
-    def test_inline_backend_builds_a_single_attempt_runner(self):
+    def test_backend_builds_a_single_attempt_runner(self):
         backend = InlineBackend(
             ServiceConfig(timeout_seconds=2.0), {"alpha": fakes.run_alpha}
         )
         assert backend.runner.retries == 0
         assert backend.runner.timeout_seconds == 2.0
 
-    def test_inline_backend_executes_a_failing_experiment_once(self):
+    def test_unbounded_execution_runs_once_without_an_executor(
+        self, fake_executor
+    ):
         seeds = []
 
         def flaky(rng: int = 5):
@@ -468,9 +470,11 @@ class TestBackendsRunOnce:
         assert outcome["ok"] is False
         assert outcome["error"]["type"] == "RuntimeError"
         assert seeds == [5]
+        assert fake_executor == []
+        assert backend.worker_pids() == []
 
-    def test_supervised_backend_asks_for_one_attempt(self, fake_executor):
-        backend = SupervisedBackend(
+    def test_bounded_execution_asks_for_one_attempt(self, fake_executor):
+        backend = InlineBackend(
             ServiceConfig(timeout_seconds=2.0), {"flaky": fakes.run_flaky}
         )
         outcome = backend.execute("flaky", None)
@@ -481,33 +485,23 @@ class TestBackendsRunOnce:
         (executor,) = fake_executor
         (task_id, spec), = executor.tasks
         assert task_id == "flaky"
-        experiment_id, timeout, retries = spec[:3]
-        assert (experiment_id, timeout, retries) == ("flaky", 2.0, 0)
-        assert executor.kwargs["task_deadline"] == (
-            2.0 + ExperimentRunner.TASK_DEADLINE_GRACE
-        )
+        assert spec[:2] == ("flaky", 0)  # experiment id, retries
+        assert executor.kwargs["task_deadline"] == 2.0
 
-    def test_supervised_backend_without_timeout_has_no_task_deadline(
-        self, fake_executor
+    @pytest.mark.parametrize(
+        "timeout, budget, expected",
+        [(60.0, 0.5, 0.5), (0.2, 60.0, 0.2), (None, 0.5, 0.5)],
+    )
+    def test_task_deadline_is_the_smaller_bound(
+        self, fake_executor, timeout, budget, expected
     ):
-        backend = SupervisedBackend(
-            ServiceConfig(), {"flaky": fakes.run_flaky}
+        backend = InlineBackend(
+            ServiceConfig(timeout_seconds=timeout),
+            {"flaky": fakes.run_flaky},
         )
-        backend.execute("flaky", None)
+        backend.execute("flaky", Deadline.after(budget))
         (executor,) = fake_executor
-        assert executor.tasks[0][1][1] is None
-        assert executor.kwargs["task_deadline"] is None
-
-    def test_supervised_backend_bounds_timeout_by_request_deadline(
-        self, fake_executor
-    ):
-        backend = SupervisedBackend(
-            ServiceConfig(timeout_seconds=60.0), {"flaky": fakes.run_flaky}
-        )
-        backend.execute("flaky", Deadline.after(0.5))
-        (executor,) = fake_executor
-        timeout = executor.tasks[0][1][1]
-        assert 0 < timeout <= 0.5
-        assert executor.kwargs["task_deadline"] == (
-            timeout + ExperimentRunner.TASK_DEADLINE_GRACE
-        )
+        # The deadline's remaining time shrinks a little before it is
+        # read, so the bound is at most ``expected`` and close to it.
+        task_deadline = executor.kwargs["task_deadline"]
+        assert expected - 0.1 < task_deadline <= expected

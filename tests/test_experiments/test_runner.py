@@ -1,6 +1,7 @@
 """Tests for the resilient experiment runner."""
 
 import json
+import os
 import threading
 import time
 
@@ -40,6 +41,14 @@ def slow_failure():
 
 def seeded(rng: int = 7):
     return _result("seeded", rows=[[rng]])
+
+
+def healthy():
+    return _result("healthy")
+
+
+def report_pid():
+    return _result("pid", rows=[[os.getpid()]])
 
 
 class TestRunOne:
@@ -357,9 +366,15 @@ class TestBoundedRuns:
         (failure,) = runner.run_many(["slow"]).failures
         assert failure.error_type == "ExperimentTimeout"
 
-    def test_deadline_bounds_a_run_without_configured_timeout(self):
+    @pytest.mark.parametrize("timeout", [None, 60.0])
+    def test_deadline_bounds_the_run(self, timeout):
+        # With no configured timeout, or a longer one, the deadline's
+        # remaining time is the task deadline.
         runner = ExperimentRunner(
-            retries=0, registry={"wedged": wedged}, heartbeat_interval=0.05
+            timeout_seconds=timeout,
+            retries=0,
+            registry={"wedged": wedged},
+            heartbeat_interval=0.05,
         )
         start = time.monotonic()
         report = runner.run_many(["wedged"], deadline=Deadline.after(0.3))
@@ -390,6 +405,73 @@ class TestBoundedRuns:
         assert [r.to_dict() for r in bounded.results] == [
             r.to_dict() for r in unbounded.results
         ]
+
+
+    def test_timed_out_experiment_spares_the_rest_of_the_batch(self):
+        runner = ExperimentRunner(
+            timeout_seconds=0.5,
+            retries=0,
+            registry={"wedged": wedged, "healthy": healthy},
+            heartbeat_interval=0.05,
+        )
+        report = runner.run_many(["wedged", "healthy"], jobs=1)
+        assert [f.experiment_id for f in report.failures] == ["wedged"]
+        assert [r.experiment_id for r in report.results] == ["healthy"]
+        assert runner.executor_stats.workers_killed_deadline == 1
+
+    def test_expired_deadline_still_reports_checkpointed_results(
+        self, tmp_path
+    ):
+        checkpoint = str(tmp_path / "progress.json")
+        registry = {"healthy": healthy, "wedged": wedged}
+        ExperimentRunner(
+            checkpoint_path=checkpoint, registry=registry
+        ).run_many(["healthy"])
+        report = ExperimentRunner(
+            checkpoint_path=checkpoint, registry=registry
+        ).run_many(["healthy", "wedged"], deadline=Deadline.after(0.0))
+        assert report.resumed == ["healthy"]
+        assert [r.experiment_id for r in report.results] == ["healthy"]
+        (failure,) = report.failures
+        assert failure.experiment_id == "wedged"
+        assert "not started" in failure.message
+
+
+class TestWhereExperimentsRun:
+    """``run_many`` is the one place that picks in-process or a worker."""
+
+    def test_unbounded_single_job_runs_in_this_process(self):
+        runner = ExperimentRunner(registry={"pid": report_pid})
+        (result,) = runner.run_many(["pid"], jobs=1).results
+        assert result.rows == [[os.getpid()]]
+        assert runner.executor_stats is None
+
+    def test_bounded_run_executes_in_a_worker_process(self):
+        runner = ExperimentRunner(
+            timeout_seconds=60.0,
+            registry={"pid": report_pid},
+            heartbeat_interval=0.05,
+        )
+        (result,) = runner.run_many(["pid"], jobs=1).results
+        assert result.rows[0][0] != os.getpid()
+        assert runner.executor_stats.workers_spawned == 1
+        assert runner.executor_stats.clean
+
+    def test_executor_is_live_only_while_a_bounded_batch_runs(self):
+        seen = []
+        runner = ExperimentRunner(
+            timeout_seconds=60.0,
+            registry={"healthy": healthy},
+            heartbeat_interval=0.05,
+        )
+        assert runner.executor is None
+        runner.run_many(
+            ["healthy"],
+            on_result=lambda result, elapsed: seen.append(runner.executor),
+        )
+        (executor,) = seen
+        assert executor is not None
+        assert runner.executor is None
 
 
 class TestRunTrials:

@@ -203,6 +203,48 @@ class TestDeadlineAndHeartbeat:
         assert outcome.stats.tasks_requeued == 0
         assert outcome.stats.tasks_quarantined == 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deadline_kill_spares_the_rest_of_the_batch(self, jobs):
+        # The killed slot respawns with fresh pipes and any other slot
+        # keeps going: every other task runs and each reports once.
+        records, on_record = collect()
+        executor = SupervisedExecutor(
+            worker_fn=sleepy_worker,
+            jobs=jobs,
+            heartbeat_interval=0.05,
+            task_deadline=0.3,
+        )
+        tasks = [("wedged", ("wedged", 30.0))] + [
+            (f"q{i}", (f"q{i}", 0.0)) for i in range(4)
+        ]
+        outcome = executor.run(tasks, on_record)
+        kinds = {r[0]: r[1] for r in records}
+        assert len(records) == len(tasks)
+        assert kinds.pop("wedged") == "failure"
+        assert set(kinds.values()) == {"result"}
+        assert outcome.stats.workers_spawned == jobs + 1
+        assert outcome.stats.workers_killed_deadline == 1
+        assert outcome.unfinished == []
+
+    def test_timeout_record_is_shaped_like_a_worker_failure(self):
+        from repro.experiments.runner import ExperimentFailure
+
+        records, on_record = collect()
+        executor = SupervisedExecutor(
+            worker_fn=sleepy_worker,
+            jobs=1,
+            heartbeat_interval=0.05,
+            task_deadline=0.3,
+        )
+        executor.run([("wedged", ("wedged", 30.0))], on_record)
+        ((task_id, kind, payload, elapsed, obs_payload),) = records
+        assert (task_id, kind, obs_payload) == ("wedged", "failure", None)
+        assert elapsed >= 0.3
+        failure = ExperimentFailure(**payload)
+        assert failure.experiment_id == "wedged"
+        assert failure.attempts == 1
+        assert failure.elapsed_seconds == elapsed
+
     def test_stale_heartbeat_kill(self):
         records, on_record = collect()
         executor = SupervisedExecutor(

@@ -139,6 +139,12 @@ class TestRequestPathFlags:
         assert exit_info.value.code == 2
         assert "--retries" in capsys.readouterr().err
 
+    def test_serve_has_no_backend_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            self._parse(["serve", "--backend", "supervised"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_request_has_no_peers_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             self._parse(["request", "alpha", "--peers", "a=h:1"])

@@ -6,6 +6,7 @@ client, exactly the way a real caller sees them.
 """
 
 import json
+import os
 import threading
 import time
 
@@ -505,3 +506,24 @@ class TestBackendRunsOnce:
         # read, so the bound is at most ``expected`` and close to it.
         task_deadline = executor.kwargs["task_deadline"]
         assert expected - 0.1 < task_deadline <= expected
+
+    def test_worker_pids_list_the_live_worker_of_a_bounded_request(self):
+        backend = InlineBackend(
+            ServiceConfig(timeout_seconds=30.0, heartbeat_interval=0.05),
+            {"sleepy": fakes.run_sleepy},
+        )
+        outcomes = []
+        thread = threading.Thread(
+            target=lambda: outcomes.append(backend.execute("sleepy", None))
+        )
+        thread.start()
+        seen = []
+        give_up = time.monotonic() + 10.0
+        while not seen and thread.is_alive() and time.monotonic() < give_up:
+            seen = backend.worker_pids()
+            time.sleep(0.01)
+        thread.join(30.0)
+        assert outcomes[0]["ok"] is True
+        (pid,) = seen
+        assert pid != os.getpid()
+        assert backend.worker_pids() == []

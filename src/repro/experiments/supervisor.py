@@ -433,9 +433,11 @@ class SupervisedExecutor:
 
         A deadline kill ends the task as a timeout; any other death
         re-queues it (or quarantines it once it has killed
-        ``max_task_crashes`` workers).  The respawn closes the dead
-        worker's pipes, so a record it wrote but the parent never read
-        is dropped with them: every task is reported exactly once.
+        ``max_task_crashes`` workers).  A timeout settles the task, so,
+        like a delivered record, it resets the slot's respawn budget.
+        The respawn closes the dead worker's pipes, so a record it wrote
+        but the parent never read is dropped with them: every task is
+        reported exactly once.
         """
         if slot.process is not None:
             slot.process.join(5.0)
@@ -458,6 +460,7 @@ class SupervisedExecutor:
                     "wall-clock deadline; its worker was killed",
                     crashes,
                 )
+                slot.respawns_without_completion = 0
             elif crashes >= self.max_task_crashes:
                 self._quarantine(task_id, crashes, cause)
             elif not self.draining:
@@ -550,8 +553,10 @@ class SupervisedExecutor:
             daemon=True,
         )
         slot.process.start()
-        # The worker holds the only other ends: its death is EOF on
-        # ``slot.results`` and a broken pipe on ``slot.tasks``.
+        # Other workers forked meanwhile (by this executor or another
+        # one in the process) may inherit these ends, so a worker's death
+        # need not show up as EOF: ``_police_workers`` detects it with
+        # ``is_alive()``, and EOF only takes the reader out of ``wait()``.
         task_reader.close()
         result_writer.close()
         self.stats.workers_spawned += 1

@@ -15,6 +15,7 @@ from repro.experiments.runner import (
     ExperimentRunner,
     RunReport,
 )
+from repro.experiments.supervisor import MAX_SLOT_RESPAWNS
 
 
 def _result(experiment_id, rows=None):
@@ -406,18 +407,27 @@ class TestBoundedRuns:
             r.to_dict() for r in unbounded.results
         ]
 
-
-    def test_timed_out_experiment_spares_the_rest_of_the_batch(self):
+    def test_timeouts_spare_the_batch_and_the_worker_slot(self):
+        # Each timeout kills the one worker; more timeouts in a row than
+        # the slot's respawn budget still leave it serving the batch.
+        wedged_ids = [f"wedged{i}" for i in range(MAX_SLOT_RESPAWNS + 2)]
+        registry = dict.fromkeys(wedged_ids, wedged)
+        registry["healthy"] = healthy
         runner = ExperimentRunner(
-            timeout_seconds=0.5,
+            timeout_seconds=0.3,
             retries=0,
-            registry={"wedged": wedged, "healthy": healthy},
+            registry=registry,
             heartbeat_interval=0.05,
         )
-        report = runner.run_many(["wedged", "healthy"], jobs=1)
-        assert [f.experiment_id for f in report.failures] == ["wedged"]
+        report = runner.run_many(wedged_ids + ["healthy"], jobs=1)
+        assert [f.experiment_id for f in report.failures] == wedged_ids
+        assert {f.error_type for f in report.failures} == {
+            "ExperimentTimeout"
+        }
         assert [r.experiment_id for r in report.results] == ["healthy"]
-        assert runner.executor_stats.workers_killed_deadline == 1
+        assert runner.executor_stats.workers_killed_deadline == len(
+            wedged_ids
+        )
 
     def test_expired_deadline_still_reports_checkpointed_results(
         self, tmp_path
@@ -447,31 +457,26 @@ class TestWhereExperimentsRun:
         assert runner.executor_stats is None
 
     def test_bounded_run_executes_in_a_worker_process(self):
+        # ``runner.executor`` is live only while the bounded batch runs.
+        seen = []
         runner = ExperimentRunner(
             timeout_seconds=60.0,
             registry={"pid": report_pid},
             heartbeat_interval=0.05,
         )
-        (result,) = runner.run_many(["pid"], jobs=1).results
-        assert result.rows[0][0] != os.getpid()
-        assert runner.executor_stats.workers_spawned == 1
-        assert runner.executor_stats.clean
-
-    def test_executor_is_live_only_while_a_bounded_batch_runs(self):
-        seen = []
-        runner = ExperimentRunner(
-            timeout_seconds=60.0,
-            registry={"healthy": healthy},
-            heartbeat_interval=0.05,
-        )
         assert runner.executor is None
-        runner.run_many(
-            ["healthy"],
+        report = runner.run_many(
+            ["pid"],
+            jobs=1,
             on_result=lambda result, elapsed: seen.append(runner.executor),
         )
+        (result,) = report.results
+        assert result.rows[0][0] != os.getpid()
         (executor,) = seen
         assert executor is not None
         assert runner.executor is None
+        assert runner.executor_stats.workers_spawned == 1
+        assert runner.executor_stats.clean
 
 
 class TestRunTrials:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.common.errors import ExecutorError
 from repro.experiments.chaos import ChaosConfig, schedule_signal
+from repro.experiments.runner import ExperimentFailure
 from repro.experiments.supervisor import (
     MAX_SLOT_RESPAWNS,
     ExecutorStats,
@@ -195,10 +196,16 @@ class TestDeadlineAndHeartbeat:
             max_task_crashes=3,
         )
         outcome = executor.run([("wedged", ("wedged", 30.0))], on_record)
-        (record,) = records
-        assert record[1] == "failure"
-        assert record[2]["error_type"] == "ExperimentTimeout"
-        assert "deadline" in record[2]["message"]
+        # The record is shaped like a failure ``worker_fn`` returns.
+        ((task_id, kind, payload, elapsed, obs_payload),) = records
+        assert (task_id, kind, obs_payload) == ("wedged", "failure", None)
+        assert elapsed >= 0.3
+        failure = ExperimentFailure(**payload)
+        assert failure.experiment_id == "wedged"
+        assert failure.error_type == "ExperimentTimeout"
+        assert "deadline" in failure.message
+        assert failure.attempts == 1
+        assert failure.elapsed_seconds == elapsed
         assert outcome.stats.workers_killed_deadline == 1
         assert outcome.stats.tasks_requeued == 0
         assert outcome.stats.tasks_quarantined == 0
@@ -225,25 +232,6 @@ class TestDeadlineAndHeartbeat:
         assert outcome.stats.workers_spawned == jobs + 1
         assert outcome.stats.workers_killed_deadline == 1
         assert outcome.unfinished == []
-
-    def test_timeout_record_is_shaped_like_a_worker_failure(self):
-        from repro.experiments.runner import ExperimentFailure
-
-        records, on_record = collect()
-        executor = SupervisedExecutor(
-            worker_fn=sleepy_worker,
-            jobs=1,
-            heartbeat_interval=0.05,
-            task_deadline=0.3,
-        )
-        executor.run([("wedged", ("wedged", 30.0))], on_record)
-        ((task_id, kind, payload, elapsed, obs_payload),) = records
-        assert (task_id, kind, obs_payload) == ("wedged", "failure", None)
-        assert elapsed >= 0.3
-        failure = ExperimentFailure(**payload)
-        assert failure.experiment_id == "wedged"
-        assert failure.attempts == 1
-        assert failure.elapsed_seconds == elapsed
 
     def test_stale_heartbeat_kill(self):
         records, on_record = collect()

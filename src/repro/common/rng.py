@@ -6,7 +6,12 @@ interleaving, timer noise, workload generation) takes an explicit
 experiments are reproducible from a single seed while sub-components stay
 statistically independent.
 
-The second half of the module is the *vectorized* counterpart used by
+The middle of the module reads ``random.Random`` streams as raw
+Mersenne Twister words and decodes their draws in numpy, many streams
+side by side, so a lockstep Monte Carlo (Table I) gets the same draws as
+a loop over the streams.
+
+The last part is the *vectorized* counterpart used by
 the batch engine (:mod:`repro.sim.batch`): counter-based splitmix64
 streams over numpy ``uint64`` arrays.  A stream's draw at position
 ``counter`` is a pure function of ``(key, counter)``, so trial ``k`` of
@@ -17,13 +22,13 @@ against the scalar engines.  (Stateful ``numpy.random.Generator``
 objects cannot give that guarantee without one generator per trial,
 which would reintroduce a per-trial Python loop; each helper here is a
 single vectorized call per step.)  numpy is imported lazily so the
-scalar half of the module stays stdlib-only.
+scalar part of the module stays stdlib-only.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 RngLike = Union[int, random.Random, None]
 
@@ -55,8 +60,129 @@ def spawn_rng(parent: random.Random, label: str = "") -> random.Random:
     child streams decorrelated even when many children are spawned, and
     keeps the parent's own stream advancing deterministically.
     """
-    salt = sum(ord(c) for c in label)
-    return random.Random(parent.getrandbits(64) ^ (salt * 0x9E3779B97F4A7C15))
+    return random.Random(parent.getrandbits(64) ^ _salt(label))
+
+
+def _salt(label: str) -> int:
+    """What :func:`spawn_rng` XORs into a parent's 64-bit draw."""
+    return sum(ord(c) for c in label) * 0x9E3779B97F4A7C15
+
+
+# -- Mersenne Twister words (lockstep Monte Carlo) ------------------------
+#
+# CPython's ``random.Random`` draws are functions of its 32-bit MT19937
+# outputs ("words"), so a whole stream can be drawn at once and decoded
+# in numpy, many streams side by side:
+#
+# * ``getrandbits(32 * n)`` returns the next ``n`` words little-endian,
+#   word ``i`` being the ``i``-th output; ``getrandbits(64)`` is
+#   ``w0 | w1 << 32``.
+# * ``randrange(n)`` and ``choice`` over ``n`` items take the top
+#   ``n.bit_length()`` bits of one word and redraw while the value is
+#   ``>= n``.
+# * ``random()`` takes two words; ``random() < 0.5`` iff the first word
+#   is ``< 2**31``.
+#
+# For ``n < 256`` each of these draws reads only its words' top bytes,
+# so that is all the decoders below keep: a quarter of the memory.
+# ``tests/test_common/test_rng.py`` pins each mapping against
+# ``random.Random`` on the running interpreter.
+
+
+def spawn_seeds(parent: random.Random, label: str, count: int) -> List[int]:
+    """Seeds of the next ``count`` children ``spawn_rng(parent, label)``.
+
+    Advances ``parent`` exactly as ``count`` :func:`spawn_rng` calls do.
+    """
+    salt, draw = _salt(label), parent.getrandbits
+    return [draw(64) ^ salt for _ in range(count)]
+
+
+def word_tops(seeds: Sequence[int], count: int):
+    """Top bytes of the first ``count`` MT words of each seed's stream.
+
+    One ``getrandbits`` call per seed; returns a ``(len(seeds), count)``
+    ``uint8`` array whose entry ``[i, j]`` is word ``j`` of
+    ``random.Random(seeds[i])`` shifted right by 24.
+    """
+    import numpy as np
+
+    stream = random.Random()
+    # The C-level seed: for an int, ``Random.seed`` only adds type checks.
+    draw, reseed = stream.getrandbits, super(random.Random, stream).seed
+    tops = bytearray(count * len(seeds))
+    for row, seed in enumerate(seeds):
+        reseed(seed)
+        words = draw(32 * count).to_bytes(4 * count, "little")
+        tops[row * count:(row + 1) * count] = words[3::4]
+    return np.frombuffer(tops, dtype=np.uint8).reshape(len(seeds), count)
+
+
+def decode_word_tops(seeds: Sequence[int], count: int, decode):
+    """``decode`` each seed's :func:`word_tops`, redrawing short rows.
+
+    ``decode(tops)`` takes a ``(rows, count)`` array and returns
+    ``(parts, ok)``: a tuple of per-row arrays and whether each row had
+    enough words.  A short row is redrawn from its own seed with twice
+    the words, as often as it takes; the draw is never capped.
+    """
+    import numpy as np
+
+    parts, ok = decode(word_tops(seeds, count))
+    short = np.flatnonzero(~ok)
+    while len(short):
+        count *= 2
+        redrawn, ok = decode(word_tops([seeds[i] for i in short], count))
+        for part, rows in zip(parts, redrawn):
+            part[short] = rows
+        short = short[~ok]
+    return parts
+
+
+def randbelow_draws(tops, n: int, count: int):
+    """Decode ``count`` ``randrange(n)`` draws from each row of ``tops``.
+
+    ``tops`` holds :func:`word_tops`; ``n`` is below 256.  Returns
+    ``(values, used, ok)``: a ``(rows, count)`` ``uint8`` array of the
+    draws, the number of words each row's draws consumed, and whether
+    the row held enough words.  Rejections have no fixed bound, so a row
+    that ran out (``ok`` false) holds garbage and must be redrawn longer.
+    """
+    import numpy as np
+
+    if not 1 <= n < 256 or count < 1:
+        raise ValueError("need 1 <= n < 256 and count >= 1")
+    shift = np.uint8(8 - n.bit_length())
+    accepted = tops < n << shift
+    rank = np.cumsum(
+        accepted, axis=1, dtype=np.int16 if tops.shape[1] < 2**15 else np.int32
+    )
+    ok = rank[:, -1] >= count
+    values = np.zeros((len(tops), count), dtype=np.uint8)
+    kept = tops[accepted & (rank <= count) & ok[:, None]]
+    values[ok] = (kept >> shift).reshape(-1, count)
+    used = (rank < count).sum(axis=1) + 1
+    return values, used, ok
+
+
+def coin_draws(tops, start, count: int):
+    """Decode ``count`` ``random() < 0.5`` coins from each row of ``tops``.
+
+    Coin ``j`` of a row reads word ``start + 2 * j`` (``start`` is a
+    scalar or one offset per row).  Returns ``(coins, ok)``; ``ok`` is
+    false for rows that ran out of words.
+    """
+    import numpy as np
+
+    start = np.asarray(start)
+    ok = np.broadcast_to(start + 2 * (count - 1) < tops.shape[1], len(tops))
+    positions = np.minimum(
+        start.reshape(-1, 1) + 2 * np.arange(count), tops.shape[1] - 1
+    )
+    picked = np.take_along_axis(
+        tops, np.broadcast_to(positions, (len(tops), count)), axis=1
+    )
+    return picked < 128, ok
 
 
 # -- vectorized counter-based streams (batch engine) ----------------------

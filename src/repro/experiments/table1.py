@@ -5,22 +5,33 @@ each policy (LRU, Tree-PLRU, Bit-PLRU), access sequence (Sequence 1 =
 Algorithm 1's 0..8 in order; Sequence 2 = Algorithm 2's 0..7 with random
 insertions of line x), initial condition (random vs sequential), and
 loop-iteration count, measure how often line 0 has been evicted.
+
+All trials of a cell run in lockstep.  Each trial draws its Mersenne
+Twister words in one call and numpy decodes its line stream from them
+(:mod:`repro.common.rng` maps each draw to words), so every estimate is
+the one a trial-at-a-time loop over ``random.Random`` would give.  The
+stream is a fixed list of slots -- a fixed line, the random warm-up's
+per-trial line, or a line-X insertion its coin may leave out -- and each
+slot advances every trial's 8-way set at once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.common.rng import RngLike, make_rng, spawn_rng
-from repro.experiments.base import ExperimentResult, register
-from repro.replacement import make_policy
-from repro.replacement.base import ReplacementPolicy
-from repro.replacement.tables import (
-    EAGER_STATE_BUDGET,
-    TABLEABLE_POLICIES,
-    TabledPolicy,
-    estimated_state_count,
+import numpy as np
+
+from repro.common.errors import ConfigurationError
+from repro.common.rng import (
+    RngLike,
+    coin_draws,
+    decode_word_tops,
+    make_rng,
+    randbelow_draws,
+    spawn_seeds,
 )
+from repro.experiments.base import ExperimentResult, register
+from repro.replacement import tables
 
 WAYS = 8
 #: "Line" identifiers: 0..7 are the base lines, 8 is the extra line
@@ -28,83 +39,31 @@ WAYS = 8
 LINE_X = 100
 LINE_8 = 8
 
+#: Policies whose 8-way state space closes: each trial's state is an
+#: index into the compiled tables.  True LRU (8! states) keeps a
+#: last-touch stamp per way instead, and ``random`` decodes its victims
+#: from each trial's policy stream.
+_TABLED = ("tree-plru", "bit-plru", "fifo")
+POLICIES = ("lru", "random") + _TABLED
+CONDITIONS = ("random", "sequential")
+#: Table I's loop-iteration counts.
+ITERATIONS = (1, 2, 3, 8)
 
-def _line_stream(
-    sequence: int, condition: str, iterations: int, rng
-) -> List[int]:
-    """The logical lines one trial accesses, warm-up first, in order.
+#: Trials drawn and simulated together; bounds the arrays' memory.
+_CHUNK = 500
+#: Words the random warm-up's 32 choices get before a redraw.  A choice
+#: takes 16/9 words on average; 96 run short for 2 trials in a million.
+_WARMUP_WORDS = 96
 
-    No draw depends on cache state, so the whole stream is drawn before
-    the set is simulated, in the same order the draws are consumed.
-    """
-    lines: List[int] = []
-    append = lines.append
-    draw = rng.random
-    if condition == "random":
-        # Random access order over lines 0-7 plus occasional others.
-        choices = list(range(8)) + [LINE_X]
-        for _ in range(32):
-            append(rng.choice(choices))
-        # Ensure line 0 is resident so eviction is meaningful.
-        append(0)
-    else:
-        # Sequential: lines 0-7 in order with 50%-probability insertions
-        # of line x (the paper's Sequence-2-style warmup).  Two passes:
-        # enough to establish sequential ordering without fully
-        # pre-converging every policy to its limit cycle (which would
-        # erase the iteration-count dependence Table I measures).
-        for _ in range(2):
-            for line in range(8):
-                append(line)
-                if draw() < 0.5:
-                    append(LINE_X)
-    for _ in range(iterations):
-        if sequence == 1:
-            lines.extend(range(9))  # 0..8 in order
-            continue
-        # 0..7 with 50%-probability insertions of x; the paper assumes
-        # "line x will be accessed at least once", so force one
-        # insertion if the coin flips all came up tails.
-        inserted = False
-        for line in range(8):
-            append(line)
-            if line < 7 and draw() < 0.5:
-                append(LINE_X)
-                inserted = True
-        if not inserted:
-            append(LINE_X)
-    return lines
-
-
-def _line0_evicted(lines: List[int], policy: ReplacementPolicy) -> bool:
-    """Run ``lines`` through one empty 8-way set; is line 0 gone?
-
-    The controller's hit/fill rules on a ``line -> way`` map: a hit
-    touches its way, a miss fills the lowest invalid way while one is
-    left (ways fill in order and are never invalidated) and otherwise
-    replaces the policy's victim, and a fill updates the state through
-    ``on_fill`` where the policy has one.
-    """
-    touch = policy.touch
-    fill = getattr(policy, "on_fill", touch)
-    victim = policy.victim
-    way_of: Dict[int, int] = {}
-    resident: List[int] = []  # the line in each filled way
-    for line in lines:
-        way = way_of.get(line)
-        if way is not None:
-            touch(way)
-            continue
-        if len(resident) < WAYS:
-            way = len(resident)
-            resident.append(line)
-        else:
-            way = victim()
-            del way_of[resident[way]]
-            resident[way] = line
-        way_of[line] = way
-        fill(way)
-    return 0 not in way_of
+_EMPTY = -1
+#: A trial's access code in a slot: 0 is a miss, ``1 + way`` a hit and
+#: ``_SKIP`` an insertion its coin left out.
+_SKIP = WAYS + 1
+#: ``eq.view("<u8") * _HIT_CODE >> 56`` turns a row of 8 "resident line
+#: == accessed line" bytes into the access code: at most one byte is
+#: set, and a set byte ``w`` shifts ``_HIT_CODE``'s byte ``7 - w``, which
+#: is ``w + 1``, into the top byte.
+_HIT_CODE = np.uint64(0x0102030405060708)
 
 
 def eviction_probability(
@@ -117,39 +76,284 @@ def eviction_probability(
 ) -> float:
     """P(line 0 evicted after ``iterations`` loop passes).
 
-    Policies whose 8-way state space closes within the eager budget run
-    on the compiled tables (:class:`TabledPolicy`); true LRU (8! states,
-    grown lazily) and ``random`` (draws, no table) run the reference
-    policy.
+    Raises:
+        ConfigurationError: For a policy outside :data:`POLICIES`, a
+            sequence other than 1 or 2, a condition outside
+            :data:`CONDITIONS`, a negative iteration count or fewer than
+            one trial.
     """
-    if policy == "random":
-        reused = None
-    elif (
-        policy in TABLEABLE_POLICIES
-        and estimated_state_count(policy, WAYS) <= EAGER_STATE_BUDGET
-    ):
-        reused = TabledPolicy(WAYS, base=policy)
-    else:
-        reused = make_policy(policy, WAYS)
-    master = make_rng(rng)
-    evicted = 0
-    for _ in range(trials):
-        trial_rng = spawn_rng(master, "trial")
-        if reused is None:
-            set_policy = make_policy(
-                policy, WAYS, rng=spawn_rng(trial_rng, "policy")
-            )
+    return _eviction_curve(
+        policy, sequence, condition, [iterations], trials, rng
+    )[0]
+
+
+def _eviction_curve(
+    policy: str,
+    sequence: int,
+    condition: str,
+    counts: Sequence[int],
+    trials: int,
+    rng: RngLike,
+) -> List[float]:
+    """:func:`eviction_probability` after each of ``counts`` loop passes.
+
+    One run: pass ``k`` draws the same words whatever the total pass
+    count, so the run to ``max(counts)`` passes contains the others.
+    """
+    _validate(policy, sequence, condition, counts, trials)
+    seeds = spawn_seeds(make_rng(rng), "trial", trials)
+    table = _lockstep_table(policy) if policy in _TABLED else None
+    passes = max(counts)
+    resident = np.zeros(passes + 1, dtype=np.int64)
+    for first in range(0, trials, _CHUNK):
+        chunk = seeds[first:first + _CHUNK]
+        choices, flips = _draw(chunk, sequence, condition, passes)
+        slots = list(_slots(sequence, condition, passes, choices, flips))
+        if policy == "lru":
+            kernel = _LRU(len(chunk))
+        elif policy == "random":
+            kernel = _Random(chunk, accesses=len(slots) - (passes + 1))
         else:
-            # The seed draw of spawn_rng(trial_rng, "policy"): every
-            # policy consumes the trial stream alike, though only
-            # ``random`` needs the policy stream itself.
-            trial_rng.getrandbits(64)
-            reused.reset()
-            set_policy = reused
-        lines = _line_stream(sequence, condition, iterations, trial_rng)
-        if _line0_evicted(lines, set_policy):
-            evicted += 1
-    return evicted / trials
+            kernel = _Tabled(table, len(chunk))
+        resident += _simulate(kernel, slots, len(chunk))
+    return [(trials - int(resident[count])) / trials for count in counts]
+
+
+def _validate(
+    policy: str,
+    sequence: int,
+    condition: str,
+    counts: Sequence[int],
+    trials: int,
+) -> None:
+    if policy not in POLICIES:
+        raise ConfigurationError(
+            f"Table I runs policies {list(POLICIES)}, not {policy!r}: "
+            f"the others have no closed 8-way table"
+        )
+    if sequence not in (1, 2):
+        raise ConfigurationError(f"sequence must be 1 or 2, not {sequence!r}")
+    if condition not in CONDITIONS:
+        raise ConfigurationError(
+            f"condition must be one of {list(CONDITIONS)}, not {condition!r}"
+        )
+    if any(count < 0 for count in counts):
+        raise ConfigurationError(f"iterations must be >= 0, not {min(counts)}")
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, not {trials}")
+
+
+def _draw(seeds: List[int], sequence: int, condition: str, passes: int):
+    """Each trial's draws: ``(choices, flips)``.
+
+    ``choices`` are the random warm-up's 32 picks (``choice`` over 9
+    lines; none for the sequential warm-up) and ``flips`` every
+    ``random() < 0.5`` coin of the warm-up and the loop passes, in draw
+    order.  Both follow the policy stream's seed draw (two words), which
+    every policy consumes though only ``random`` uses the stream.
+    """
+    coins = (16 if condition == "sequential" else 0) + (
+        7 * passes if sequence == 2 else 0
+    )
+
+    def decode(tops):
+        if condition == "random":
+            choices, used, ok = randbelow_draws(tops[:, 2:], 9, 32)
+            start = 2 + used
+        else:
+            choices = np.empty((len(tops), 0), dtype=np.uint8)
+            start, ok = 2, True
+        flips, enough = coin_draws(tops, start, coins)
+        return (choices, flips), ok & enough
+
+    warmup = _WARMUP_WORDS if condition == "random" else 0
+    return decode_word_tops(seeds, 2 + warmup + 2 * coins, decode)
+
+
+def _simulate(kernel, slots, trials: int) -> List[int]:
+    """Run the slots through every trial's empty 8-way set at once.
+
+    Returns, for the end of the warm-up and of each loop pass, how many
+    trials hold line 0.  A hit touches its way; a miss fills the lowest
+    empty way while one is left (ways fill in order and are never
+    invalidated) and otherwise replaces the kernel's victim.
+    """
+    held = np.full(trials * WAYS + 1, _EMPTY, dtype=np.int8)
+    dump = trials * WAYS  # where left-out insertions write
+    lines = held[:dump].reshape(trials, WAYS)
+    base = np.arange(0, dump, WAYS)
+    resident = []
+    for slot in slots:
+        if slot is None:
+            resident.append(np.count_nonzero((lines == 0).view("<u8")))
+            continue
+        line, skip = slot
+        column = line[:, None] if isinstance(line, np.ndarray) else line
+        code = (lines == column).view("<u8")[:, 0] * _HIT_CODE >> np.uint64(56)
+        code = code.view(np.int64)
+        if skip is not None:
+            code = np.where(skip, _SKIP, code)
+        at = base + kernel.way(code)
+        if skip is not None:
+            at[skip] = dump
+        held[at] = line
+        kernel.touched(at)
+    return resident
+
+
+def _slots(sequence, condition, passes, choices, flips):
+    """One trial stream as lockstep slots, in draw order.
+
+    A slot is ``(line, skip)``: ``line`` is one line for all trials or an
+    array of one per trial, and ``skip`` (``None`` or one bool per
+    trial) marks the trials whose coin left the access out.  ``None``
+    marks the end of the warm-up and of each loop pass.
+    """
+    left_out = iter((~flips).T)
+    if condition == "random":
+        # Random access order over lines 0-7 plus occasional others.
+        picked = np.where(choices.T == 8, LINE_X, choices.T).astype(np.int8)
+        for lines in picked:
+            yield lines, None
+        # Ensure line 0 is resident so eviction is meaningful.
+        yield 0, None
+    else:
+        # Sequential: lines 0-7 in order with 50%-probability insertions
+        # of line x (the paper's Sequence-2-style warmup).  Two passes:
+        # enough to establish sequential ordering without fully
+        # pre-converging every policy to its limit cycle (which would
+        # erase the iteration-count dependence Table I measures).
+        for _ in range(2):
+            for line in range(8):
+                yield line, None
+                yield LINE_X, next(left_out)
+    yield None
+    for _ in range(passes):
+        if sequence == 1:
+            for line in range(9):  # 0..8 in order
+                yield line, None
+        else:
+            # 0..7 with 50%-probability insertions of x; the paper
+            # assumes "line x will be accessed at least once", so force
+            # one insertion if the coin flips all came up tails.
+            all_tails = True
+            for line in range(8):
+                yield line, None
+                if line < 7:
+                    tails = next(left_out)
+                    all_tails = all_tails & tails
+                    yield LINE_X, tails
+            yield LINE_X, ~all_tails
+        yield None
+
+
+def _lockstep_table(policy: str):
+    """``(next, way, start)``: a compiled policy as one lookup per slot.
+
+    A trial's state index also counts its filled ways (ways fill in
+    order while one is empty), so ``index = state + code`` gives both
+    the next state (``next[index]``) and the way the access lands in
+    (``way[index]``).  States are stored pre-multiplied by the number of
+    access codes.
+    """
+    arrays = tables.compile_tables(policy, WAYS).as_arrays()
+    codes = _SKIP + 1
+    rows = np.arange(arrays.state_count * (WAYS + 1))
+    state, filled = np.divmod(rows, WAYS + 1)
+    full = filled == WAYS
+    nxt = np.empty((len(rows), codes), dtype=np.int32)
+    way = np.empty((len(rows), codes), dtype=np.int8)
+    # A miss fills the next empty way, or replaces the victim.
+    fill = arrays.fill[state * WAYS + np.minimum(filled, WAYS - 1)]
+    nxt[:, 0] = np.where(
+        full,
+        arrays.evict_to[state] * (WAYS + 1) + WAYS,
+        fill * (WAYS + 1) + filled + 1,
+    )
+    way[:, 0] = np.where(full, arrays.victim_way[state], filled)
+    touch = arrays.touch[state[:, None] * WAYS + np.arange(WAYS)]
+    nxt[:, 1:_SKIP] = touch * (WAYS + 1) + filled[:, None]
+    way[:, 1:_SKIP] = np.arange(WAYS)
+    nxt[:, _SKIP] = rows
+    way[:, _SKIP] = 0
+    nxt *= codes
+    start = arrays.initial * (WAYS + 1) * codes
+    return nxt.ravel(), way.ravel(), start
+
+
+class _Tabled:
+    """Closed-table policies: one :func:`_lockstep_table` index per trial."""
+
+    def __init__(self, table, trials: int):
+        self._next, self._way, start = table
+        self._state = np.full(trials, start, dtype=np.int64)
+
+    def way(self, code: np.ndarray) -> np.ndarray:
+        index = self._state + code
+        self._state = self._next[index]
+        return self._way[index]
+
+    def touched(self, at: np.ndarray) -> None:
+        pass
+
+
+class _LRU:
+    """True LRU: a last-touch stamp per way; the victim is the oldest.
+
+    Empty ways start with stamps below any touch, lowest way oldest, so
+    the same ``argmin`` also picks the lowest empty way while one is
+    left.
+    """
+
+    def __init__(self, trials: int):
+        self._stamps = np.empty(trials * WAYS + 1, dtype=np.int32)
+        self._stamps[:-1] = np.tile(
+            np.arange(-WAYS, 0, dtype=np.int32), trials
+        )
+        self._view = self._stamps[:-1].reshape(trials, WAYS)
+        self._clock = 0
+
+    def way(self, code: np.ndarray) -> np.ndarray:
+        return np.where(code == 0, self._view.argmin(axis=1), code - 1)
+
+    def touched(self, at: np.ndarray) -> None:
+        self._stamps[at] = self._clock
+        self._clock += 1
+
+
+class _Random:
+    """Random replacement: each trial's victims, decoded from its stream.
+
+    The policy stream is ``spawn_rng(trial_rng, "policy")``, which
+    ``trial_seeds`` give; a full-set miss draws ``randrange(8)`` from
+    it.  ``accesses`` bounds the draws a trial can need.
+    """
+
+    def __init__(self, trial_seeds: List[int], accesses: int):
+        seeds = [
+            spawn_seeds(make_rng(seed), "policy", 1)[0] for seed in trial_seeds
+        ]
+
+        def decode(tops):
+            victims, _, ok = randbelow_draws(tops, WAYS, accesses)
+            return (victims,), ok
+
+        (self._victims,) = decode_word_tops(seeds, 2 * accesses + 32, decode)
+        self._rows = np.arange(len(seeds))
+        self._drawn = np.zeros(len(seeds), dtype=np.int64)
+        self._filled = np.zeros(len(seeds), dtype=np.int64)
+
+    def way(self, code: np.ndarray) -> np.ndarray:
+        miss = code == 0
+        full = self._filled == WAYS
+        victim = self._victims[self._rows, self._drawn]
+        way = np.where(miss, np.where(full, victim, self._filled), code - 1)
+        self._drawn += miss & full
+        self._filled += miss & ~full
+        return way
+
+    def touched(self, at: np.ndarray) -> None:
+        pass
 
 
 #: The paper's Table I cells, for side-by-side comparison in the output.
@@ -176,7 +380,12 @@ PAPER_TABLE1: Dict[Tuple[str, int, str, int], float] = {
 
 @register("table1")
 def run_table1(trials: int = 2000, rng: RngLike = 1) -> ExperimentResult:
-    """Regenerate Table I."""
+    """Regenerate Table I.
+
+    One run per (condition, policy, sequence) reads all four iteration
+    counts.  An int ``rng`` restarts every run from that seed, so each
+    cell equals its own :func:`eviction_probability` call.
+    """
     result = ExperimentResult(
         experiment_id="table1",
         title="Probability of line 0 being evicted with PLRU",
@@ -190,26 +399,28 @@ def run_table1(trials: int = 2000, rng: RngLike = 1) -> ExperimentResult:
             "99% (Bit)."
         ),
     )
-    for condition in ("random", "sequential"):
-        for iterations in (1, 2, 3, 8):
-            for policy in ("lru", "tree-plru", "bit-plru"):
-                for sequence in (1, 2):
-                    ours = eviction_probability(
-                        policy, sequence, condition, iterations,
-                        trials=trials, rng=rng,
-                    )
-                    paper = PAPER_TABLE1.get(
-                        (policy, sequence, condition, iterations),
-                        1.00 if policy == "lru" else None,
-                    )
-                    result.rows.append(
-                        [
-                            condition,
-                            iterations,
-                            policy,
-                            f"Seq {sequence}",
-                            round(ours, 3),
-                            paper if paper is not None else "-",
-                        ]
-                    )
+    for condition in CONDITIONS:
+        curves = {
+            (policy, sequence): _eviction_curve(
+                policy, sequence, condition, ITERATIONS, trials, rng
+            )
+            for policy in ("lru", "tree-plru", "bit-plru")
+            for sequence in (1, 2)
+        }
+        for column, iterations in enumerate(ITERATIONS):
+            for (policy, sequence), curve in curves.items():
+                paper = PAPER_TABLE1.get(
+                    (policy, sequence, condition, iterations),
+                    1.00 if policy == "lru" else None,
+                )
+                result.rows.append(
+                    [
+                        condition,
+                        iterations,
+                        policy,
+                        f"Seq {sequence}",
+                        round(curve[column], 3),
+                        paper if paper is not None else "-",
+                    ]
+                )
     return result

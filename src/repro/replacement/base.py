@@ -9,8 +9,9 @@ replacement.
 Policies are deliberately unaware of addresses; they see only way indices.
 This keeps them bit-exact replicas of the hardware state machines they
 model and makes them independently testable.  Table I runs on them
-without a cache: its per-set loop drives a policy directly, compiled to
-tables (``repro.replacement.tables``) where the 8-way state space closes.
+without a cache: its lockstep loop advances the compiled tables
+(``repro.replacement.tables``) of the policies whose 8-way state space
+closes, for every trial at once.
 """
 
 from __future__ import annotations

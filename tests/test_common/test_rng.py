@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.common.rng import make_rng, spawn_rng
 
 
@@ -123,3 +125,104 @@ class TestStreamDraws:
         draws = stream_gauss(keys, 3, 10.0, 2.0)
         assert abs(float(draws.mean()) - 10.0) < 0.1
         assert abs(float(draws.std()) - 2.0) < 0.1
+
+
+class TestMersenneTwisterWords:
+    """Each draw-to-word mapping, pinned against ``random.Random``.
+
+    The lockstep decoders assume CPython's ``random`` internals; these
+    tests catch an interpreter that draws differently.
+    """
+
+    SEEDS = [1, 7, 2**64 + 3, 540 * 0x9E3779B97F4A7C15 ^ 12345]
+
+    def _tops(self, count=400):
+        from repro.common.rng import word_tops
+
+        return word_tops(self.SEEDS, count)
+
+    def test_tops_are_the_top_bytes_of_the_streams_outputs(self):
+        tops = self._tops(8)
+        for seed, row in zip(self.SEEDS, tops.tolist()):
+            stream = random.Random(seed)
+            assert row == [stream.getrandbits(32) >> 24 for _ in range(8)]
+
+    def test_getrandbits_64_takes_two_words_low_first(self):
+        for seed in self.SEEDS:
+            stream, twin = random.Random(seed), random.Random(seed)
+            low, high = twin.getrandbits(32), twin.getrandbits(32)
+            assert stream.getrandbits(64) == low | high << 32
+            assert stream.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("n, draw", [
+        (9, lambda stream: stream.choice(range(9))),
+        (8, lambda stream: stream.randrange(8)),
+    ])
+    def test_randbelow_takes_top_bits_and_redraws(self, n, draw):
+        from repro.common.rng import randbelow_draws
+
+        tops = self._tops()
+        values, used, ok = randbelow_draws(tops, n, 50)
+        assert ok.all()
+        for row, seed in enumerate(self.SEEDS):
+            stream = random.Random(seed)
+            assert values[row].tolist() == [draw(stream) for _ in range(50)]
+            # ``used`` words are gone: the next output is the next word.
+            assert stream.getrandbits(32) >> 24 == tops[row, used[row]]
+
+    def test_coin_takes_two_words_and_reads_the_first(self):
+        from repro.common.rng import coin_draws
+
+        coins, ok = coin_draws(self._tops(), 3, 100)
+        assert ok.all()
+        for seed, row in zip(self.SEEDS, coins.tolist()):
+            stream = random.Random(seed)
+            stream.getrandbits(96)  # skip three words
+            assert row == [stream.random() < 0.5 for _ in range(100)]
+
+    def test_coins_start_per_row(self):
+        import numpy as np
+
+        from repro.common.rng import coin_draws
+
+        tops = self._tops(20)
+        start = np.array([0, 1, 2, 3])
+        coins, ok = coin_draws(tops, start, 5)
+        assert ok.all()
+        for row, offset in enumerate(start):
+            expected = tops[row, offset:offset + 10:2] < 128
+            assert coins[row].tolist() == expected.tolist()
+
+    def test_short_rows_are_flagged(self):
+        from repro.common.rng import coin_draws, randbelow_draws
+
+        tops = self._tops(10)
+        assert not randbelow_draws(tops, 9, 11)[2].any()
+        assert not coin_draws(tops, 0, 6)[1].any()
+        assert coin_draws(tops, 0, 5)[1].all()
+
+    def test_spawn_seeds_match_spawn_rng(self):
+        from repro.common.rng import spawn_seeds
+
+        parent, twin = random.Random(5), random.Random(5)
+        seeds = spawn_seeds(parent, "trial", 3)
+        for seed in seeds:
+            child = spawn_rng(twin, "trial")
+            assert random.Random(seed).getstate() == child.getstate()
+        assert parent.getstate() == twin.getstate()
+
+    def test_short_rows_are_redrawn_longer_from_their_own_seed(self):
+        from repro.common.rng import decode_word_tops, randbelow_draws
+
+        calls = []
+
+        def decode(tops):
+            calls.append(tops.shape)
+            values, used, ok = randbelow_draws(tops, 9, 40)
+            return (values, used), ok
+
+        tiny = decode_word_tops(self.SEEDS, 3, decode)
+        assert len(calls) > 1 and calls[-1][1] > 3
+        roomy = decode_word_tops(self.SEEDS, 400, decode)
+        for small, large in zip(tiny, roomy):
+            assert small.tolist() == large.tolist()

@@ -264,22 +264,23 @@ class TestExperimentsMdBlocks:
             )
             assert "_metrics: " in block, experiment_id
 
-    def test_fast_block_regenerates_verbatim(self):
-        # The acceptance invariant on the cheapest experiment: rerunning
-        # through the observed runner reproduces the committed block
-        # byte-for-byte.
+    @pytest.mark.parametrize("experiment_id", ["table2", "table1"])
+    def test_fast_block_regenerates_verbatim(self, experiment_id):
+        # The acceptance invariant on the cheapest experiments (table1
+        # at its full 2000 trials): rerunning through the observed
+        # runner reproduces the committed block byte-for-byte.
         import repro.experiments  # noqa: F401
         from repro.experiments.runner import ExperimentRunner
         from repro.obs.report import experiment_block
 
         runner = ExperimentRunner(observe=True)
-        report = runner.run_many(["table2"])
+        report = runner.run_many([experiment_id])
         assert report.ok
         result = report.results[0]
-        capture = runner.captures["table2"]
+        capture = runner.captures[experiment_id]
         fresh = experiment_block(result, capture.manifest, capture.metrics)
         text = _read("EXPERIMENTS.md")
         assert fresh in text, (
-            "EXPERIMENTS.md table2 block is stale; regenerate with "
-            "scripts_generate_experiments_md.py"
+            f"EXPERIMENTS.md {experiment_id} block is stale; regenerate "
+            "with scripts_generate_experiments_md.py"
         )

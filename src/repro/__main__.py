@@ -171,7 +171,6 @@ def _cmd_run_defended(
     """``run <channel> --defense X``: one channel vs one defense design."""
     import time
 
-    from repro.common.errors import ConfigurationError
     from repro.experiments.randomized import (
         DEFENDED_CHANNELS,
         run_defended_channel,
@@ -187,16 +186,9 @@ def _cmd_run_defended(
         return 2
     for channel_id in ids:
         started = time.perf_counter()
-        try:
-            result = run_defended_channel(
-                channel_id,
-                defense=defense,
-                intensity=intensity,
-                attacker=attacker,
-            )
-        except ConfigurationError as error:
-            print(f"run: {error}", file=sys.stderr)
-            return 2
+        result = run_defended_channel(
+            channel_id, defense=defense, intensity=intensity, attacker=attacker
+        )
         print()
         print(result.render())
         print(f"({time.perf_counter() - started:.1f}s)")
@@ -945,28 +937,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list = None) -> int:
+    from repro.common.errors import ConfigurationError
+
     args = build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
-        return _cmd_run(
-            args.ids,
-            timeout=args.timeout,
-            retries=args.retries,
-            checkpoint=args.checkpoint,
-            sanitize=args.sanitize,
-            jobs=args.jobs,
-            engine=args.engine,
-            trace=args.trace,
-            max_task_crashes=args.max_task_crashes,
-            heartbeat_interval=args.heartbeat_interval,
-            drain_timeout=args.drain_timeout,
-            trials=args.trials,
-            block_size=args.block_size,
-            defense=args.defense,
-            intensity=args.intensity,
-            attacker=args.attacker,
-        )
+        try:
+            return _cmd_run(
+                args.ids,
+                timeout=args.timeout,
+                retries=args.retries,
+                checkpoint=args.checkpoint,
+                sanitize=args.sanitize,
+                jobs=args.jobs,
+                engine=args.engine,
+                trace=args.trace,
+                max_task_crashes=args.max_task_crashes,
+                heartbeat_interval=args.heartbeat_interval,
+                drain_timeout=args.drain_timeout,
+                trials=args.trials,
+                block_size=args.block_size,
+                defense=args.defense,
+                intensity=args.intensity,
+                attacker=args.attacker,
+            )
+        except ConfigurationError as error:
+            # A bad run configuration (an artifact path in a missing
+            # directory, an impossible defense) is refused up front.
+            print(f"run: {error}", file=sys.stderr)
+            return 2
     if args.command == "report":
         return _cmd_report(
             path=args.path,

@@ -25,14 +25,14 @@ the same cold degraded key at once.
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import Dict, List, Set
 
 from repro.cluster.membership import Membership
 from repro.cluster.transport import PeerTransport
+from repro.common.atomicio import checksum
 from repro.common.errors import PeerUnavailable
 from repro.obs.registry import MetricsRegistry
-from repro.service.cache import _sha256_label
+from repro.service.cache import canonical_entry
 from repro.service.protocol import PROTOCOL_VERSION
 
 
@@ -126,10 +126,9 @@ class AntiEntropyRepairer:
                 break
         if exact is None:
             return False
-        # Checksum covers the exact envelope the receiving cache will
+        # Checksum covers the exact payload the receiving cache will
         # store, so the receiver verifies before trusting the transfer.
         entry = {"key": cache_key, "result": exact}
-        checksum = _sha256_label(json.dumps(entry, sort_keys=True))
         target = self.membership.get(degraded_peer)
         try:
             response, _ = await self.transport.request(
@@ -139,7 +138,7 @@ class AntiEntropyRepairer:
                     "op": "backfill",
                     "cache_key": cache_key,
                     "result": exact,
-                    "checksum": checksum,
+                    "checksum": checksum(canonical_entry(entry)),
                 },
                 timeout=self.request_timeout,
             )

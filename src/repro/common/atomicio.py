@@ -1,6 +1,6 @@
-"""Durable atomic file publication and artifact quarantine.
+"""Durable records: one sealed format, atomic publication, quarantine.
 
-The runner's durable artifacts (checkpoints, trace files) are written
+Durable artifacts (checkpoints, cache entries, traces) are written
 with the classic write-temp-then-rename pattern, which protects readers
 from *torn* writes but not from *lost* ones: ``os.replace`` only
 reorders directory entries, and a power loss (or a SIGKILL racing the
@@ -23,13 +23,112 @@ complete version or the other, never an interleaving.  The cluster's
 anti-entropy backfill leans on this: a node repairing its cache and a
 local recompute of the same key may race, and both outcomes are valid
 because both files carry a complete checksummed envelope.
+
+The one record format is here too, as pure string functions:
+:func:`seal`/:func:`unseal` for one JSON object (checkpoints, cache
+entries) and :func:`seal_jsonl`/:func:`unseal_jsonl` for a JSONL trace.
+A reader that gets their :class:`ValueError` quarantines the file;
+there is no unchecksummed fallback.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import tempfile
-from typing import Optional
+from typing import Optional, Sequence
+
+#: The one record format revision: checkpoint and cache envelopes and
+#: trace footers all carry it, and readers refuse every other value.
+RECORD_VERSION = 2
+
+_DATA_MARKER = '"data": '
+
+
+def checksum(text: str) -> str:
+    """``sha256:<hex>`` over the UTF-8 bytes of ``text``."""
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def seal(payload: str) -> str:
+    """Wrap a JSON object ``payload`` in the checksummed envelope."""
+    return (
+        f'{{"version": {RECORD_VERSION}, '
+        f'"checksum": "{checksum(payload)}", '
+        f"{_DATA_MARKER}{payload}}}"
+    )
+
+
+def unseal(raw: str) -> str:
+    """The exact payload bytes of a :func:`seal` record.
+
+    Raises :class:`ValueError` naming what failed.  The checksum covers
+    the ``data`` value as written, so no JSON is re-canonicalized.
+    """
+    try:
+        record = json.loads(raw)
+    except json.JSONDecodeError as error:
+        raise ValueError(f"not valid JSON ({error})") from None
+    if not isinstance(record, dict):
+        raise ValueError("top-level value is not an object")
+    _check_version(record, "version")
+    body = raw.rstrip()
+    index = body.find(_DATA_MARKER)
+    if index == -1 or not body.endswith("}"):
+        raise ValueError("envelope layout is malformed")
+    payload = body[index + len(_DATA_MARKER):-1]
+    if checksum(payload) != record.get("checksum"):
+        raise ValueError("checksum mismatch")
+    if not isinstance(record.get("data"), dict):
+        raise ValueError("data section is not an object")
+    return payload
+
+
+def seal_jsonl(lines: Sequence[str]) -> str:
+    """One JSON record per line, then the ``trace-footer`` record."""
+    body = "".join(f"{line}\n" for line in lines)
+    return body + _footer(body) + "\n"
+
+
+def unseal_jsonl(text: str) -> str:
+    """The record lines of a :func:`seal_jsonl` stream, footer removed.
+
+    Raises :class:`ValueError` naming what failed; a missing footer (a
+    cut at a record boundary) is corruption like any other.
+    """
+    stripped = text.rstrip("\n")
+    start = stripped.rfind("\n") + 1
+    body, last = text[:start], stripped[start:]
+    try:
+        footer = json.loads(last)
+    except json.JSONDecodeError:
+        footer = None
+    if not isinstance(footer, dict) or footer.get("type") != "trace-footer":
+        raise ValueError("no trace-footer record at the end")
+    _check_version(footer, "trace_version")
+    if checksum(body) != footer.get("checksum"):
+        raise ValueError("trace-footer checksum mismatch")
+    if last != _footer(body):
+        raise ValueError("trace-footer layout is malformed")
+    return body
+
+
+def _footer(body: str) -> str:
+    return json.dumps(
+        {
+            "type": "trace-footer",
+            "trace_version": RECORD_VERSION,
+            "records": body.count("\n"),
+            "checksum": checksum(body),
+        }
+    )
+
+
+def _check_version(record: dict, field: str) -> None:
+    version = record.get(field, "missing")
+    if version != RECORD_VERSION:
+        raise ValueError(f"{field} is {version}, not {RECORD_VERSION}")
 
 
 def fsync_directory(path: str) -> None:

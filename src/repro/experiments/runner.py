@@ -28,11 +28,11 @@ experiment with:
   instead of recomputing finished experiments.  Entries are encoded
   once per completion and the already-encoded fragments are reused, so
   checkpointing a batch of n experiments costs O(n) encoding work, not
-  O(n^2).  Checkpoints are versioned and checksummed: a torn or
-  bit-flipped file is *detected* at load, quarantined to
+  O(n^2).  Checkpoints are sealed records
+  (:func:`~repro.common.atomicio.seal`): a torn, bit-flipped or
+  unversioned file is *detected* at load, quarantined to
   ``<name>.corrupt``, and loudly warned about — never silently
-  swallowed — and the legacy (PR 3/4) unversioned format migrates to
-  the checksummed one on first load;
+  swallowed;
 * **supervised process parallelism** — ``run_many(..., jobs=N)`` fans
   independent experiments out over the supervised executor
   (:mod:`repro.experiments.supervisor`): long-lived workers with
@@ -49,7 +49,6 @@ experiment with:
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 import os
@@ -59,9 +58,10 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.atomicio import atomic_write_text, quarantine_file
+from repro.common.atomicio import RECORD_VERSION, atomic_write_text
+from repro.common.atomicio import quarantine_file, seal, seal_jsonl, unseal
 from repro.common.deadline import Deadline
-from repro.common.errors import CheckpointCorruptWarning
+from repro.common.errors import CheckpointCorruptWarning, ConfigurationError
 from repro.experiments.base import EXPERIMENT_REGISTRY, ExperimentResult
 from repro.obs.manifest import RunManifest
 from repro.obs.session import ObsSession, active, observe
@@ -69,16 +69,6 @@ from repro.obs.session import ObsSession, active, observe
 #: Seed offset between retry attempts, applied to experiments whose run
 #: function exposes an ``rng`` parameter.
 _SEED_STRIDE = 1000
-
-#: Current on-disk checkpoint format.  Version 2 wraps the PR 3/4
-#: payload in a ``{"version", "checksum", "data"}`` envelope whose
-#: checksum covers the exact bytes of the ``data`` value.
-CHECKPOINT_VERSION = 2
-
-#: Current trace-artifact format: the JSONL stream ends with a
-#: ``trace-footer`` record carrying a checksum over every preceding
-#: byte.  Readers accept footer-less (PR 4) traces unchanged.
-TRACE_VERSION = 2
 
 
 def auto_jobs() -> int:
@@ -90,10 +80,6 @@ def auto_jobs() -> int:
     oversubscribes by default.
     """
     return os.cpu_count() or 1
-
-
-def _sha256_label(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _maybe_observe(session: Optional[ObsSession]):
@@ -314,6 +300,13 @@ class ExperimentRunner:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if trace_depth < 1:
             raise ValueError(f"trace_depth must be >= 1, got {trace_depth}")
+        for option, path in (("checkpoint", checkpoint_path),
+                             ("trace", trace_path)):
+            # Refuse before any work runs; a bare name means the cwd.
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigurationError(
+                    f"{option} path {path}: its directory does not exist"
+                )
         self.timeout_seconds = timeout_seconds
         self.retries = retries
         self.checkpoint_path = checkpoint_path
@@ -351,7 +344,6 @@ class ExperimentRunner:
         self._encoded_entries: Dict[str, str] = {}
         self._encoded_obs: Dict[str, str] = {}
         self._checkpoint_dirty = False
-        self._legacy_checkpoint = False
 
     # -- single experiment ---------------------------------------------
 
@@ -518,11 +510,6 @@ class ExperimentRunner:
                     "runner.jobs.oversubscribed"
                 ).inc()
             completed = self._load_checkpoint()
-            if self._legacy_checkpoint and completed:
-                # One-step migration: rewrite the legacy (unversioned)
-                # checkpoint in the checksummed envelope immediately.
-                self._checkpoint_dirty = True
-                self._save_checkpoint(completed)
             pending: List[str] = []
             for experiment_id in ids:
                 if experiment_id in completed:
@@ -630,9 +617,6 @@ class ExperimentRunner:
         ]
         report = RunReport()
         completed = self._load_checkpoint()
-        if self._legacy_checkpoint and completed:
-            self._checkpoint_dirty = True
-            self._save_checkpoint(completed)
         for lo, hi in blocks:
             block_id = f"{algorithm}@trials{lo}-{hi}"
             restored = completed.get(block_id)
@@ -863,7 +847,6 @@ class ExperimentRunner:
         self._encoded_entries = {}
         self._encoded_obs = {}
         self._checkpoint_dirty = False
-        self._legacy_checkpoint = False
         if self.checkpoint_path is None:
             return {}
         try:
@@ -876,21 +859,9 @@ class ExperimentRunner:
             # encoding itself, before JSON parsing even starts.
             return self._quarantine_checkpoint(f"unreadable: {error}")
         try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as error:
-            return self._quarantine_checkpoint(f"not valid JSON ({error})")
-        if not isinstance(data, dict):
-            return self._quarantine_checkpoint("top-level value is not a dict")
-        if "version" in data:
-            entries = self._verify_envelope(raw, data)
-            if entries is None:
-                return {}
-        else:
-            # Legacy PR 3/4 format: no envelope, payload at top level.
-            # Accept it and migrate to the checksummed format on the
-            # next save (run_many forces one immediately).
-            entries = data
-            self._legacy_checkpoint = True
+            entries = json.loads(unseal(raw))
+        except ValueError as error:
+            return self._quarantine_checkpoint(str(error))
         restored = {}
         try:
             for experiment_id, entry in entries.get("results", {}).items():
@@ -911,37 +882,6 @@ class ExperimentRunner:
                 f"entries do not decode ({type(error).__name__}: {error})"
             )
         return restored
-
-    def _verify_envelope(self, raw: str, data: Dict) -> Optional[Dict]:
-        """Validate a versioned checkpoint envelope; None means corrupt.
-
-        The checksum covers the exact bytes of the ``data`` value as
-        written by :meth:`_save_checkpoint`, so any torn tail, flipped
-        bit, or hand edit inside the payload is caught without
-        re-canonicalizing the JSON.
-        """
-        version = data.get("version")
-        if version != CHECKPOINT_VERSION:
-            self._quarantine_checkpoint(
-                f"unsupported checkpoint version {version!r} "
-                f"(this build writes {CHECKPOINT_VERSION})"
-            )
-            return None
-        body = raw.rstrip()
-        marker = '"data": '
-        index = body.find(marker)
-        if not body.endswith("}") or index == -1:
-            self._quarantine_checkpoint("envelope layout is malformed")
-            return None
-        payload = body[index + len(marker):-1]
-        if _sha256_label(payload) != data.get("checksum"):
-            self._quarantine_checkpoint("checksum mismatch")
-            return None
-        entries = data.get("data")
-        if not isinstance(entries, dict):
-            self._quarantine_checkpoint("data section is not a dict")
-            return None
-        return entries
 
     def _quarantine_checkpoint(self, reason: str) -> Dict:
         """Move a corrupt checkpoint aside and warn — never silently eat it."""
@@ -1004,17 +944,10 @@ class ExperimentRunner:
             + ", ".join(obs_fragments)
             + "}}"
         )
-        # Envelope: version + checksum over the payload's exact bytes.
         # The write is atomic *and durable* (fsync before rename) so a
         # power loss never publishes an empty or torn file.
-        text = (
-            f'{{"version": {CHECKPOINT_VERSION}, '
-            f'"checksum": "{_sha256_label(payload)}", '
-            f'"data": {payload}}}'
-        )
-        atomic_write_text(self.checkpoint_path, text)
+        atomic_write_text(self.checkpoint_path, seal(payload))
         self._checkpoint_dirty = False
-        self._legacy_checkpoint = False
 
     # -- trace artifact -------------------------------------------------
 
@@ -1040,7 +973,7 @@ class ExperimentRunner:
         lines: List[str] = []
         header = {
             "type": "run",
-            "trace_version": TRACE_VERSION,
+            "trace_version": RECORD_VERSION,
             "experiment_ids": list(ids),
             "package_version": repro.__version__,
             "git_rev": git_revision(),
@@ -1102,14 +1035,5 @@ class ExperimentRunner:
                     }
                 )
             )
-        body = "\n".join(lines) + "\n"
-        footer = json.dumps(
-            {
-                "type": "trace-footer",
-                "trace_version": TRACE_VERSION,
-                "records": len(lines),
-                "checksum": _sha256_label(body),
-            }
-        )
-        atomic_write_text(self.trace_path, body + footer + "\n")
+        atomic_write_text(self.trace_path, seal_jsonl(lines))
         return self.trace_path

@@ -12,12 +12,11 @@ EXPERIMENTS.md itself is regenerated through this module
 
 from __future__ import annotations
 
-import hashlib
 import json
 import warnings
 from typing import Dict, List, Optional, Sequence
 
-from repro.common.atomicio import quarantine_file
+from repro.common.atomicio import quarantine_file, unseal_jsonl
 from repro.common.errors import CheckpointCorruptWarning, ObservabilityError
 from repro.experiments.base import ExperimentResult
 from repro.obs.catalog import catalog_markdown
@@ -116,69 +115,52 @@ def experiment_block(
 def read_records(path: str) -> List[Dict]:
     """Parse one ``--trace`` JSONL file into its record dictionaries.
 
-    Traces written since the trace-footer format carry a final
-    ``trace-footer`` record whose checksum covers every preceding byte;
-    when present it is verified (and stripped from the returned
-    records).  A trace that fails the check — truncated tail, flipped
-    bit — is quarantined to ``<path>.corrupt`` and the read raises,
-    so a corrupt artifact is never rendered as if it were trustworthy.
-    Footer-less traces from older runs still read fine.
+    The file must end in the ``trace-footer`` record whose checksum
+    covers every preceding byte; :func:`~repro.common.atomicio.unseal_jsonl`
+    verifies it and strips it from the returned records.  A trace that
+    fails — truncated tail, flipped bit, missing footer — is quarantined
+    to ``<path>.corrupt`` and the read raises, so a corrupt artifact is
+    never rendered as if it were trustworthy.
     """
-    records = []
     try:
         with open(path) as handle:
             text = handle.read()
     except UnicodeDecodeError as error:
         # A bit flip can corrupt the UTF-8 encoding itself.
-        _quarantine_trace(path, f"not valid UTF-8 ({error})")
-        raise ObservabilityError(
-            f"{path}: not valid UTF-8 ({error}); file quarantined to "
-            f"{path}.corrupt"
-        ) from error
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+        raise _corrupt_trace(path, f"not valid UTF-8 ({error})") from error
+    try:
+        body = unseal_jsonl(text)
+    except ValueError as error:
+        raise _corrupt_trace(path, str(error)) from None
+    records = []
+    for lineno, line in enumerate(body.splitlines(), start=1):
         try:
             records.append(json.loads(line))
         except json.JSONDecodeError as error:
-            _quarantine_trace(path, f"line {lineno} is not valid JSONL")
-            raise ObservabilityError(
-                f"{path}:{lineno}: not valid JSONL ({error}); file "
-                f"quarantined to {path}.corrupt"
+            raise _corrupt_trace(
+                path, f"not valid JSONL ({error})", where=f"{path}:{lineno}"
             ) from error
     if not records:
         raise ObservabilityError(f"{path}: empty trace file")
-    if records[-1].get("type") == "trace-footer":
-        footer = records.pop()
-        stripped = text.rstrip("\n")
-        footer_start = stripped.rfind("\n") + 1
-        body = text[:footer_start]
-        digest = "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest()
-        if digest != footer.get("checksum"):
-            _quarantine_trace(path, "trace-footer checksum mismatch")
-            raise ObservabilityError(
-                f"{path}: trace-footer checksum mismatch (the file was "
-                f"truncated or modified after writing); quarantined to "
-                f"{path}.corrupt"
-            )
-        if not records:
-            raise ObservabilityError(f"{path}: empty trace file")
     return records
 
 
-def _quarantine_trace(path: str, reason: str) -> None:
+def _corrupt_trace(
+    path: str, reason: str, where: Optional[str] = None
+) -> ObservabilityError:
+    """Quarantine a trace that failed its checks, warn, return the error."""
     corrupt_path = quarantine_file(path)
+    fate = (
+        f"quarantined to {corrupt_path}"
+        if corrupt_path
+        else "could not be quarantined"
+    )
     warnings.warn(
-        f"trace {path} failed integrity checks ({reason}); "
-        + (
-            f"quarantined to {corrupt_path}"
-            if corrupt_path
-            else "could not be quarantined"
-        ),
+        f"trace {path} failed integrity checks ({reason}); {fate}",
         CheckpointCorruptWarning,
         stacklevel=3,
     )
+    return ObservabilityError(f"{where or path}: {reason}; {fate}")
 
 
 class RunRecords:

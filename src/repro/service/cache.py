@@ -11,11 +11,11 @@ that reconnects after a drain gets a **bit-identical** response; a
 request that lands on an open-circuit pool is served from here rather
 than erroring.
 
-Entries are durable and *checksummed* through the same envelope
-discipline as the runner's checkpoints (:mod:`repro.common.atomicio`):
-``{"version", "checksum", "data"}`` where the checksum covers the exact
-bytes of the ``data`` value.  A torn or bit-flipped entry is detected at
-load, quarantined to ``<key>.json.corrupt``, counted
+Entries are durable and *checksummed*: each file is the
+:func:`~repro.common.atomicio.seal` of the entry's
+:func:`canonical_entry` string, the same record format as the runner's
+checkpoints.  A torn, bit-flipped or other-version entry is detected
+at load, quarantined to ``<key>.json.corrupt``, counted
 (``service.cache.corrupt``), and treated as a miss — never served.
 
 The disk tier is safe under concurrent multi-writer backfill: every
@@ -37,9 +37,7 @@ from typing import Dict, List, Optional
 
 import repro
 from repro.common.atomicio import atomic_write_text, quarantine_file
-
-#: On-disk cache entry format revision.
-CACHE_VERSION = 1
+from repro.common.atomicio import checksum as record_checksum, seal, unseal
 
 #: RunManifest fields that determine the result bits; the cache key is
 #: a hash over exactly these (provenance fields — git rev, python
@@ -76,8 +74,10 @@ def request_key(fields: Dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _sha256_label(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+def canonical_entry(entry: Dict) -> str:
+    """The one serialization of a cache entry: what :meth:`ResultCache.put`
+    seals and serves, and what a ``backfill`` checksum covers."""
+    return json.dumps(entry, sort_keys=True)
 
 
 class ResultCache:
@@ -145,20 +145,9 @@ class ResultCache:
         except (OSError, UnicodeDecodeError):
             return self._quarantine(path)
         try:
-            data = json.loads(raw)
-        except json.JSONDecodeError:
+            return unseal(raw)
+        except ValueError:
             return self._quarantine(path)
-        if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
-            return self._quarantine(path)
-        body = raw.rstrip()
-        marker = '"data": '
-        index = body.find(marker)
-        if not body.endswith("}") or index == -1:
-            return self._quarantine(path)
-        payload = body[index + len(marker):-1]
-        if _sha256_label(payload) != data.get("checksum"):
-            return self._quarantine(path)
-        return payload
 
     def _quarantine(self, path: str) -> None:
         quarantine_file(path)
@@ -170,17 +159,11 @@ class ResultCache:
     def put(self, key: str, entry: Dict) -> str:
         """Store ``entry`` under ``key``; returns the canonical payload.
 
-        The payload is the canonical (sorted-keys) JSON of ``entry``;
-        the disk file wraps it in the checksummed envelope, written
-        atomically and durably.
+        The payload is :func:`canonical_entry`; the disk file is its
+        sealed record, written atomically and durably.
         """
-        payload = json.dumps(entry, sort_keys=True)
-        text = (
-            f'{{"version": {CACHE_VERSION}, '
-            f'"checksum": "{_sha256_label(payload)}", '
-            f'"data": {payload}}}'
-        )
-        atomic_write_text(self.path(key), text)
+        payload = canonical_entry(entry)
+        atomic_write_text(self.path(key), seal(payload))
         self._memory[key] = payload
         return payload
 
@@ -197,8 +180,8 @@ class ResultCache:
         (first-writer-wins: a local exact result is never overwritten by
         a remote one).
         """
-        payload = json.dumps(entry, sort_keys=True)
-        if _sha256_label(payload) != checksum:
+        payload = canonical_entry(entry)
+        if record_checksum(payload) != checksum:
             return False
         existing = self.get_payload(key)
         if existing is not None:

@@ -11,9 +11,8 @@ import time
 
 import pytest
 
-from repro.common.errors import CheckpointCorruptWarning
 from repro.experiments.base import ExperimentResult
-from repro.experiments.chaos import schedule_signal, truncate_file
+from repro.experiments.chaos import schedule_signal
 from repro.experiments.runner import ExperimentRunner, _pool_worker
 
 IDS = ["alpha", "beta", "gamma", "delta"]
@@ -255,78 +254,6 @@ class TestResumeSemantics:
 
 
 class TestDurableCheckpoints:
-    def test_truncated_checkpoint_quarantined_and_counted(self, tmp_path):
-        checkpoint = tmp_path / "progress.json"
-        ExperimentRunner(
-            retries=0,
-            checkpoint_path=str(checkpoint),
-            registry=make_registry(),
-        ).run_many(IDS)
-        truncate_file(str(checkpoint), keep_fraction=0.5)
-        runner = ExperimentRunner(
-            retries=0,
-            checkpoint_path=str(checkpoint),
-            registry=make_registry(),
-            observe=True,
-        )
-        with pytest.warns(CheckpointCorruptWarning, match="quarantined"):
-            report = runner.run_many(IDS, jobs=2)
-        assert report.ok
-        assert report.resumed == []
-        assert (tmp_path / "progress.json.corrupt").exists()
-        assert runner.corrupt_artifacts_detected == 1
-        # The detection is catalogued as a batch-level metric.
-        counters = runner.batch_metrics["counters"]
-        assert counters["checkpoint.corrupt.detected"] == 1
-
-    def test_legacy_checkpoint_migrates_to_envelope_on_load(self, tmp_path):
-        checkpoint = tmp_path / "progress.json"
-        # Write the PR 3/4 unversioned format by hand: payload at the
-        # top level, no envelope, no checksum.
-        legacy = {
-            "results": {
-                "alpha": _result("alpha").to_dict(),
-                "beta": _result("beta", rows=[[2]]).to_dict(),
-            },
-            "obs": {},
-        }
-        checkpoint.write_text(json.dumps(legacy))
-        runner = ExperimentRunner(
-            retries=0,
-            checkpoint_path=str(checkpoint),
-            registry=make_registry(),
-        )
-        report = runner.run_many(IDS)
-        assert sorted(report.resumed) == ["alpha", "beta"]
-        assert report.ok
-        # One-step migration: the file is now a v2 envelope carrying
-        # both the restored and the new results.
-        data = checkpoint_payload(checkpoint)
-        assert sorted(data["results"]) == sorted(IDS)
-        # And it restores through the checksummed path next time.
-        again = ExperimentRunner(
-            retries=0,
-            checkpoint_path=str(checkpoint),
-            registry=make_registry(),
-        ).run_many(IDS)
-        assert sorted(again.resumed) == sorted(IDS)
-
-    def test_unsupported_future_version_is_quarantined(self, tmp_path):
-        checkpoint = tmp_path / "progress.json"
-        checkpoint.write_text(
-            '{"version": 99, "checksum": "sha256:00", "data": {}}'
-        )
-        runner = ExperimentRunner(
-            retries=0,
-            checkpoint_path=str(checkpoint),
-            registry=make_registry(),
-        )
-        with pytest.warns(CheckpointCorruptWarning, match="version"):
-            report = runner.run_many(IDS)
-        assert report.ok
-        assert report.resumed == []
-        assert (tmp_path / "progress.json.corrupt").exists()
-
     def test_no_tmp_file_left_behind(self, tmp_path):
         checkpoint = tmp_path / "progress.json"
         ExperimentRunner(

@@ -1,11 +1,11 @@
 """Report rendering: blocks, summaries, JSONL parsing, golden output."""
 
-import hashlib
 import json
 import os
 
 import pytest
 
+from repro.common.atomicio import seal_jsonl
 from repro.common.errors import CheckpointCorruptWarning, ObservabilityError
 from repro.experiments.base import ExperimentResult
 from repro.obs.catalog import catalog_markdown
@@ -132,88 +132,61 @@ class TestExperimentBlock:
         assert "_metrics: none recorded_" in block
 
 
+def _sealed_trace(records):
+    """Serialize records the way the runner writes a trace."""
+    return seal_jsonl([json.dumps(r) for r in records])
+
+
 class TestReadRecords:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "run.jsonl"
         records = sample_records()
-        path.write_text(
-            "\n".join(json.dumps(r) for r in records) + "\n\n"
-        )
+        path.write_text(_sealed_trace(records))
         assert read_records(str(path)) == records
 
     def test_bad_json_reports_line_and_quarantines(self, tmp_path):
+        # Only a writer bug can seal a body that is not JSONL; the read
+        # still names the line.
         path = tmp_path / "run.jsonl"
-        path.write_text('{"type": "run"}\nnot json\n')
+        path.write_text(seal_jsonl(['{"type": "run"}', "not json"]))
         with pytest.warns(CheckpointCorruptWarning):
             with pytest.raises(ObservabilityError, match=":2:"):
                 read_records(str(path))
         assert not path.exists()
         assert (tmp_path / "run.jsonl.corrupt").exists()
 
-    def test_empty_file_rejected(self, tmp_path):
+    def test_empty_file_is_quarantined(self, tmp_path):
+        # A torn write can publish an empty file: it has no footer.
         path = tmp_path / "run.jsonl"
         path.write_text("\n")
-        with pytest.raises(ObservabilityError, match="empty trace"):
-            read_records(str(path))
-
-
-def _footered_trace(records):
-    """Serialize records the way the runner writes a v2 trace."""
-    body = "\n".join(json.dumps(r) for r in records) + "\n"
-    digest = "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest()
-    footer = json.dumps(
-        {
-            "type": "trace-footer",
-            "trace_version": 2,
-            "records": len(records),
-            "checksum": digest,
-        }
-    )
-    return body + footer + "\n"
+        with pytest.warns(CheckpointCorruptWarning):
+            with pytest.raises(ObservabilityError, match="trace-footer"):
+                read_records(str(path))
+        assert (tmp_path / "run.jsonl.corrupt").exists()
 
 
 class TestTraceFooter:
     def test_valid_footer_verified_and_stripped(self, tmp_path):
         path = tmp_path / "run.jsonl"
         records = sample_records()
-        path.write_text(_footered_trace(records))
+        path.write_text(_sealed_trace(records))
         assert read_records(str(path)) == records
 
-    def test_footerless_legacy_trace_still_reads(self, tmp_path):
+    def test_footerless_trace_is_rejected(self, tmp_path):
+        # Footer-less traces are not read as a legacy format: a trace cut
+        # at a record boundary looks exactly like one.
         path = tmp_path / "run.jsonl"
         records = sample_records()
-        path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-        assert read_records(str(path)) == records
-
-    def test_tampered_body_is_detected_and_quarantined(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        text = _footered_trace(sample_records())
-        path.write_text(text.replace('"jobs": 1', '"jobs": 8'))
-        with pytest.warns(CheckpointCorruptWarning, match="checksum"):
-            with pytest.raises(ObservabilityError, match="checksum"):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.warns(CheckpointCorruptWarning, match="trace-footer"):
+            with pytest.raises(ObservabilityError, match="trace-footer"):
                 read_records(str(path))
         assert not path.exists()
         assert (tmp_path / "run.jsonl.corrupt").exists()
 
-    def test_truncated_record_is_detected(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        text = _footered_trace(sample_records())
-        # Tear the file mid-record, the way a torn write would.
-        path.write_text(text[: len(text) // 2])
-        with pytest.warns(CheckpointCorruptWarning):
-            with pytest.raises(ObservabilityError):
-                read_records(str(path))
-        assert (tmp_path / "run.jsonl.corrupt").exists()
-
     def test_footer_only_file_is_empty(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        body = ""
-        digest = (
-            "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest()
-        )
-        path.write_text(
-            json.dumps({"type": "trace-footer", "checksum": digest}) + "\n"
-        )
+        path.write_text(seal_jsonl([]))
         with pytest.raises(ObservabilityError, match="empty trace"):
             read_records(str(path))
 

@@ -10,11 +10,11 @@ conflicting transfer is rejected, never quarantines a good entry).
 """
 
 import hashlib
-import json
 import multiprocessing
 import os
 
-from repro.service.cache import ResultCache, _sha256_label
+from repro.common.atomicio import checksum as record_checksum
+from repro.service.cache import ResultCache, canonical_entry
 
 
 def cache_key(tag):
@@ -53,7 +53,7 @@ def _backfill_writer(root, writer_id, iterations, barrier):
     for _ in range(iterations):
         for key in SHARED_KEYS:
             entry = entry_for(key)
-            checksum = _sha256_label(json.dumps(entry, sort_keys=True))
+            checksum = record_checksum(canonical_entry(entry))
             cache.backfill(key, entry, checksum)
 
 
@@ -109,7 +109,7 @@ class TestBackfillSemantics:
     def test_applies_to_empty_cache(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
         entry = entry_for(SHARED_KEYS[0])
-        checksum = _sha256_label(json.dumps(entry, sort_keys=True))
+        checksum = record_checksum(canonical_entry(entry))
         assert cache.backfill(SHARED_KEYS[0], entry, checksum) is True
         assert cache.get(SHARED_KEYS[0]) == entry
 
@@ -126,7 +126,7 @@ class TestBackfillSemantics:
         cache = ResultCache(str(tmp_path / "c"))
         entry = entry_for(SHARED_KEYS[0])
         cache.put(SHARED_KEYS[0], entry)
-        checksum = _sha256_label(json.dumps(entry, sort_keys=True))
+        checksum = record_checksum(canonical_entry(entry))
         assert cache.backfill(SHARED_KEYS[0], entry, checksum) is True
 
     def test_conflicting_entry_is_preserved_not_quarantined(
@@ -137,9 +137,7 @@ class TestBackfillSemantics:
         original = entry_for(SHARED_KEYS[0], writer=0)
         cache.put(SHARED_KEYS[0], original)
         conflicting = entry_for(SHARED_KEYS[0], writer=1)
-        checksum = _sha256_label(
-            json.dumps(conflicting, sort_keys=True)
-        )
+        checksum = record_checksum(canonical_entry(conflicting))
         assert (
             cache.backfill(SHARED_KEYS[0], conflicting, checksum)
             is False

@@ -19,16 +19,9 @@ bit-identical sent/decoded rows (asserted here, and exhaustively in
 ``tests/test_perf/test_engine_equivalence.py``), so the fast/batch mean
 ratio in the emitted JSON is a pure engine speedup.
 ``scripts_check_bench_regression.py --min-batch-speedup`` polices it.
-
-The 100k-trial end-to-end bench (checkpointed ``run_trials`` blocks)
-takes tens of seconds, so like the engine suite's run-all benches it
-only runs when ``REPRO_BENCH_RUN_ALL=1``.
 """
 
-import os
-
 import numpy as np
-import pytest
 
 from repro.common.rng import spawn_streams, stream_bits, trial_streams
 from repro.common.types import MemoryAccess
@@ -51,8 +44,6 @@ TRIALS = 256
 MESSAGE_LENGTH = 32
 
 SEED = 2020
-
-RUN_ALL = os.environ.get("REPRO_BENCH_RUN_ALL") == "1"
 
 
 def run_batch(algorithm):
@@ -149,23 +140,3 @@ def test_bench_alg2_fast(benchmark):
     """Algorithm 2 (no shared memory), 256 scalar fast-engine trials."""
     bench_trials(benchmark, "fast", "alg2")
 
-
-@pytest.mark.skipif(
-    not RUN_ALL, reason="set REPRO_BENCH_RUN_ALL=1 to run the 100k bench"
-)
-def test_bench_run_trials_100k(benchmark):
-    """100k trials end-to-end through the checkpointed runner blocks."""
-    from repro.experiments.runner import ExperimentRunner
-
-    def run():
-        report = ExperimentRunner(retries=0).run_trials(
-            "alg1", trials=100_000, message_length=MESSAGE_LENGTH,
-            block_size=4096,
-        )
-        assert report.ok, report.summary()
-        return report
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["engine"] = "batch"
-    benchmark.extra_info["workload"] = "run-trials-100k"
-    benchmark.extra_info["blocks"] = len(report.results)

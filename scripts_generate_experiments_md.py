@@ -48,7 +48,7 @@ without writing (the CI docs-drift gate).  Each block is rendered by
 `python -m repro run <id> --trace run.jsonl` + `python -m repro report
 run.jsonl`, so any committed block can be regenerated byte-for-byte
 from a trace artifact (docs/OBSERVABILITY.md documents the artifact).
-The same experiments run under `pytest benchmarks/ --benchmark-only`.
+DESIGN.md section 3 names the tier-1 test that checks each block's claim.
 
 Reading guide: each block shows our measured values; `paper:` lines
 state what the paper reports for the same quantity.  We reproduce the

@@ -606,9 +606,8 @@ def diff_reports(
 
     Compares schema version, the full ranking order, and every entry's
     exact metrics.  Returns an empty list when nothing drifted.  Used
-    by ``scripts_check_bench_regression.py`` and the CLI ``--check``
-    flag so a policy or defense change that alters leakage rankings
-    fails the build.
+    by the CLI ``--check`` flag so a policy or defense change that
+    alters leakage rankings fails the build.
     """
     problems: List[str] = []
     cur_version = current.get("leakage_version")

@@ -2,8 +2,8 @@
 
 Each module registers a ``run_*`` function under the paper's label
 (``table1`` ... ``table7``, ``fig3`` ... ``fig15``); ``run_all`` executes
-them and the benchmark suite wraps each one in a pytest-benchmark
-target.  See DESIGN.md section 3 for the experiment index.
+them.  See DESIGN.md section 3 for the experiment index and the tier-1
+test that checks each one's claim.
 """
 
 from repro.experiments import (  # noqa: F401  (registration side effects)

@@ -1,8 +1,8 @@
 """Shared experiment scaffolding.
 
 Every table/figure module exposes a ``run_*`` function returning an
-:class:`ExperimentResult`; the runner and the benchmark suite consume
-that uniform shape.  Each result carries the paper's reported values (or
+:class:`ExperimentResult`; the runner, the report renderer and the
+tests consume that uniform shape.  Each result carries the paper's reported values (or
 qualitative expectations) next to ours so EXPERIMENTS.md can be
 regenerated mechanically.
 """

@@ -19,8 +19,8 @@ EXPERIMENTS.md?* — without rerunning under a debugger.  Four pieces:
 
 Everything is scoped through :mod:`repro.obs.session`: no active
 session (the default) means every instrument site is a single ``None``
-check, benchmarked at <2% overhead and bit-identical results either
-way (``benchmarks/test_bench_obs.py``, ``tests/test_obs``).
+check with no call into this package, and results are bit-identical
+either way (``tests/test_obs``).
 """
 
 from repro.obs.catalog import (

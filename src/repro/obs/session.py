@@ -5,8 +5,8 @@ module for the *active session* at construction time and bind handles
 from it.  When no session is active — the default — :func:`active`
 returns ``None`` and every instrument site collapses to a single
 ``is None`` check on its hot path, which is what keeps observability
-free when it is off (the committed ``benchmarks/test_bench_obs.py``
-budget is <2% overhead).
+free when it is off: an off-mode run calls into this package only while
+it is being built (``tests/test_obs/test_session.py::TestOffMode``).
 
 Sessions are scoped, not global-forever: the experiment runner opens one
 per experiment attempt (``--trace``), snapshots it, and closes it, so

@@ -6,7 +6,7 @@ Two halves, both seeded:
   draw (repeat an earlier request with probability ``repeat_bias``,
   else pick a fresh experiment) produces the skewed popularity real
   request streams have, which is what gives the cache a predictable,
-  seed-reproducible hit-rate floor for the benchmark to police.
+  seed-reproducible hit-rate floor for the tests to police.
 * :func:`run_load` — drive the schedule through a
   :class:`~repro.service.client.ServiceClient`, measure per-request
   latency on the monotonic clock, and fold everything into a
@@ -114,7 +114,7 @@ class LoadReport:
         return self.percentile_ms(99.0)
 
     def summary(self) -> Dict:
-        """Plain-data aggregate view (what the benchmark records)."""
+        """Plain-data aggregate view (what the smoke scripts print)."""
         return {
             "total": self.total,
             "by_status": dict(self.by_status),

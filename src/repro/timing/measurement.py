@@ -186,8 +186,8 @@ class PointerChase:
         because the chain serializes execution.
 
         Short chains (below the paper's 7) re-expose part of the timer
-        serialization shadow, degrading separability — the ablation
-        benchmark sweeps this.
+        serialization shadow, degrading separability
+        (``tests/test_timing/test_measurement.py`` compares 1 and 7).
         """
         total = 0.0
         for address in self.chain_addresses:

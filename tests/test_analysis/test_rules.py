@@ -583,7 +583,7 @@ class TestNoHardcodedPeerAddress:
 
     def test_allow_comment_suppresses(self):
         source = (
-            "BENCH_TARGET = '127.0.0.1:7000'"
+            "PEER_TARGET = '127.0.0.1:7000'"
             "  # repro: allow(no-hardcoded-peer-address)\n"
         )
         assert (

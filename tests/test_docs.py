@@ -53,10 +53,11 @@ class TestDesignExperimentIndex:
         for experiment_id in ids:
             assert experiment_id in EXPERIMENT_REGISTRY, experiment_id
 
-    def test_bench_files_exist(self):
+    def test_claim_tests_exist(self):
         text = _read("DESIGN.md")
-        benches = set(re.findall(r"`(benchmarks/[\w/]+\.py)`", text))
-        for path in benches:
+        paths = set(re.findall(r"`(tests/[\w/]+\.py)(?:::\w+)?`", text))
+        assert len(paths) > 5
+        for path in paths:
             assert (ROOT / path).exists(), f"{path} referenced but missing"
 
 
@@ -190,18 +191,9 @@ def _parser_flags():
 
 
 class TestCliFlagDrift:
-    #: Flags belonging to other entry points (pytest-benchmark, the
-    #: lint CLI, the benchmark regression checker, the EXPERIMENTS.md
-    #: generator) that docs legitimately mention.
+    #: Flags belonging to other entry points (the lint CLI, the
+    #: EXPERIMENTS.md generator) that docs legitimately mention.
     FOREIGN = {
-        "--benchmark-only",
-        "--benchmark-json",
-        "--baseline",
-        "--min-speedup",
-        "--min-batch-speedup",
-        "--tolerance",
-        "--max-exec-overhead",
-        "--min-hit-rate",
         "--rule",
         "--only",
         "--check",
@@ -251,7 +243,37 @@ class TestCliFlagDrift:
         assert {"--trace", "--catalog", "--update-doc", "--check-doc"} <= flags
 
 
+def _block_rows(experiment_id):
+    """Table rows of a committed EXPERIMENTS.md block, split on column gaps."""
+    text = _read("EXPERIMENTS.md")
+    block = text.split(f"### {experiment_id}\n", 1)[1].split("```")[1]
+    lines = block.strip().splitlines()
+    start = next(i for i, line in enumerate(lines) if set(line) == {"-"})
+    rows = []
+    for line in lines[start + 1:]:
+        if line.startswith(("paper:", "notes:")):
+            break
+        rows.append(re.split(r"\s{2,}", line.strip()))
+    return rows
+
+
 class TestExperimentsMdBlocks:
+    @pytest.mark.parametrize(
+        "experiment_id, claim",
+        [
+            ("fig4", lambda rows: any(row[0] == "Alg 1" for row in rows)),
+            ("fig7", lambda rows: all(float(row[4]) > 4.0 for row in rows)),
+            ("table4", lambda rows: rows[0][3].endswith(" Kbps")),
+            ("table6", lambda rows: len(rows) == 12),
+        ],
+        ids=["fig4", "fig7", "table4", "table6"],
+    )
+    def test_slow_block_keeps_its_claim(self, experiment_id, claim):
+        # Too slow to rerun at full fidelity here.  CI's docs-drift job
+        # regenerates every block and fails on any difference, so a
+        # claim that holds on the committed block holds for the code.
+        assert claim(_block_rows(experiment_id)), experiment_id
+
     def test_every_block_has_manifest_footer(self):
         text = _read("EXPERIMENTS.md")
         ids = re.findall(r"^### (\w+)$", text, re.MULTILINE)

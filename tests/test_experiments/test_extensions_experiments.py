@@ -52,6 +52,14 @@ class TestExtRandomizedIndex:
         assert labels["randomized index"] == "no"
 
 
+class TestExtMultiset:
+    def test_rounds_shrink_linearly_with_lanes(self):
+        result = EXPERIMENT_REGISTRY["ext_multiset"]()
+        rounds = {row[0]: row[1] for row in result.rows}
+        assert rounds[1] == 8 * rounds[8] == 32 * rounds[32]
+        assert all(row[2] == 1.0 for row in result.rows)
+
+
 class TestExtSideChannel:
     def test_all_keys_recovered(self):
         result = EXPERIMENT_REGISTRY["ext_side_channel"]()
@@ -86,6 +94,7 @@ class TestExtAlg2TimeSliced:
         contrasts = {row[0]: float(row[3].rstrip("%")) for row in result.rows}
         # Algorithm 1 carries signal; Algorithm 2 does not (paper V-B).
         assert contrasts["Alg 1"] > 3 * contrasts["Alg 2"]
+        assert contrasts["Alg 2"] < 10
 
 
 class TestExtCapacity:
@@ -96,5 +105,7 @@ class TestExtCapacity:
         defended = rows["Alg 1 vs random-replacement L1"][3]
         assert healthy > 0.9
         assert defended < 0.05
+        # Hundreds of Kbps in rate terms (Table IV).
+        assert rows["Alg 1, d=8"][4] > 100
         # Bad Tree-PLRU parity collapses capacity well below healthy.
         assert rows["Alg 2, d=4 (bad parity)"][3] < healthy / 4

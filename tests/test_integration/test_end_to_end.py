@@ -42,18 +42,25 @@ class TestCovertChannelEndToEnd:
     def test_alg2_even_d_pathology(self):
         """Paper Section V-A: even d is much worse for Algorithm 2 on
         Tree-PLRU ('even d makes the Tree-PLRU state point to another
-        side of the subtree')."""
-        def error_for(d):
-            machine = Machine(INTEL_E5_2690, rng=42)
-            channel = NoSharedMemoryLRUChannel.build(
-                machine.spec.hierarchy.l1, 1, d=d
+        side of the subtree').  A true-LRU victim has no subtree to
+        point at, so it is no noisier than Tree-PLRU at the good d."""
+        def error_for(d, l1_policy="tree-plru"):
+            base = INTEL_E5_2690.hierarchy
+            l1 = dataclasses.replace(base.l1, policy=l1_policy)
+            spec = dataclasses.replace(
+                INTEL_E5_2690, hierarchy=dataclasses.replace(base, l1=l1)
             )
+            machine = Machine(spec, rng=42)
+            channel = NoSharedMemoryLRUChannel.build(l1, 1, d=d)
             return evaluate_hyper_threaded(
                 machine, channel, ProtocolConfig(ts=6000, tr=600),
                 random_message(48, rng=7), repeats=2,
             ).error_rate
 
-        assert error_for(4) > 2 * error_for(5)
+        odd = error_for(5)
+        assert error_for(4) > 2 * odd
+        assert error_for(6) > odd
+        assert error_for(5, l1_policy="lru") <= odd + 0.05
 
     def test_faster_rate_higher_error(self):
         """Figure 4's main trend: with time-rate environment noise,
@@ -122,6 +129,36 @@ class TestAMDWayPredictorEndToEnd:
         end = run.bit_boundaries[-1] + 20000
         run.observations = [o for o in run.observations if o.timestamp <= end]
         assert percent_ones(run) > 0.6
+
+    def test_moving_average_window_tracks_bit_period(self):
+        """Section VI: the AMD wave is read through a moving average.
+        Some window recovers it; smoothing over two bit periods
+        destroys it."""
+        from repro.channels.decoder import moving_average_decode
+        from repro.common.editdist import channel_error_rate
+
+        machine = Machine(AMD_EPYC_7571, rng=17)
+        channel = SharedMemoryLRUChannel.build(
+            machine.spec.hierarchy.l1, 1, d=8
+        )
+        protocol = CovertChannelProtocol(
+            machine, channel,
+            ProtocolConfig(ts=2e4, tr=1e3, sender_space=0),
+        )
+        message = [i % 2 for i in range(16)]
+        latencies = protocol.run_hyper_threaded(message).latencies()
+        errors = {
+            window: channel_error_rate(
+                message,
+                moving_average_decode(
+                    latencies, samples_per_bit_hint=20,
+                    hit_means_one=True, window=window,
+                ),
+            )
+            for window in (1, 5, 20, 40)
+        }
+        assert min(errors.values()) < 0.5
+        assert errors[40] >= min(errors[1], errors[5])
 
     def test_alg2_unaffected_by_way_predictor(self):
         """Algorithm 2 never reloads sender-touched lines, so the utag

@@ -1,6 +1,17 @@
-"""Session scoping: activation, nesting, and trace-disabled no-ops."""
+"""Session scoping: activation, nesting, trace-disabled no-ops, and an
+off mode that stays off the hot path."""
 
+import os
+import sys
+
+import repro.obs
+from repro.channels import (
+    CovertChannelProtocol,
+    ProtocolConfig,
+    SharedMemoryLRUChannel,
+)
 from repro.obs.session import ObsSession, active, observe
+from repro.sim import INTEL_E5_2690, Machine
 
 
 class TestActivation:
@@ -63,3 +74,38 @@ class TestManifestNotes:
         session.note_fault_model("interrupt_burst")
         session.note_fault_model("tsc_jitter")
         assert session.fault_models() == ["interrupt_burst", "tsc_jitter"]
+
+
+class TestOffMode:
+    def test_transfer_calls_obs_only_while_being_built(self):
+        """With no session, the instrumented hot paths never call into
+        repro.obs: the only calls are the construction-time lookups,
+        so their number does not grow with the message."""
+        obs_dir = os.path.dirname(repro.obs.__file__) + os.sep
+
+        def obs_calls(message):
+            calls = []
+
+            def profile(frame, event, arg):
+                code = frame.f_code
+                if event == "call" and code.co_filename.startswith(obs_dir):
+                    calls.append(code.co_name)
+
+            sys.setprofile(profile)
+            try:
+                machine = Machine(INTEL_E5_2690, rng=2024)
+                channel = SharedMemoryLRUChannel.build(
+                    machine.spec.hierarchy.l1, target_set=1, d=8
+                )
+                CovertChannelProtocol(
+                    machine, channel, ProtocolConfig(ts=6000, tr=600)
+                ).run_hyper_threaded(message)
+            finally:
+                sys.setprofile(None)
+            return calls
+
+        assert active() is None
+        short = obs_calls([1, 0, 1, 1, 0, 0, 1, 0])
+        long = obs_calls([1, 0, 1, 1, 0, 0, 1, 0] * 4)
+        assert "active" in short
+        assert long == short

@@ -1,8 +1,13 @@
-"""Load generator: schedule determinism and report arithmetic."""
+"""Load generator: schedule determinism, report arithmetic, and a cold
+batch through a live service."""
+
+import json
 
 import pytest
 
-from repro.service.loadgen import LoadReport, build_schedule
+from repro.service.loadgen import LoadReport, build_schedule, run_load
+
+from tests.test_service import fakes
 
 
 class TestBuildSchedule:
@@ -80,3 +85,39 @@ class TestLoadReport:
     def test_percentile_validates_range(self):
         with pytest.raises(ValueError):
             self._report([1.0]).percentile_ms(150.0)
+
+
+class TestColdCacheBatch:
+    def test_popularity_skew_is_absorbed_by_the_cache(self, harness_factory):
+        """A 200-request popularity-skewed batch against a cold cache:
+        no client errors, every answer exact, and at least half of them
+        served from the cache.  The hit rate is a seeded property of the
+        schedule, so the floor holds on any host."""
+        harness = harness_factory(
+            registry=dict(fakes.FAST_REGISTRY),
+            port=0,
+            pools=2,
+            queue_depth=8,
+            rate=500.0,
+            burst=100,
+            seed=0,
+        )
+        expected = {
+            experiment_id: json.dumps(fn().to_dict(), sort_keys=True)
+            for experiment_id, fn in fakes.FAST_REGISTRY.items()
+        }
+        schedule = build_schedule(
+            200, sorted(fakes.FAST_REGISTRY), seed=1, repeat_bias=0.7
+        )
+        report = run_load("127.0.0.1", harness.port, schedule, timeout=60.0)
+        assert report.client_errors == 0
+        assert report.total == 200
+        for response in report.responses:
+            assert response["status"] == "ok"
+            assert not response.get("degraded")
+            result = response["result"]
+            assert json.dumps(result, sort_keys=True) == (
+                expected[result["experiment_id"]]
+            )
+        assert report.hit_rate >= 0.5
+        assert report.p99_ms > 0

@@ -117,7 +117,10 @@ class TestPointerChaseMeasurement:
                 miss_hist.add(chase.measure(target))
             return 1.0 - hit_hist.overlap(miss_hist)
 
-        assert gap(7) >= gap(1)
+        short, full = gap(1), gap(7)
+        assert short < 0.5
+        assert full > 0.9
+        assert full >= short
 
 
 class TestObservedChaseLatency:

@@ -62,7 +62,11 @@ class CacheHierarchy:
     ):
         # Imported lazily: repro.sim.fastpath subclasses the cache layer,
         # so a top-level import here would be circular.
-        from repro.sim.fastpath import FastSetAssociativeCache, resolve_engine
+        from repro.sim.fastpath import (
+            FastSetAssociativeCache,
+            demand_paths,
+            resolve_engine,
+        )
 
         self.config = config
         self.engine = resolve_engine(engine)
@@ -98,6 +102,15 @@ class CacheHierarchy:
         # Observability handles, bound once at construction; None when no
         # session is active, so the access path pays one `is None` check.
         self._obs = for_hierarchy(obs_active(), config)
+        # On plain fast caches, demand accesses run in place
+        # (repro.sim.fastpath.demand_paths), and the schedulers' kernels
+        # finish their L1 misses through the same ``_l1_miss``.  The
+        # reference engine, the oracle, keeps ``_demand_access`` below.
+        self._l1_miss = None
+        if cache_cls is FastSetAssociativeCache:
+            paths = demand_paths(self)
+            if paths is not None:
+                self._l1_miss, self._demand_access = paths
 
     # ------------------------------------------------------------------
     # The access path

@@ -20,6 +20,7 @@ Two field classes are deliberately separated:
 
 from __future__ import annotations
 
+import functools
 import platform
 import subprocess
 from dataclasses import dataclass, field
@@ -28,8 +29,14 @@ from typing import Dict, List, Optional
 import repro
 
 
+@functools.lru_cache(maxsize=None)
 def git_revision(cwd: Optional[str] = None) -> str:
-    """The current checkout's short revision, or ``"unknown"``."""
+    """The current checkout's short revision, or ``"unknown"``.
+
+    Memoized per ``cwd`` for the life of the process: every observed
+    experiment and every trial block stamps its manifest with it, and
+    the checkout does not change under a running process.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

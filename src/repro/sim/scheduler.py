@@ -17,12 +17,14 @@ The paper evaluates both co-residency modes (Section III):
 Both schedulers do their per-op work in place whenever nothing could
 observe the individual calls (see :meth:`_SchedulerBase._inlinable`).
 The hyper-threaded loop is then an *op kernel*: it executes every
-operation itself, with the fast engine's L1 hit path inlined.  The
-time-sliced scheduler runs :class:`~repro.sim.thread.LoopProgram`
+operation itself, with the fast engine's L1 hit path (the AMD utag
+check included) inlined and its L1 misses finished by the fast
+engine's one miss routine (:func:`repro.sim.fastpath.demand_paths`).
+The time-sliced scheduler runs :class:`~repro.sim.thread.LoopProgram`
 threads (the constant sender and the background noise, which issue
 almost every op of a time-sliced run) through a *slice kernel*: a tight
-loop over the program's prebuilt ops with the same hit path.  Each
-produces exactly the state, times, counters and draws the general
+loop over the program's prebuilt ops with the same hit and miss paths.
+Each produces exactly the state, times, counters and draws the general
 per-op route through ``_execute`` produces; see
 :meth:`HyperThreadedScheduler.run` and :meth:`TimeSlicedScheduler.run`.
 """
@@ -92,8 +94,8 @@ class _SchedulerBase:
         """Whether a run may do its per-op work in place.
 
         Eligibility is derived from what is attached, never configured:
-        an in-place op skips ``_execute``, ``hierarchy.access`` (on an
-        L1 hit) and the prefetcher, so none of them may be live or
+        an in-place op skips ``_execute``, ``hierarchy.access`` and the
+        prefetcher, so none of them may be live or
         wrapped on the instance (the sanitizer and
         :class:`~repro.sim.tracing.AccessTracer` install wrappers), and
         the reference engine, the oracle, always takes the general route.
@@ -109,17 +111,21 @@ class _SchedulerBase:
         )
 
     def _plain_l1(self):
-        """The L1 if its hits can be done in place, else None.
+        """The L1 if its accesses can be finished in place, else None.
 
-        Only the fast engine's plain cache (no way predictor, no keyed
-        index, no lock or hit-state hooks) has the inlinable hit path:
-        one tag-map probe, one ``policy.touch`` when hits update the
-        policy, and one reference count.
+        That holds when the hierarchy has the fast engine's in-place
+        miss routine (``hierarchy._l1_miss``, see
+        :func:`repro.sim.fastpath.demand_paths`): every level is a plain
+        fast cache, with no keyed index and no lock or hit-state hooks.
+        The L1 may have a way predictor.  A hit is then one tag-map
+        probe, the utag check when the L1 has a predictor, one
+        ``policy.touch`` when hits update the policy and one reference
+        count; a miss is one ``_l1_miss`` call.
         """
-        l1 = self.hierarchy.l1
-        if getattr(l1, "_plain_hit_path", False) and l1.way_predictor is None:
-            return l1
-        return None
+        hierarchy = self.hierarchy
+        if getattr(hierarchy, "_l1_miss", None) is None:
+            return None
+        return hierarchy.l1
 
     def _execute(self, thread: SimThread, op, now: float) -> float:
         """Run one operation at time ``now``; return its cycle cost.
@@ -212,19 +218,28 @@ class HyperThreadedScheduler(_SchedulerBase):
 
         When :meth:`_inlinable` holds, the loop is an *op kernel*: it
         executes ``Access``, ``Compute``, ``ReadTSC`` and ``SleepUntil``
-        ops itself, exactly as ``_execute`` would.  On a plain
-        fast-engine L1 (:meth:`_plain_l1`) a counted, non-flush,
-        non-speculative access probes its set's tag map; a hit touches
-        the policy, counts the reference, costs the L1 hit latency and
-        delivers the hierarchy's shared L1-hit outcome.  Every other
-        access goes through ``hierarchy.access``.  Otherwise, and for
-        op subclasses, every op goes through ``_execute``.
+        ops itself, exactly as ``_execute`` would.  On an L1 that
+        :meth:`_plain_l1` accepts, a counted load or store that is not
+        speculative, locking or unlocking runs in place:
+        - it probes its set's tag map and, with a way predictor,
+          computes ``utag(space, address)`` once;
+        - a hit touches the policy and counts the reference.  It then
+          checks the utag exactly as ``_check_way_predictor`` does:
+          adopt a missing one, retrain a mismatched one and set the
+          line's ``owner_space``.  A matching or adopted utag costs the
+          L1 hit latency and delivers the hierarchy's shared L1-hit
+          outcome; a mismatch delivers its shared ``_utag_miss``;
+        - a miss goes to ``hierarchy._l1_miss`` with the set already
+          resolved, the fast engine's one miss routine.
+        Every other access goes through ``hierarchy.access``.
+        Otherwise, and for op subclasses, every op goes through
+        ``_execute``.
 
         Under an observing session, L1 hits done in place reach the
-        hierarchy's metrics as runs of hits before the next counted
-        access (fault disturbances are uncounted and observe no
-        latency), so the latency histogram takes its float additions in
-        the general route's order.
+        hierarchy's metrics as runs of hits, reported before the next
+        miss, mispredict or other counted access (fault disturbances
+        are uncounted and observe no latency), so the latency histogram
+        takes its float additions in the general route's order.
         """
         threads = self.threads
         for thread in threads:
@@ -251,8 +266,12 @@ class HyperThreadedScheduler(_SchedulerBase):
             tag_shift = l1._tag_shift
             update_on_hit = l1._update_on_hit
             references = l1._references
+            predictor = l1.way_predictor
+            utag_of = None if predictor is None else predictor.utag
+            l1_miss = hierarchy._l1_miss
         hit_latency = hierarchy.config.l1.hit_latency
         hit_outcome = hierarchy._l1_hit
+        utag_miss = hierarchy._utag_miss
         obs = hierarchy._obs
         record_hits = None if obs is None else obs.record_l1_hits
         flush_type = AccessType.FLUSH
@@ -296,23 +315,63 @@ class HyperThreadedScheduler(_SchedulerBase):
                     recorded = hits
                 cost = execute(thread, op, now)
             elif kind is Access:
-                way = None
                 if (
                     l1 is not None
                     and op.count
                     and not op.speculative
+                    and not op.locked
+                    and not op.unlock
                     and op.access_type is not flush_type
                 ):
                     address = op.address
                     cache_set = sets[(address >> offset_bits) & index_mask]
                     way = cache_set._tag_map.get(address >> tag_shift)
-                if way is not None:
-                    if update_on_hit:
-                        cache_set.policy.touch(way)
-                    references[thread.thread_id] += 1
-                    hits += 1
-                    thread.pending_result = hit_outcome
-                    cost = hit_latency
+                    utag = (
+                        None
+                        if utag_of is None
+                        else utag_of(thread.address_space, address)
+                    )
+                    if way is None:
+                        if record_hits is not None and hits != recorded:
+                            record_hits(hit_latency, hits - recorded)
+                            recorded = hits
+                        outcome = l1_miss(
+                            cache_set,
+                            address,
+                            op.access_type,
+                            thread.thread_id,
+                            thread.address_space,
+                            utag,
+                            True,
+                        )
+                        thread.pending_result = outcome
+                        cost = outcome.latency
+                    else:
+                        if update_on_hit:
+                            cache_set.policy.touch(way)
+                        references[thread.thread_id] += 1
+                        # _check_way_predictor: adopt a missing utag and
+                        # retrain a mismatched one; only a mismatch is
+                        # observed (without a predictor both are None).
+                        stored = utag
+                        if utag is not None:
+                            line = cache_set.lines[way]
+                            stored = line.utag
+                            if stored != utag:
+                                line.utag = utag
+                                line.owner_space = thread.address_space
+                        if stored is None or stored == utag:
+                            hits += 1
+                            thread.pending_result = hit_outcome
+                            cost = hit_latency
+                        else:
+                            if record_hits is not None:
+                                if hits != recorded:
+                                    record_hits(hit_latency, hits - recorded)
+                                    recorded = hits
+                                obs.record_l1_hit(utag_miss.latency, True)
+                            thread.pending_result = utag_miss
+                            cost = utag_miss.latency
                 else:
                     if record_hits is not None and hits != recorded:
                         record_hits(hit_latency, hits - recorded)
@@ -485,29 +544,36 @@ class TimeSlicedScheduler(_SchedulerBase):
         for thread in self.threads:
             program = thread.program_factory
             if type(program) is LoopProgram:
-                steps = self._compile_loop(program)
+                steps = self._compile_loop(program, thread.address_space)
                 if steps is not None:
                     kernel_steps[thread] = steps
         return kernel_steps
 
-    def _compile_loop(self, program: LoopProgram):
+    def _compile_loop(self, program: LoopProgram, space: int):
         """Lower a loop program to kernel steps, or None if it can't run.
 
+        ``space`` is the address space of the thread that runs it.
         Steps are tuples tagged by kind:
 
         * ``(_COMPUTE, cycles)``;
-        * ``(_L1_PROBE, tag_map.get, tag, touch, op)`` — a counted
-          access whose L1 hit the kernel performs inline, exactly as the
-          fast engine's ``lookup`` does (``touch`` is the set policy's
-          bound ``touch``, None when hits do not update it); a miss
-          goes through the hierarchy;
+        * ``(_L1_PROBE, tag_map.get, tag, touch, cache_set, utag, op)``
+          — a counted load or store on an L1 that :meth:`_plain_l1`
+          accepts.  The kernel does its hit in place, exactly as the
+          fast engine's demand path does (``touch`` is the set policy's
+          bound ``touch``, None when hits do not update it; ``utag`` is
+          the way predictor's ``utag(space, address)``, None without a
+          predictor), and finishes a miss with ``hierarchy._l1_miss`` in
+          ``cache_set``;
         * ``(_ACCESS, op)`` — an access that always goes through
-          ``hierarchy.access`` (another L1, a way predictor, a flush, a
-          speculative load or an uncounted access);
+          ``hierarchy.access`` (another L1, a flush, a speculative,
+          locking, unlocking or uncounted access);
         * ``(_CHOOSE, choice, steps)`` — one of ``steps``, drawn by the
           program's own ``choice``.
         """
         l1 = self._plain_l1()
+        if l1 is not None:
+            predictor = l1.way_predictor
+            utag_of = None if predictor is None else predictor.utag
 
         def lower(op):
             kind = type(op)
@@ -522,6 +588,8 @@ class TimeSlicedScheduler(_SchedulerBase):
                 and op.count
                 and op.access_type is not AccessType.FLUSH
                 and not op.speculative
+                and not op.locked
+                and not op.unlock
             ):
                 address = op.address
                 index = (address >> l1._offset_bits) & l1._index_mask
@@ -531,6 +599,8 @@ class TimeSlicedScheduler(_SchedulerBase):
                     cache_set._tag_map.get,
                     address >> l1._tag_shift,
                     cache_set.policy.touch if l1._update_on_hit else None,
+                    cache_set,
+                    None if utag_of is None else utag_of(space, address),
                     op,
                 )
             return (_ACCESS, op)
@@ -556,16 +626,20 @@ class TimeSlicedScheduler(_SchedulerBase):
 
         Issues exactly the ops, in exactly the order, that the general
         loop would, and adds their costs to ``ready`` in the same order,
-        so times are bit-identical.  L1 hits are done inline and only
-        counted; the counts go to the L1's reference counter at the end
-        of the slice (plain ints, so the order of additions cannot
-        show), and to an observing session's hit metrics before the next
-        miss and at the end, so its latency histogram takes its float
-        additions in the general loop's order.
+        so times are bit-identical.  L1 hits (the utag check included)
+        are done inline and only counted; the counts go to the L1's
+        reference counter at the end of the slice (plain ints, so the
+        order of additions cannot show), and to an observing session's
+        hit metrics before the next miss or mispredict and at the end,
+        so its latency histogram takes its float additions in the
+        general loop's order.  L1 misses go to ``hierarchy._l1_miss``
+        and every ``_ACCESS`` step to ``hierarchy.access``.
         """
         hierarchy = self.hierarchy
         access = hierarchy.access
+        l1_miss = hierarchy._l1_miss
         hit_latency = hierarchy.config.l1.hit_latency
+        utag_latency = hierarchy._utag_miss.latency
         obs = hierarchy._obs
         record_hits = None if obs is None else obs.record_l1_hits
         tid = thread.thread_id
@@ -589,13 +663,44 @@ class TimeSlicedScheduler(_SchedulerBase):
                 continue
             if kind == _L1_PROBE:
                 way = step[1](step[2])
-                if way is not None:
-                    touch = step[3]
-                    if touch is not None:
-                        touch(way)
+                if way is None:
+                    if record_hits is not None and hits != recorded:
+                        record_hits(hit_latency, hits - recorded)
+                        recorded = hits
+                    op = step[6]
+                    ready += l1_miss(
+                        step[4],
+                        op.address,
+                        op.access_type,
+                        tid,
+                        space,
+                        step[5],
+                        True,
+                    ).latency
+                    continue
+                touch = step[3]
+                if touch is not None:
+                    touch(way)
+                # _check_way_predictor, as in HyperThreadedScheduler.run.
+                utag = stored = step[5]
+                if utag is not None:
+                    line = step[4].lines[way]
+                    stored = line.utag
+                    if stored != utag:
+                        line.utag = utag
+                        line.owner_space = space
+                if stored is None or stored == utag:
                     hits += 1
                     ready += hit_latency
                     continue
+                hierarchy.l1.counters.references[tid] += 1
+                if record_hits is not None:
+                    if hits != recorded:
+                        record_hits(hit_latency, hits - recorded)
+                        recorded = hits
+                    obs.record_l1_hit(utag_latency, True)
+                ready += utag_latency
+                continue
             if record_hits is not None and hits != recorded:
                 record_hits(hit_latency, hits - recorded)
                 recorded = hits

@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 import threading
 import time
 
@@ -16,6 +17,7 @@ from repro.experiments.runner import (
     RunReport,
 )
 from repro.experiments.supervisor import MAX_SLOT_RESPAWNS
+from repro.obs.manifest import git_revision
 
 
 def _result(experiment_id, rows=None):
@@ -555,3 +557,24 @@ class TestRunTrials:
         counters = runner.captures["alg1@trials0-6"].metrics["counters"]
         assert counters["batch.trials"] == 6
         assert counters["batch.steps"] > 0
+
+    def test_observed_blocks_start_git_at_most_once(self, monkeypatch):
+        # Every block's manifest carries the checkout revision; the
+        # ``git rev-parse`` behind it runs once per process.
+        git_revision.cache_clear()
+        calls = []
+        run = subprocess.run
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting)
+        runner = ExperimentRunner(observe=True)
+        report = runner.run_trials(
+            "alg1", trials=8, message_length=4, block_size=2
+        )
+        assert report.ok and len(runner.captures) == 4
+        assert len(calls) <= 1
+        revisions = {c.manifest.git_rev for c in runner.captures.values()}
+        assert len(revisions) == 1

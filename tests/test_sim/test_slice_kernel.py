@@ -1,13 +1,16 @@
 """The time-sliced slice kernel is the general per-op loop, only faster.
 
 ``TimeSlicedScheduler`` runs loop-program threads (the constant sender
-and the background noise) through a kernel with the L1 hit path
-inlined.  Wrapping ``scheduler._execute`` on the instance — what the
-sanitizer does — forces the general loop, so each test runs the same
-point both ways and requires the same final machine: every level's
-lines, replacement states and counters, every thread's ``ready_at``,
-the scheduler's and noise threads' RNG states, the observations and
-``total_cycles``.
+and the background noise) through a kernel with the L1 hit path (the
+AMD utag check included) inlined and its L1 misses finished by the fast
+engine's one miss routine.  Wrapping ``scheduler._execute`` on the
+instance — what the sanitizer does — forces the general loop, so each
+test runs the same point both ways and requires the same final machine:
+every level's lines, replacement states and counters, every thread's
+``ready_at``, the scheduler's and noise threads' RNG states, the
+observations and ``total_cycles``.  The general loop shares the miss
+routine, so the miss-path and way-predictor tests also run on the
+reference engine, the oracle.
 """
 
 import dataclasses
@@ -16,16 +19,25 @@ import random
 
 import pytest
 
+from repro.cache.cache import SetAssociativeCache
 from repro.cache.prefetcher import StridePrefetcher
+from repro.cache.way_predictor import WayPredictor
 from repro.channels.algorithm1 import SharedMemoryLRUChannel
 from repro.channels.protocol import CovertChannelProtocol, ProtocolConfig
 from repro.common.errors import SimulationError
 from repro.common.types import AccessType
 from repro.faults.interrupts import InterruptBurstFault
 from repro.obs.session import ObsSession, observe
+from repro.sim.fastpath import FastSetAssociativeCache
 from repro.sim.machine import Machine
 from repro.sim.ops import Access, Compute, ReadTSC
-from repro.sim.specs import AMD_EPYC_7571, INTEL_E3_1245V5, INTEL_E5_2690
+from repro.sim.scheduler import _L1_PROBE
+from repro.sim.specs import (
+    AMD_EPYC_7571,
+    INTEL_E3_1245V5,
+    INTEL_E5_2690,
+    INTEL_E5_2690_3LEVEL,
+)
 from repro.sim.thread import Choose, LoopProgram, SimThread
 from repro.sim.tracing import AccessTracer
 
@@ -114,7 +126,15 @@ def machine_state(machine, scheduler):
         "lines": [
             [
                 [
-                    (l.valid, l.tag, l.address, l.dirty, l.locked, l.utag)
+                    (
+                        l.valid,
+                        l.tag,
+                        l.address,
+                        l.dirty,
+                        l.locked,
+                        l.utag,
+                        l.owner_space,
+                    )
                     for l in cache_set.lines
                 ]
                 for cache_set in level.sets
@@ -245,13 +265,19 @@ def test_shared_address_space(bit):
 
 @pytest.mark.parametrize("sender_space", [0, 1], ids=["fig8", "cross-space"])
 @pytest.mark.parametrize("bit", [0, 1])
-def test_amd_way_predictor_route(bit, sender_space):
-    # Every AMD access goes through hierarchy.access (the utag check);
-    # the kernel only skips the generator and _execute.  Across address
-    # spaces the sender's shared-line hits mispredict the utag.
-    assert_kernel_matches_general(
+def test_amd_way_predictor_runs_in_place(bit, sender_space):
+    # The AMD L1 is plain apart from its way predictor, so the loop
+    # threads' hits (utag check included) and misses run in the kernel.
+    # Across address spaces the sender's shared-line hits mispredict.
+    kernel = assert_kernel_matches_general(
         AMD_EPYC_7571, bit, sender_space=sender_space
     )
+    reference, slices = run_point(
+        AMD_EPYC_7571, bit, "kernel", sender_space=sender_space,
+        engine="reference",
+    )
+    assert not slices
+    assert kernel == reference
 
 
 @pytest.mark.parametrize("policy", ["lru", "tree-plru", "bit-plru"])
@@ -415,3 +441,224 @@ def test_uncounted_store_and_speculative_accesses(invisible):
     kernel, general = run("kernel"), run("general")
     assert kernel["metrics"]["counters"]["cache.l1.misses"] > 100
     assert kernel == general
+
+
+# ----------------------------------------------------------------------
+# The shared L1-miss routine and the way predictor, against the oracle
+# ----------------------------------------------------------------------
+
+#: L1 stride (64 sets of 64 B): lines this far apart share an L1 set.
+L1_STRIDE = 64 * 64
+#: L2 stride of the Intel specs (512 sets): lines share an L2 set too.
+L2_STRIDE = 512 * 64
+
+
+def run_loops(spec, programs, mode, *, utag_bits=None, until=3.0e5):
+    """Run loop programs in ``mode`` under an observing session.
+
+    ``programs`` holds ``(name, make_ops, thread_id, address_space)``;
+    ``make_ops()`` builds the program's ops afresh (so every run draws
+    from its own ``Choose`` RNGs).  ``mode`` is ``kernel``, ``general``
+    (the fast engine with the general loop forced) or ``reference``
+    (the reference engine).  ``utag_bits`` builds the L1 with a way
+    predictor of that width.  Returns the final state (the metrics
+    snapshot included), the accesses that reached
+    ``hierarchy._demand_access``, the number of in-place misses and the
+    kernel steps' kinds.
+    """
+    engine = "reference" if mode == "reference" else "fast"
+    l1 = None
+    if utag_bits is not None:
+        cache_cls = (
+            SetAssociativeCache if engine == "reference"
+            else FastSetAssociativeCache
+        )
+        l1 = cache_cls(
+            spec.hierarchy.l1,
+            rng=1,
+            way_predictor=WayPredictor(utag_bits=utag_bits),
+        )
+    session = ObsSession(trace_depth=0)
+    with observe(session):
+        machine = Machine(spec, rng=3, engine=engine, l1_cache=l1)
+        hierarchy = machine.hierarchy
+        demanded = []
+        demand_access = hierarchy._demand_access
+
+        def counted_demand(access, count=True):
+            outcome = demand_access(access, count=count)
+            demanded.append((access, count, outcome))
+            return outcome
+
+        hierarchy._demand_access = counted_demand
+        misses = []
+        if hierarchy._l1_miss is not None:
+            l1_miss = hierarchy._l1_miss
+
+            def counted_miss(*args):
+                misses.append(args[1])
+                return l1_miss(*args)
+
+            hierarchy._l1_miss = counted_miss
+        threads = [
+            SimThread(
+                name, LoopProgram(make_ops()), thread_id=tid, address_space=space
+            )
+            for name, make_ops, tid, space in programs
+        ]
+        scheduler = machine.time_sliced(
+            threads, quantum=5000.0, switch_cost=100.0
+        )
+        kinds = {
+            step[0]
+            for steps in scheduler._kernel_steps().values()
+            for step in steps
+        }
+        if mode == "general":
+            force_general(scheduler)
+        end = scheduler.run(until_cycle=until)
+    state = machine_state(machine, scheduler)
+    state["end"] = end
+    state["metrics"] = session.metrics.snapshot()
+    return state, demanded, misses, kinds
+
+
+def assert_loops_match_oracle(spec, programs, **kwargs):
+    """Kernel, forced general loop and reference engine agree.
+
+    Returns the kernel's final state and every access of the reference
+    run, which all reach ``_demand_access``, with its outcome.
+    """
+    kernel, demanded, misses, kinds = run_loops(
+        spec, programs, "kernel", **kwargs
+    )
+    general, general_demanded, _, _ = run_loops(
+        spec, programs, "general", **kwargs
+    )
+    reference, reference_demanded, _, _ = run_loops(
+        spec, programs, "reference", **kwargs
+    )
+    assert _L1_PROBE in kinds, "no access was lowered to an in-place probe"
+    assert misses, "no L1 miss was finished in place"
+    # Exactly the uncounted, locking, unlocking and speculative
+    # accesses reach the hierarchy's demand path from the kernel.
+    assert demanded == [
+        entry
+        for entry in general_demanded
+        if not entry[1]
+        or entry[0].locked
+        or entry[0].unlock
+        or entry[0].speculative
+    ]
+    assert len(general_demanded) > len(demanded)
+    assert kernel == general
+    assert kernel == reference
+    return kernel, reference_demanded
+
+
+def walker_ops():
+    """L1 misses that hit L2, and memory fetches that evict from L2.
+
+    Twelve lines in one L1 set (eight ways) but different L2 sets miss
+    L1 and hit L2 after the first pass; a ``Choose`` over twelve lines
+    in one L2 set misses both.  Every other line is stored to, so fills
+    set dirty bits.
+    """
+    kinds = (AccessType.STORE, AccessType.LOAD)
+    ops = [
+        Access((1 << 21) + L1_STRIDE * i, access_type=kinds[i % 2])
+        for i in range(12)
+    ]
+    l2_lines = [Access((1 << 22) + 64 + L2_STRIDE * i) for i in range(12)]
+    ops += [Choose(l2_lines, random.Random(8).choice), Compute(3.5)]
+    return ops
+
+
+def flagged_ops():
+    """Hits plus locked, unlock, speculative and uncounted accesses."""
+    return [
+        Access(0x100040),
+        Access(0x100080, locked=True),
+        Access(0x100080),
+        Access(0x100080, unlock=True),
+        Access(0x1000C0, speculative=True),
+        Access(0x100100 + L1_STRIDE, count=False),
+        Compute(20.0),
+    ]
+
+
+MISS_PROGRAMS = [("walker", walker_ops, 0, 0), ("flags", flagged_ops, 1, 1)]
+
+
+def test_miss_paths_match_the_reference():
+    state, _ = assert_loops_match_oracle(INTEL_E5_2690, MISS_PROGRAMS)
+    (_, l1_misses), (_, l2_misses) = state["counters"]
+    # L1 misses that hit L2, and L2 misses beyond the 24 cold ones.
+    assert l1_misses[0] > l2_misses[0] > 24
+    # The store sets dirty bits at both levels.
+    for level in state["lines"][:2]:
+        assert any(line[3] for lines in level for line in lines)
+    counters = state["metrics"]["counters"]
+    assert counters["cache.l2.hits"] and counters["cache.memory.fetches"]
+
+
+def test_llc_miss_paths_match_the_reference():
+    state, _ = assert_loops_match_oracle(INTEL_E5_2690_3LEVEL, MISS_PROGRAMS)
+    counters = state["metrics"]["counters"]
+    assert counters["cache.llc.hits"] and counters["cache.llc.misses"]
+
+
+def sharer_ops(lines, stride):
+    """Shared lines walked in a stride: hits, misses and fills mixed."""
+
+    def make_ops():
+        ops = []
+        for i in range(len(lines)):
+            ops += [Access(lines[i * stride % len(lines)]), Compute(7.0)]
+        return ops
+
+    return make_ops
+
+
+def utag_programs(sender_space):
+    # Ten lines in one L1 set keep missing and refilling with fresh
+    # utags; four in another stay resident, so their final utags and
+    # owners are the last retrain's.
+    lines = [(1 << 21) + L1_STRIDE * i for i in range(10)]
+    lines += [(1 << 21) + 64 + L1_STRIDE * i for i in range(4)]
+    return [
+        ("sender", sharer_ops(lines, 3), 0, sender_space),
+        ("receiver", sharer_ops(lines[2:], 1), 1, 0),
+    ]
+
+
+def mispredicts(demanded):
+    return sum(1 for _, _, outcome in demanded if outcome.was_way_predictor_miss)
+
+
+@pytest.mark.parametrize(
+    "sender_space,utag_bits",
+    [(0, None), (1, None), (1, 1)],
+    ids=["same-space", "cross-space", "utag-collisions"],
+)
+def test_way_predictor_matches_the_reference(sender_space, utag_bits):
+    state, demanded = assert_loops_match_oracle(
+        AMD_EPYC_7571, utag_programs(sender_space), utag_bits=utag_bits
+    )
+    if sender_space == 0:
+        assert mispredicts(demanded) == 0
+    else:
+        assert mispredicts(demanded) > 20
+    # Every fill stored its line's utag.
+    l1_lines = [line for lines in state["lines"][0] for line in lines]
+    assert all(line[5] is not None for line in l1_lines if line[0])
+
+
+def test_one_bit_utags_collide_across_spaces():
+    # With one utag bit some pages hash alike in both spaces, so some
+    # cross-space hits predict correctly.
+    _, wide, _, _ = run_loops(AMD_EPYC_7571, utag_programs(1), "reference")
+    _, narrow, _, _ = run_loops(
+        AMD_EPYC_7571, utag_programs(1), "reference", utag_bits=1
+    )
+    assert 0 < mispredicts(narrow) < mispredicts(wide)

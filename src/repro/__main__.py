@@ -59,7 +59,14 @@ import argparse
 import sys
 
 
-def _cmd_list() -> int:
+def _use_engine(engine) -> None:
+    if engine is not None:
+        from repro.sim.fastpath import set_default_engine
+
+        set_default_engine(engine)
+
+
+def _cmd_list(args) -> int:
     from repro.experiments import EXPERIMENT_REGISTRY
 
     print("registered experiments (paper tables and figures):")
@@ -71,35 +78,26 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(
-    ids: list,
-    timeout: float = None,
-    retries: int = 1,
-    checkpoint: str = None,
-    sanitize: bool = False,
-    jobs: int = None,
-    engine: str = None,
-    trace: str = None,
-    max_task_crashes: int = 3,
-    heartbeat_interval: float = 1.0,
-    drain_timeout: float = 10.0,
-    trials: int = 0,
-    block_size: int = 256,
-    defense: str = "none",
-    intensity: float = 0.0,
-    attacker: str = "auto",
-) -> int:
-    if engine is not None:
-        from repro.sim.fastpath import set_default_engine
+def _cmd_run(args) -> int:
+    from repro.common.errors import ConfigurationError
 
-        set_default_engine(engine)
+    try:
+        return _run(args)
+    except ConfigurationError as error:
+        # A bad run configuration (an artifact path in a missing
+        # directory, an impossible defense) is refused up front.
+        print(f"run: {error}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
+    _use_engine(args.engine)
     from repro.experiments import EXPERIMENT_REGISTRY
     from repro.experiments.runner import ExperimentRunner, auto_jobs
 
-    if jobs is None:
-        jobs = auto_jobs()
-    if defense != "none" or attacker != "auto" or intensity:
-        if trials:
+    jobs = auto_jobs() if args.jobs is None else args.jobs
+    if args.defense != "none" or args.attacker != "auto" or args.intensity:
+        if args.trials:
             print(
                 "--trials cannot be combined with --defense: the "
                 "lockstep batch engine compiles the undefended "
@@ -109,17 +107,10 @@ def _cmd_run(
                 file=sys.stderr,
             )
             return 2
-        return _cmd_run_defended(
-            ids, defense, intensity=intensity, attacker=attacker
-        )
-    if trials:
-        return _cmd_run_trials(
-            ids,
-            trials,
-            block_size=block_size,
-            checkpoint=checkpoint,
-            trace=trace,
-        )
+        return _run_defended(args)
+    if args.trials:
+        return _run_trials(args)
+    ids = args.ids
     chosen = sorted(EXPERIMENT_REGISTRY) if ids == ["all"] else ids
     unknown = [i for i in chosen if i not in EXPERIMENT_REGISTRY]
     if unknown:
@@ -140,14 +131,14 @@ def _cmd_run(
         print(failure.render(), file=sys.stderr)
 
     runner = ExperimentRunner(
-        timeout_seconds=timeout,
-        retries=retries,
-        checkpoint_path=checkpoint,
-        sanitize=sanitize,
-        trace_path=trace,
-        max_task_crashes=max_task_crashes,
-        heartbeat_interval=heartbeat_interval,
-        drain_timeout=drain_timeout,
+        timeout_seconds=args.timeout,
+        retries=args.retries,
+        checkpoint_path=args.checkpoint,
+        sanitize=args.sanitize,
+        trace_path=args.trace,
+        max_task_crashes=args.max_task_crashes,
+        heartbeat_interval=args.heartbeat_interval,
+        drain_timeout=args.drain_timeout,
     )
     report = runner.run_many(
         chosen, on_result=show_result, on_failure=show_failure, jobs=jobs
@@ -162,12 +153,7 @@ def _cmd_run(
     return 0 if report.ok else 1
 
 
-def _cmd_run_defended(
-    ids: list,
-    defense: str,
-    intensity: float = 0.0,
-    attacker: str = "auto",
-) -> int:
+def _run_defended(args) -> int:
     """``run <channel> --defense X``: one channel vs one defense design."""
     import time
 
@@ -176,7 +162,7 @@ def _cmd_run_defended(
         run_defended_channel,
     )
 
-    bad = [i for i in ids if i not in DEFENDED_CHANNELS]
+    bad = [i for i in args.ids if i not in DEFENDED_CHANNELS]
     if bad:
         print(
             f"--defense runs channel algorithms "
@@ -184,10 +170,13 @@ def _cmd_run_defended(
             file=sys.stderr,
         )
         return 2
-    for channel_id in ids:
+    for channel_id in args.ids:
         started = time.perf_counter()
         result = run_defended_channel(
-            channel_id, defense=defense, intensity=intensity, attacker=attacker
+            channel_id,
+            defense=args.defense,
+            intensity=args.intensity,
+            attacker=args.attacker,
         )
         print()
         print(result.render())
@@ -195,17 +184,12 @@ def _cmd_run_defended(
     return 0
 
 
-def _cmd_run_trials(
-    ids: list,
-    trials: int,
-    block_size: int = 256,
-    checkpoint: str = None,
-    trace: str = None,
-) -> int:
+def _run_trials(args) -> int:
     """``run <algorithm> --trials N``: lockstep multi-trial transfers."""
     from repro.experiments.runner import ExperimentRunner
     from repro.sim.batch import BATCH_CHANNELS
 
+    ids = args.ids
     if len(ids) != 1 or ids[0] not in BATCH_CHANNELS:
         print(
             f"--trials needs exactly one channel algorithm "
@@ -228,13 +212,13 @@ def _cmd_run_trials(
         print(failure.render(), file=sys.stderr)
 
     runner = ExperimentRunner(
-        checkpoint_path=checkpoint, trace_path=trace, observe=True
+        checkpoint_path=args.checkpoint, trace_path=args.trace, observe=True
     )
-    print(f"{algorithm}: {trials} trials in blocks of {block_size}")
+    print(f"{algorithm}: {args.trials} trials in blocks of {args.block_size}")
     report = runner.run_trials(
         algorithm,
-        trials,
-        block_size=block_size,
+        args.trials,
+        block_size=args.block_size,
         on_result=show_block,
         on_failure=show_failure,
     )
@@ -251,25 +235,21 @@ def _cmd_run_trials(
     return 0 if report.ok else 1
 
 
-def _cmd_report(
-    path: str = None,
-    catalog: bool = False,
-    update_doc: str = None,
-    check_doc: str = None,
-) -> int:
+def _cmd_report(args) -> int:
     from repro.obs.report import (
         read_records,
         render_report,
         update_catalog_doc,
     )
 
-    if catalog:
+    if args.catalog:
         from repro.obs.catalog import catalog_markdown
 
         print(catalog_markdown())
         return 0
-    if update_doc is not None or check_doc is not None:
-        doc = update_doc if update_doc is not None else check_doc
+    check_doc = args.check_doc
+    if args.update_doc is not None or check_doc is not None:
+        doc = args.update_doc if args.update_doc is not None else check_doc
         current = update_catalog_doc(doc, check=check_doc is not None)
         if check_doc is not None:
             if current:
@@ -283,25 +263,22 @@ def _cmd_report(
             return 1
         print(f"{doc}: {'already current' if current else 'updated'}")
         return 0
-    if path is None:
+    if args.path is None:
         print("report: need a trace file (or --catalog)", file=sys.stderr)
         return 2
     from repro.common.errors import ObservabilityError
 
     try:
-        print(render_report(read_records(path)))
+        print(render_report(read_records(args.path)))
     except (OSError, ObservabilityError) as error:
         print(f"report: {error}", file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_demo(sanitize: bool = False, engine: str = None) -> int:
-    if engine is not None:
-        from repro.sim.fastpath import set_default_engine
-
-        set_default_engine(engine)
-    if sanitize:
+def _cmd_demo(args) -> int:
+    _use_engine(args.engine)
+    if args.sanitize:
         from repro.analysis.sanitize import enable_sanitize
 
         enable_sanitize()
@@ -330,52 +307,15 @@ def _cmd_demo(sanitize: bool = False, engine: str = None) -> int:
     return 0 if decoded == message else 1
 
 
-def _cmd_serve(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    pools: int = 2,
-    queue_depth: int = 8,
-    rate: float = 200.0,
-    burst: int = 50,
-    timeout: float = None,
-    sanitize: bool = False,
-    cache_dir: str = "service-cache",
-    drain_timeout: float = 10.0,
-    seed: int = 0,
-    engine: str = None,
-) -> int:
-    if engine is not None:
-        from repro.sim.fastpath import set_default_engine
-
-        set_default_engine(engine)
+def _serve_until_signalled(front_end, banner, farewell: str) -> int:
+    """Start a node or router, print ``banner(port)``, serve until
+    SIGINT/SIGTERM, drain, and print ``farewell``."""
     import asyncio
     import signal
 
-    from repro.common.errors import ServiceError
-    from repro.service.server import ExperimentService, ServiceConfig
-
-    try:
-        config = ServiceConfig(
-            host=host,
-            port=port,
-            pools=pools,
-            queue_depth=queue_depth,
-            rate=rate,
-            burst=burst,
-            timeout_seconds=timeout,
-            sanitize=sanitize,
-            cache_dir=cache_dir,
-            drain_timeout=drain_timeout,
-            seed=seed,
-        )
-    except ServiceError as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
-
-    async def _serve() -> None:
-        service = ExperimentService(config)
-        await service.start()
-        print(f"serving on {config.host}:{service.port}", flush=True)
+    async def serve() -> None:
+        await front_end.start()
+        print(banner(front_end.port), flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_event_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -383,64 +323,79 @@ def _cmd_serve(
                 loop.add_signal_handler(signum, stop.set)
             except (NotImplementedError, RuntimeError):
                 pass
-        await service.serve_until(stop)
-        print("drained: in-flight requests finished, cache flushed")
+        await front_end.serve_until(stop)
+        print(farewell)
 
-    asyncio.run(_serve())
+    asyncio.run(serve())
     return 0
 
 
-def _cmd_request(
-    experiment_id: str = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    deadline_ms: float = None,
-    refresh: bool = False,
-    ping: bool = False,
-    stats: bool = False,
-    timeout: float = 30.0,
-    analyze: str = None,
-    ways: int = 4,
-    defense: str = "none",
-    trials: int = 0,
-) -> int:
+def _cmd_serve(args) -> int:
+    _use_engine(args.engine)
+    from repro.common.errors import ServiceError
+    from repro.service.server import ExperimentService, ServiceConfig
+
+    try:
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            pools=args.pools,
+            queue_depth=args.queue_depth,
+            rate=args.rate,
+            burst=args.burst,
+            timeout_seconds=args.timeout,
+            sanitize=args.sanitize,
+            cache_dir=args.cache_dir,
+            drain_timeout=args.drain_timeout,
+            seed=args.seed,
+        )
+    except ServiceError as error:
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
+    return _serve_until_signalled(
+        ExperimentService(config),
+        lambda port: f"serving on {config.host}:{port}",
+        "drained: in-flight requests finished, cache flushed",
+    )
+
+
+def _cmd_request(args) -> int:
     import json
 
     from repro.common.errors import ServiceError
     from repro.service.client import ServiceClient
 
-    if port < 1:
+    if args.port < 1:
         print("request: --port is required (see `serve` or `route` "
               "output)", file=sys.stderr)
         return 2
-    if not (ping or stats or analyze) and not experiment_id:
+    if not (args.ping or args.stats or args.analyze or args.experiment_id):
         print("request: need an experiment id (or --ping/--stats/"
               "--analyze)", file=sys.stderr)
         return 2
-    if ping:
-        payload = {"op": "ping"}
-    elif stats:
-        payload = {"op": "stats"}
-    elif analyze:
-        payload = {
-            "op": "analyze",
-            "policy": analyze,
-            "ways": ways,
-            "defense": defense,
-        }
-    else:
-        payload = {"op": "run", "experiment_id": experiment_id}
-        if trials:
-            payload["trials"] = trials
-        if defense != "none":
-            payload["defense"] = defense
-    if deadline_ms is not None:
-        payload["deadline_ms"] = deadline_ms
-    if refresh:
-        payload["refresh"] = True
     try:
-        with ServiceClient(host, port, timeout=timeout) as client:
-            response = client.roundtrip(payload)
+        client = ServiceClient(args.host, args.port, timeout=args.timeout)
+        with client:
+            if args.ping:
+                response = client.ping()
+            elif args.stats:
+                response = client.stats()
+            elif args.analyze:
+                response = client.analyze(
+                    args.analyze,
+                    args.ways,
+                    defense=args.defense,
+                    deadline_ms=args.deadline_ms,
+                    refresh=args.refresh,
+                )
+            else:
+                response = client.request(
+                    args.experiment_id,
+                    deadline_ms=args.deadline_ms,
+                    refresh=args.refresh,
+                    trials=args.trials,
+                    defense=args.defense,
+                )
     except (OSError, ServiceError) as error:
         print(f"request: {error}", file=sys.stderr)
         return 1
@@ -450,66 +405,41 @@ def _cmd_request(
     return 1
 
 
-def _cmd_route(
-    peers: str = None,
-    peers_file: str = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    replicas: int = 2,
-    vnodes: int = 64,
-    seed: int = 0,
-    request_timeout: float = 10.0,
-    health_interval: float = 0.5,
-) -> int:
-    import asyncio
-    import signal
-
+def _cmd_route(args) -> int:
     from repro.cluster import ClusterRouter, Membership, RouterConfig
     from repro.common.errors import ClusterError
 
-    if bool(peers) == bool(peers_file):
+    if bool(args.peers) == bool(args.peers_file):
         print("route: exactly one of --peers or --peers-file is "
               "required", file=sys.stderr)
         return 2
     try:
         membership = (
-            Membership.from_spec(peers)
-            if peers
-            else Membership.from_file(peers_file)
+            Membership.from_spec(args.peers)
+            if args.peers
+            else Membership.from_file(args.peers_file)
         )
         config = RouterConfig(
-            host=host,
-            port=port,
-            replicas=replicas,
-            vnodes=vnodes,
-            seed=seed,
-            request_timeout=request_timeout,
-            health_interval=health_interval,
+            host=args.host,
+            port=args.port,
+            replicas=args.replicas,
+            vnodes=args.vnodes,
+            seed=args.seed,
+            request_timeout=args.request_timeout,
+            health_interval=args.health_interval,
         )
         router = ClusterRouter(config, membership)
     except ClusterError as error:
         print(f"route: {error}", file=sys.stderr)
         return 2
-
-    async def _serve() -> None:
-        await router.start()
-        print(
-            f"routing on {config.host}:{router.port} "
-            f"across {len(membership)} peer(s)",
-            flush=True,
-        )
-        stop = asyncio.Event()
-        loop = asyncio.get_event_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await router.serve_until(stop)
-        print("router drained")
-
-    asyncio.run(_serve())
-    return 0
+    return _serve_until_signalled(
+        router,
+        lambda port: (
+            f"routing on {config.host}:{port} "
+            f"across {len(membership)} peer(s)"
+        ),
+        "router drained",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,8 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list registered experiments")
+    sub.add_parser(
+        "list", help="list registered experiments"
+    ).set_defaults(handler=_cmd_list)
     run_parser = sub.add_parser("run", help="run experiments by id")
+    run_parser.set_defaults(handler=_cmd_run)
     run_parser.add_argument("ids", nargs="+", help="experiment ids, or 'all'")
     run_parser.add_argument(
         "--timeout",
@@ -655,6 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser = sub.add_parser(
         "report", help="render a --trace artifact as markdown"
     )
+    report_parser.set_defaults(handler=_cmd_report)
     report_parser.add_argument(
         "path",
         nargs="?",
@@ -683,6 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = sub.add_parser(
         "serve", help="run the fault-tolerant experiment service"
     )
+    serve_parser.set_defaults(handler=_cmd_serve)
     serve_parser.add_argument(
         "--host",
         default="127.0.0.1",
@@ -771,6 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     request_parser = sub.add_parser(
         "request", help="send one request to a running service"
     )
+    request_parser.set_defaults(handler=_cmd_request)
     request_parser.add_argument(
         "experiment_id",
         nargs="?",
@@ -856,6 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         "route",
         help="run the cluster router in front of service nodes",
     )
+    route_parser.set_defaults(handler=_cmd_route)
     route_parser.add_argument(
         "--peers",
         metavar="SPEC",
@@ -922,6 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo_parser = sub.add_parser(
         "demo", help="10-second covert-channel sanity check"
     )
+    demo_parser.set_defaults(handler=_cmd_demo)
     demo_parser.add_argument(
         "--sanitize",
         action="store_true",
@@ -937,86 +875,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list = None) -> int:
-    from repro.common.errors import ConfigurationError
-
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        try:
-            return _cmd_run(
-                args.ids,
-                timeout=args.timeout,
-                retries=args.retries,
-                checkpoint=args.checkpoint,
-                sanitize=args.sanitize,
-                jobs=args.jobs,
-                engine=args.engine,
-                trace=args.trace,
-                max_task_crashes=args.max_task_crashes,
-                heartbeat_interval=args.heartbeat_interval,
-                drain_timeout=args.drain_timeout,
-                trials=args.trials,
-                block_size=args.block_size,
-                defense=args.defense,
-                intensity=args.intensity,
-                attacker=args.attacker,
-            )
-        except ConfigurationError as error:
-            # A bad run configuration (an artifact path in a missing
-            # directory, an impossible defense) is refused up front.
-            print(f"run: {error}", file=sys.stderr)
-            return 2
-    if args.command == "report":
-        return _cmd_report(
-            path=args.path,
-            catalog=args.catalog,
-            update_doc=args.update_doc,
-            check_doc=args.check_doc,
-        )
-    if args.command == "serve":
-        return _cmd_serve(
-            host=args.host,
-            port=args.port,
-            pools=args.pools,
-            queue_depth=args.queue_depth,
-            rate=args.rate,
-            burst=args.burst,
-            timeout=args.timeout,
-            sanitize=args.sanitize,
-            cache_dir=args.cache_dir,
-            drain_timeout=args.drain_timeout,
-            seed=args.seed,
-            engine=args.engine,
-        )
-    if args.command == "request":
-        return _cmd_request(
-            experiment_id=args.experiment_id,
-            host=args.host,
-            port=args.port,
-            deadline_ms=args.deadline_ms,
-            refresh=args.refresh,
-            ping=args.ping,
-            stats=args.stats,
-            timeout=args.timeout,
-            analyze=args.analyze,
-            ways=args.ways,
-            defense=args.defense,
-            trials=args.trials,
-        )
-    if args.command == "route":
-        return _cmd_route(
-            peers=args.peers,
-            peers_file=args.peers_file,
-            host=args.host,
-            port=args.port,
-            replicas=args.replicas,
-            vnodes=args.vnodes,
-            seed=args.seed,
-            request_timeout=args.request_timeout,
-            health_interval=args.health_interval,
-        )
-    return _cmd_demo(sanitize=args.sanitize, engine=args.engine)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -41,20 +41,28 @@ from repro.cluster.membership import Membership
 from repro.cluster.repair import AntiEntropyRepairer
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.transport import PeerTransport
-from repro.obs.session import ObsSession
+from repro.obs.registry import MetricsRegistry
 from repro.service.protocol import (
-    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    LineFrontEnd,
     Request,
-    ServiceError,
-    encode_line,
     error_response,
-    parse_request,
+    status_response,
 )
 
 #: Response statuses that mean "this peer will not take the work right
 #: now, another might" — they trigger failover, not a client error.
 REFUSAL_STATUSES = ("rejected", "shed", "draining")
+
+
+#: TCP connect budget per peer attempt.
+CONNECT_TIMEOUT = 2.0
+
+#: Budget for one health ping (and one peer's stats probe).
+HEALTH_TIMEOUT = 1.0
+
+#: Bound on queued anti-entropy repairs.
+REPAIR_QUEUE_DEPTH = 64
 
 
 @dataclass
@@ -68,15 +76,11 @@ class RouterConfig:
         vnodes: Ring points per peer.
         seed: Seeds the breakers' probe jitter (decorrelated per peer,
             reproducible per seed).
-        connect_timeout: TCP connect budget per peer attempt.
         request_timeout: End-to-end budget per peer attempt when the
             client set no deadline.
         health_interval: Seconds between health-check rounds.
-        health_timeout: Budget for one health ping.
         breaker_failures: Consecutive failures that open a peer breaker.
         breaker_reset: Base seconds before an open breaker probes.
-        repair_queue_depth: Bound on queued anti-entropy repairs.
-        trace_depth: Span-tree depth for the router's ObsSession.
         chaos: Optional static partition plan (tests only).
     """
 
@@ -85,14 +89,10 @@ class RouterConfig:
     replicas: int = 2
     vnodes: int = DEFAULT_VNODES
     seed: int = 0
-    connect_timeout: float = 2.0
     request_timeout: float = 10.0
     health_interval: float = 0.5
-    health_timeout: float = 1.0
     breaker_failures: int = 2
     breaker_reset: float = 2.0
-    repair_queue_depth: int = 64
-    trace_depth: int = 64
     chaos: Optional[ClusterChaosConfig] = field(default=None, repr=False)
 
 
@@ -115,7 +115,7 @@ def routing_key(request: Request) -> str:
     )
 
 
-class ClusterRouter:
+class ClusterRouter(LineFrontEnd):
     """One router process: listener, breakers, repairer.
 
     Args:
@@ -124,17 +124,17 @@ class ClusterRouter:
     """
 
     def __init__(self, config: RouterConfig, membership: Membership):
+        super().__init__()
         self.config = config
         self.membership = membership
-        self.session = ObsSession(trace_depth=config.trace_depth)
-        self.metrics = self.session.metrics
+        self.metrics = MetricsRegistry()
         self.ring = HashRing(
             membership.peers,
             replicas=config.replicas,
             vnodes=config.vnodes,
         )
         self.transport = PeerTransport(
-            connect_timeout=config.connect_timeout,
+            connect_timeout=CONNECT_TIMEOUT,
             request_timeout=config.request_timeout,
             chaos=config.chaos,
         )
@@ -155,19 +155,16 @@ class ClusterRouter:
             self.breakers,
             self.metrics,
             interval=config.health_interval,
-            timeout=config.health_timeout,
+            timeout=HEALTH_TIMEOUT,
         )
         self.repairer = AntiEntropyRepairer(
             membership,
             self.transport,
             self.metrics,
-            queue_depth=config.repair_queue_depth,
+            queue_depth=REPAIR_QUEUE_DEPTH,
             request_timeout=config.request_timeout,
         )
-        self.server: Optional[asyncio.AbstractServer] = None
-        self.port: Optional[int] = None
         self.draining = False
-        self._writers: set = set()
         # Born in start(): asyncio primitives bind their loop at
         # creation on Python 3.9.
         self._stop: Optional[asyncio.Event] = None
@@ -178,13 +175,7 @@ class ClusterRouter:
     async def start(self) -> None:
         """Bind the client listener; start health and repair loops."""
         self._stop = asyncio.Event()
-        self.server = await asyncio.start_server(
-            self._handle_client,
-            host=self.config.host,
-            port=self.config.port,
-            limit=MAX_LINE_BYTES,
-        )
-        self.port = self.server.sockets[0].getsockname()[1]
+        await self.listen(self.config.host, self.config.port)
         self._background = [
             asyncio.ensure_future(self.health.run(self._stop)),
             asyncio.ensure_future(self.repairer.run(self._stop)),
@@ -208,62 +199,11 @@ class ClusterRouter:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def serve_until(self, stop: "asyncio.Event") -> None:
-        """Serve until ``stop`` is set, then drain."""
-        await stop.wait()
-        await self.drain()
-
-    # -- connection handling --------------------------------------------
-
-    async def _handle_client(self, reader, writer) -> None:
-        # Mirrors the single-node server's framing discipline exactly:
-        # oversized line -> error then hang up; malformed line -> error,
-        # connection survives; clean EOF -> goodbye.
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(
-                        encode_line(
-                            error_response(
-                                f"request line exceeds {MAX_LINE_BYTES} bytes"
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                try:
-                    request = parse_request(line)
-                except ServiceError as error:
-                    writer.write(encode_line(error_response(str(error))))
-                    await writer.drain()
-                    continue
-                response = await self._dispatch(request)
-                writer.write(encode_line(response))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
     # -- dispatch -------------------------------------------------------
 
     async def _dispatch(self, request: Request) -> Dict:
         if request.op == "ping":
-            return {
-                "v": PROTOCOL_VERSION,
-                "request_id": request.request_id,
-                "status": "pong",
-            }
+            return status_response(request, "pong")
         if request.op == "stats":
             return await self._stats(request)
         if request.op == "backfill":
@@ -276,17 +216,8 @@ class ClusterRouter:
                 request.request_id,
             )
         if self.draining:
-            return {
-                "v": PROTOCOL_VERSION,
-                "request_id": request.request_id,
-                "status": "draining",
-            }
-        with self.session.span(
-            "cluster.route",
-            experiment_id=request.experiment_id or request.policy,
-            request_id=request.request_id,
-        ):
-            return await self._route(request)
+            return status_response(request, "draining")
+        return await self._route(request)
 
     async def _stats(self, request: Request) -> Dict:
         """Federated stats: the router's own view plus every peer's."""
@@ -296,7 +227,7 @@ class ClusterRouter:
                 response, _ = await self.transport.request(
                     peer,
                     {"version": PROTOCOL_VERSION, "op": "stats"},
-                    timeout=self.config.health_timeout,
+                    timeout=HEALTH_TIMEOUT,
                 )
                 return peer.name, {"reachable": True, "stats": response}
             except PeerUnavailable as error:
@@ -306,9 +237,7 @@ class ClusterRouter:
             *(probe(peer) for peer in self.membership)
         )
         return {
-            "v": PROTOCOL_VERSION,
-            "request_id": request.request_id,
-            "status": "stats",
+            **status_response(request, "stats"),
             "node": "router",
             "draining": self.draining,
             "replicas": self.ring.replicas,

@@ -8,7 +8,7 @@ dataclasses makes every layer easy to test in isolation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.compat import DATACLASS_SLOTS
@@ -141,14 +141,3 @@ class Observation:
     latency: float
     timestamp: int = 0
     decoded_bit: Optional[int] = None
-
-
-@dataclass
-class TraceStats:
-    """Summary statistics of a receiver's observation trace."""
-
-    count: int = 0
-    mean_latency: float = 0.0
-    min_latency: float = 0.0
-    max_latency: float = 0.0
-    observations: list = field(default_factory=list)

@@ -91,20 +91,6 @@ def time_sliced_sweep(
     return points
 
 
-def distinguishability(points: List[TimeSlicedPoint]) -> Dict[Tuple[float, int], float]:
-    """Per (Tr, d): |%1s sending 1 − %1s sending 0| — the usable signal."""
-    table: Dict[Tuple[float, int, int], float] = {}
-    for p in points:
-        table[(p.tr, p.d, p.sent_bit)] = p.percent_ones
-    return {
-        (tr, d): abs(
-            table.get((tr, d, 1), 0.0) - table.get((tr, d, 0), 0.0)
-        )
-        for (tr, d, bit) in table
-        if bit == 0
-    }
-
-
 def _figure(
     spec: MachineSpec, experiment_id: str, fig_name: str, samples: int = 40
 ) -> ExperimentResult:

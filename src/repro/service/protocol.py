@@ -75,8 +75,9 @@ Response statuses:
                       fresh exact run (``source`` says which).
 ``rejected``          Token-bucket admission control refused the request
                       (429-style); ``retry_after_ms`` hints when to retry.
-``shed``              Admitted, but the target pool's bounded queue was
-                      full (backpressure).
+``shed``              Admitted, but the bounded queue of the lane that
+                      would execute it (a pool, or the analysis lane)
+                      was full (backpressure).
 ``draining``          The server is shutting down gracefully; reconnect
                       and retry — finished results are served from cache.
 ``error``             The request itself was malformed (bad JSON, unknown
@@ -86,6 +87,7 @@ Response statuses:
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -281,6 +283,15 @@ def encode_line(payload: Dict) -> bytes:
     return raw
 
 
+def status_response(request: Request, status: str) -> Dict:
+    """The fields every response to ``request`` starts from."""
+    return {
+        "v": PROTOCOL_VERSION,
+        "request_id": request.request_id,
+        "status": status,
+    }
+
+
 def error_response(message: str, request_id: str = "") -> Dict:
     """The structured shape of a protocol-level failure."""
     return {
@@ -289,3 +300,71 @@ def error_response(message: str, request_id: str = "") -> Dict:
         "status": "error",
         "error": {"type": "ServiceError", "message": message},
     }
+
+
+class LineFrontEnd:
+    """A TCP listener speaking this protocol: the node's and the router's.
+
+    Subclasses supply ``async _dispatch(request) -> response`` and
+    ``async drain()``.  The framing discipline is the same for both: an
+    oversized line gets an error and a hangup; a malformed line gets an
+    error and the connection survives; a clean EOF or a vanished client
+    closes the connection quietly.
+    """
+
+    def __init__(self) -> None:
+        self.server: Optional[asyncio.AbstractServer] = None
+        self.port: Optional[int] = None
+        # Open client connections, so a drain or a chaos abort can
+        # reach them.
+        self._writers: set = set()
+
+    async def listen(self, host: str, port: int) -> None:
+        """Bind the listener; :attr:`port` is the bound port after."""
+        self.server = await asyncio.start_server(
+            self._handle_client, host=host, port=port, limit=MAX_LINE_BYTES
+        )
+        self.port = self.server.sockets[0].getsockname()[1]
+
+    async def serve_until(self, stop: "asyncio.Event") -> None:
+        """Serve until ``stop`` is set, then drain."""
+        await stop.wait()
+        await self.drain()
+
+    async def _handle_client(self, reader, writer) -> None:
+        self._writers.add(writer)
+        try:
+            while True:
+                try:
+                    line = await reader.readline()
+                except (asyncio.LimitOverrunError, ValueError):
+                    writer.write(
+                        encode_line(
+                            error_response(
+                                f"request line exceeds {MAX_LINE_BYTES} bytes"
+                            )
+                        )
+                    )
+                    await writer.drain()
+                    break
+                if not line:
+                    break
+                try:
+                    request = parse_request(line)
+                except ServiceError as error:
+                    response = error_response(str(error))
+                else:
+                    response = await self._dispatch(request)
+                writer.write(encode_line(response))
+                await writer.drain()
+        except (ConnectionResetError, BrokenPipeError, OSError):
+            # The client vanished (a crash, a dropped link, a chaos
+            # disconnect).  Nothing to tell anyone; just clean up.
+            pass
+        finally:
+            self._writers.discard(writer)
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                pass

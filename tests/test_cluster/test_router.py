@@ -16,7 +16,7 @@ from repro.cluster.ring import HashRing
 from repro.cluster.router import routing_key
 from repro.common.deadline import Deadline
 from repro.common.errors import PeerUnavailable
-from repro.service.protocol import parse_request
+from repro.service.protocol import Request, parse_request
 
 from tests.test_service import fakes
 
@@ -392,7 +392,7 @@ class TestClusterIntegration:
         assert counters.get("cluster.repairs.failed") == 1
         for service in cluster.services.values():
             assert service.pools[0].breaker._consecutive_failures == 1
-            key = service._key_for("flaky")
+            key = service._key_for(Request("run", experiment_id="flaky"))
             assert service.cache.get_payload(key) is None
 
 

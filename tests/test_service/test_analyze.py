@@ -9,6 +9,7 @@ the eager budget) are structured ``ok`` payloads, never errors.
 
 import json
 import threading
+import time
 
 from repro.analysis.leakage import analyze_policy
 from repro.experiments.chaos import ServiceChaosConfig
@@ -138,6 +139,65 @@ class TestAnalyzeOp:
         assert first["source"] == "analysis"
         assert again["source"] == "analysis"
         assert again["result"] == first["result"]
+
+
+class TestAnalyzeBackpressure:
+    def test_waiting_analyses_are_bounded_by_queue_depth(
+        self, harness_factory, monkeypatch
+    ):
+        # One analysis runs and queue_depth wait; every further distinct
+        # shape is shed with a retry hint instead of buffering.
+        from repro.analysis import leakage
+
+        queue_depth = 2
+        started = threading.Event()
+        release = threading.Event()
+        original = leakage.analyze_policy
+
+        def held(policy, ways, **kwargs):
+            started.set()
+            assert release.wait(30.0)
+            return original(policy, ways, **kwargs)
+
+        monkeypatch.setattr(leakage, "analyze_policy", held)
+        harness = harness_factory(
+            registry=dict(fakes.FAST_REGISTRY), queue_depth=queue_depth
+        )
+        responses = []
+        lock = threading.Lock()
+
+        def send(ways):
+            with harness.client(timeout=30.0) as client:
+                response = client.analyze("lru", ways)
+            with lock:
+                responses.append(response)
+
+        first = threading.Thread(target=send, args=(2,))
+        first.start()
+        assert started.wait(10.0)
+        others = [
+            threading.Thread(target=send, args=(ways,))
+            for ways in range(3, 3 + queue_depth + 2)
+        ]
+        for thread in others:
+            thread.start()
+        give_up = time.monotonic() + 10.0
+        while len(responses) < 2 and time.monotonic() < give_up:
+            time.sleep(0.01)
+        release.set()
+        for thread in [first] + others:
+            thread.join(30.0)
+        statuses = sorted(response["status"] for response in responses)
+        assert statuses == ["ok"] * (queue_depth + 1) + ["shed"] * 2
+        for response in responses:
+            if response["status"] == "shed":
+                assert "retry_after_ms" in response
+            else:
+                assert response["source"] == "analysis"
+        with harness.client() as client:
+            stats = client.stats()
+        assert sorted(stats["pools"]) == ["pool-0", "pool-1"]
+        assert stats["metrics"]["counters"]["service.requests.shed"] == 2
 
 
 class TestAnalyzeUnderChaos:

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.common.errors import ServiceError
-from repro.service.protocol import RUN_DEFENSES, parse_request
+from repro.service.protocol import RUN_DEFENSES, Request, parse_request
 from repro.service.server import ExperimentService, ServiceConfig
 
 from . import fakes
@@ -97,7 +97,11 @@ class TestCacheKeys:
         service = ExperimentService(
             ServiceConfig(cache_dir=str(tmp_path / "cache"))
         )
-        plain = service._key_for("occupancy")
-        defended = service._key_for("occupancy", defense="ceaser")
-        other = service._key_for("occupancy", defense="skew")
+        plain = service._key_for(Request("run", experiment_id="occupancy"))
+        defended = service._key_for(
+            Request("run", experiment_id="occupancy", defense="ceaser")
+        )
+        other = service._key_for(
+            Request("run", experiment_id="occupancy", defense="skew")
+        )
         assert len({plain, defended, other}) == 3

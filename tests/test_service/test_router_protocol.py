@@ -1,10 +1,11 @@
-"""Protocol-robustness fuzz for the cluster router's client listener.
+"""Protocol-robustness fuzz for the client listeners: node and router.
 
-The router fronts the whole cluster, so its framing discipline is the
-fabric's blast door: malformed lines, oversized lines, unknown ops, and
-mid-frame disconnects must each produce a clean, structured error (or a
-clean hangup) on the offending connection — and must never disturb a
-*different* client's connection.
+Both listeners share one framing loop, and the router fronts the whole
+cluster, so that framing discipline is the fabric's blast door:
+malformed lines, oversized lines, unknown ops, and mid-frame disconnects
+must each produce a clean, structured error (or a clean hangup) on the
+offending connection — and must never disturb a *different* client's
+connection.  Every framing case runs against a node and the router.
 """
 
 import json
@@ -33,8 +34,16 @@ def router_cluster(tmp_path_factory):
     harness.stop()
 
 
+@pytest.fixture(params=["node", "router"])
+def port(request, router_cluster):
+    """The listener under test: a service node's, or the router's."""
+    if request.param == "node":
+        return router_cluster.services["node0"].port
+    return router_cluster.router_port
+
+
 class RawConnection:
-    """A bare socket speaking raw bytes at the router."""
+    """A bare socket speaking raw bytes at a listener."""
 
     def __init__(self, port, timeout=10.0):
         self.sock = socket.create_connection(
@@ -50,7 +59,7 @@ class RawConnection:
 
     def response(self):
         line = self.readline()
-        assert line, "router closed the connection without a response"
+        assert line, "listener closed the connection without a response"
         return json.loads(line)
 
     def close(self):
@@ -62,8 +71,8 @@ class RawConnection:
 
 
 @pytest.fixture
-def conn(router_cluster):
-    connection = RawConnection(router_cluster.router_port)
+def conn(port):
+    connection = RawConnection(port)
     yield connection
     connection.close()
 
@@ -119,15 +128,15 @@ class TestMalformedLines:
 
 
 class TestOversizedLines:
-    def test_oversized_line_errors_then_hangs_up(self, router_cluster):
-        victim = RawConnection(router_cluster.router_port)
-        bystander = RawConnection(router_cluster.router_port)
+    def test_oversized_line_errors_then_hangs_up(self, port):
+        victim = RawConnection(port)
+        bystander = RawConnection(port)
         try:
             victim.send(b"x" * (MAX_LINE_BYTES + 100) + b"\n")
             response = victim.response()
             assert response["status"] == "error"
             assert str(MAX_LINE_BYTES) in response["error"]["message"]
-            # The router hangs up on the flooding connection...
+            # The listener hangs up on the flooding connection...
             assert victim.readline() == b""
             # ...and the bystander's connection is untouched.
             assert_alive(bystander)
@@ -137,25 +146,21 @@ class TestOversizedLines:
 
 
 class TestMidFrameDisconnect:
-    def test_partial_frame_then_disconnect_is_harmless(
-        self, router_cluster
-    ):
-        ghost = RawConnection(router_cluster.router_port)
+    def test_partial_frame_then_disconnect_is_harmless(self, port):
+        ghost = RawConnection(port)
         ghost.send(b'{"op": "run", "experiment_id": "al')  # no newline
         ghost.close()
-        survivor = RawConnection(router_cluster.router_port)
+        survivor = RawConnection(port)
         try:
             assert_alive(survivor)
         finally:
             survivor.close()
 
-    def test_disconnect_with_request_in_flight_is_harmless(
-        self, router_cluster
-    ):
-        ghost = RawConnection(router_cluster.router_port)
+    def test_disconnect_with_request_in_flight_is_harmless(self, port):
+        ghost = RawConnection(port)
         ghost.send(b'{"op": "run", "experiment_id": "alpha"}\n')
         ghost.close()  # never reads the response
-        survivor = RawConnection(router_cluster.router_port)
+        survivor = RawConnection(port)
         try:
             survivor.send(b'{"op": "run", "experiment_id": "alpha"}\n')
             assert survivor.response()["status"] == "ok"
@@ -164,6 +169,12 @@ class TestMidFrameDisconnect:
 
 
 class TestInternalOps:
+    @pytest.fixture
+    def conn(self, router_cluster):
+        connection = RawConnection(router_cluster.router_port)
+        yield connection
+        connection.close()
+
     def test_backfill_from_a_client_is_refused_cleanly(self, conn):
         payload = {
             "op": "backfill",

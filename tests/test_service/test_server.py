@@ -15,8 +15,12 @@ import pytest
 from repro.common.deadline import Deadline
 from repro.common.errors import ServiceError
 from repro.experiments.supervisor import ExecutorOutcome, ExecutorStats
+from repro.service.protocol import Request
 from repro.service.server import InlineBackend, ServiceConfig
 from tests.test_service import fakes
+
+#: The request whose cache entry the failed-execution tests inspect.
+FLAKY = Request("run", experiment_id="flaky")
 
 
 def canonical(result):
@@ -195,7 +199,7 @@ class TestDegradedServing:
         assert response["error"]["type"] == "RuntimeError"
         service = harness.service
         assert service.pools[0].breaker._consecutive_failures == 1
-        assert service.cache.get_payload(service._key_for("flaky")) is None
+        assert service.cache.get_payload(service._key_for(FLAKY)) is None
 
     def test_failed_execution_is_recomputed_on_the_next_request(
         self, harness_factory
@@ -213,7 +217,7 @@ class TestDegradedServing:
             assert response["error"]["type"] == "RuntimeError"
         service = harness.service
         assert service.pools[0].breaker._consecutive_failures == 2
-        assert service.cache.get_payload(service._key_for("flaky")) is None
+        assert service.cache.get_payload(service._key_for(FLAKY)) is None
 
     def test_open_breaker_serves_cached_result_for_healthy_key(
         self, harness_factory

@@ -233,9 +233,11 @@ class CovertChannelProtocol:
             Access((1 << 27) + line * l1.line_size)
             for line in range(working_set_lines)
         ]
-        # ``choice`` draws exactly as ``randrange(len(accesses))`` does.
-        choice = make_rng(0xBEEF + process).choice
-        return LoopProgram([Choose(accesses, choice), Compute(pace)])
+        # Each pick is ``rng.choice(accesses)``, which draws exactly as
+        # ``randrange(len(accesses))`` does.
+        return LoopProgram(
+            [Choose(accesses, make_rng(0xBEEF + process)), Compute(pace)]
+        )
 
     def _receiver_program(self, num_samples: int, run: ChannelRun):
         """Receiver: init, sleep to the Tr boundary, decode, probe.

@@ -14,8 +14,10 @@ like one unusually durable node:
   entry gets exactly one attempt, and a peer that refuses (rejected /
   shed / draining) or fails at the transport level (dead node, severed
   link, timeout past ``request_timeout``) hands over to the next, all
-  inside the client's original deadline budget.  A slow but alive peer
-  is waited for, never duplicated;
+  inside the client's original deadline budget.  A budget spent before
+  the first attempt still gets that attempt, which a node answers
+  without executing (as it would answer the client directly).  A slow
+  but alive peer is waited for, never duplicated;
 * **anti-entropy** — a ``degraded=true`` answer is returned to the
   client immediately (degraded-is-better-than-down, PR-6's contract)
   *and* queued for repair: a replica computes the exact result and
@@ -60,6 +62,12 @@ CONNECT_TIMEOUT = 2.0
 
 #: Budget for one health ping (and one peer's stats probe).
 HEALTH_TIMEOUT = 1.0
+
+#: Budget for the one attempt a request gets when its deadline has run
+#: out before any peer was tried.  A node answers such a request without
+#: executing it (a cache read or a degraded stub), so a ping's budget
+#: is enough.
+SPENT_BUDGET_TIMEOUT = HEALTH_TIMEOUT
 
 #: Bound on queued anti-entropy repairs.
 REPAIR_QUEUE_DEPTH = 64
@@ -281,7 +289,10 @@ class ClusterRouter(LineFrontEnd):
     def _attempt_timeout(self, deadline: Optional[Deadline]) -> float:
         if deadline is None:
             return self.config.request_timeout
-        return min(self.config.request_timeout, deadline.remaining())
+        remaining = deadline.remaining()
+        if remaining <= 0:
+            remaining = SPENT_BUDGET_TIMEOUT
+        return min(self.config.request_timeout, remaining)
 
     async def _route(self, request: Request) -> Dict:
         key = routing_key(request)
@@ -306,7 +317,10 @@ class ClusterRouter(LineFrontEnd):
         ]
         last_refusal: Optional[Dict] = None
         for index, name in enumerate(order):
-            if deadline is not None and deadline.expired:
+            # A spent budget still gets its first attempt, so the router
+            # answers what a node answers (degraded, ExperimentTimeout,
+            # or a cached result); it only stops the failover.
+            if index and deadline is not None and deadline.expired:
                 break
             if index:
                 self.metrics.counter("cluster.requests.failover").inc()

@@ -7,9 +7,10 @@ experiments are reproducible from a single seed while sub-components stay
 statistically independent.
 
 The middle of the module reads ``random.Random`` streams as raw
-Mersenne Twister words and decodes their draws in numpy, many streams
+Mersenne Twister words and decodes their draws in numpy: many streams
 side by side, so a lockstep Monte Carlo (Table I) gets the same draws as
-a loop over the streams.
+a loop over the streams, or one stream's draws ahead, so a loop
+program's ``choice`` costs no Python-level call per draw.
 
 The last part is the *vectorized* counterpart used by
 the batch engine (:mod:`repro.sim.batch`): counter-based splitmix64
@@ -27,8 +28,11 @@ scalar part of the module stays stdlib-only.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import List, Optional, Sequence, Union
+import threading
+from collections import OrderedDict
+from typing import Iterator, List, Sequence, Tuple, Union
 
 RngLike = Union[int, random.Random, None]
 
@@ -72,7 +76,7 @@ def _salt(label: str) -> int:
 #
 # CPython's ``random.Random`` draws are functions of its 32-bit MT19937
 # outputs ("words"), so a whole stream can be drawn at once and decoded
-# in numpy, many streams side by side:
+# in bulk, many streams side by side or many draws of one stream ahead:
 #
 # * ``getrandbits(32 * n)`` returns the next ``n`` words little-endian,
 #   word ``i`` being the ``i``-th output; ``getrandbits(64)`` is
@@ -88,6 +92,16 @@ def _salt(label: str) -> int:
 # ``tests/test_common/test_rng.py`` pins each mapping against
 # ``random.Random`` on the running interpreter.
 
+#: Seed sets whose words :func:`word_tops` keeps.  A Table I run reads
+#: four 500-seed chunks, and its ``random`` policy four more.
+_TOPS_HELD = 8
+#: Held words per seed set, least recently read first; see word_tops.
+_TOPS: OrderedDict[Tuple[int, ...], object] = OrderedDict()
+_TOPS_LOCK = threading.Lock()
+
+#: Words :func:`choice_stream` draws in one ``getrandbits`` call.
+_CHOICE_BLOCK = 1024
+
 
 def spawn_seeds(parent: random.Random, label: str, count: int) -> List[int]:
     """Seeds of the next ``count`` children ``spawn_rng(parent, label)``.
@@ -101,10 +115,31 @@ def spawn_seeds(parent: random.Random, label: str, count: int) -> List[int]:
 def word_tops(seeds: Sequence[int], count: int):
     """Top bytes of the first ``count`` MT words of each seed's stream.
 
-    One ``getrandbits`` call per seed; returns a ``(len(seeds), count)``
-    ``uint8`` array whose entry ``[i, j]`` is word ``j`` of
-    ``random.Random(seeds[i])`` shifted right by 24.
+    Returns a read-only ``(len(seeds), count)`` ``uint8`` array whose
+    entry ``[i, j]`` is word ``j`` of ``random.Random(seeds[i])``
+    shifted right by 24.  The words are a pure function of the seeds,
+    so the last few seed sets' words are kept: a set drawn at least
+    ``count`` wide is answered with a prefix view, and a wider request
+    draws the set anew and keeps that instead.
     """
+    key = tuple(seeds)
+    with _TOPS_LOCK:
+        held = _TOPS.get(key)
+        if held is not None and held.shape[1] >= count:
+            _TOPS.move_to_end(key)
+            return held[:, :count]
+    tops = _draw_tops(key, count)
+    tops.flags.writeable = False
+    with _TOPS_LOCK:
+        _TOPS[key] = tops
+        _TOPS.move_to_end(key)
+        while len(_TOPS) > _TOPS_HELD:
+            _TOPS.popitem(last=False)
+    return tops
+
+
+def _draw_tops(seeds: Sequence[int], count: int):
+    """:func:`word_tops` drawn afresh: one ``getrandbits`` call per seed."""
     import numpy as np
 
     stream = random.Random()
@@ -124,7 +159,8 @@ def decode_word_tops(seeds: Sequence[int], count: int, decode):
     ``decode(tops)`` takes a ``(rows, count)`` array and returns
     ``(parts, ok)``: a tuple of per-row arrays and whether each row had
     enough words.  A short row is redrawn from its own seed with twice
-    the words, as often as it takes; the draw is never capped.
+    the words, as often as it takes; the draw is never capped.  Redrawn
+    rows bypass the kept words.
     """
     import numpy as np
 
@@ -132,11 +168,36 @@ def decode_word_tops(seeds: Sequence[int], count: int, decode):
     short = np.flatnonzero(~ok)
     while len(short):
         count *= 2
-        redrawn, ok = decode(word_tops([seeds[i] for i in short], count))
+        redrawn, ok = decode(_draw_tops([seeds[i] for i in short], count))
         for part, rows in zip(parts, redrawn):
             part[short] = rows
         short = short[~ok]
     return parts
+
+
+def choice_stream(rng: random.Random, n: int) -> Iterator[int]:
+    """The indices ``rng.choice(seq)`` draws for ``len(seq) == n``, forever.
+
+    Draws ahead: each block of the stream is one ``getrandbits`` call
+    over :data:`_CHOICE_BLOCK` words, decoded with the mapping above
+    (top ``n.bit_length()`` bits, values ``>= n`` skipped).  So ``rng``
+    runs ahead of the indices read, and only the stream should read it.
+    """
+    import numpy as np
+
+    if not 1 <= n < 1 << 32:
+        raise ValueError(f"need 1 <= n < 2**32, not {n}")
+    shift = np.uint32(32 - n.bit_length())
+    draw = rng.getrandbits
+
+    def block(bits: int) -> List[int]:
+        words = np.frombuffer(draw(bits).to_bytes(bits // 8, "little"), "<u4")
+        values = words >> shift
+        return values[values < n].tolist()
+
+    return itertools.chain.from_iterable(
+        map(block, itertools.repeat(32 * _CHOICE_BLOCK))
+    )
 
 
 def randbelow_draws(tops, n: int, count: int):

@@ -2,14 +2,14 @@
 
 The simulator moves :class:`MemoryAccess` records through a cache hierarchy
 and produces :class:`AccessOutcome` records.  Keeping these as small frozen
-dataclasses makes every layer easy to test in isolation.
+records makes every layer easy to test in isolation.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.common.compat import DATACLASS_SLOTS
 
@@ -73,9 +73,11 @@ class MemoryAccess:
             raise ValueError(f"address must be non-negative, got {self.address}")
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
-class AccessOutcome:
+class AccessOutcome(NamedTuple):
     """The result of pushing one :class:`MemoryAccess` through a hierarchy.
+
+    A named tuple: immutable, and cheaper to build than a frozen
+    dataclass, which matters because every L1 miss builds one.
 
     Outcomes carry no reference to their access, so a hierarchy can
     hand out one shared instance for every outcome without an eviction

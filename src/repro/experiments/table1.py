@@ -29,6 +29,7 @@ from repro.common.rng import (
     make_rng,
     randbelow_draws,
     spawn_seeds,
+    word_tops,
 )
 from repro.experiments.base import ExperimentResult, register
 from repro.replacement import tables
@@ -151,10 +152,13 @@ def _draw(seeds: List[int], sequence: int, condition: str, passes: int):
     ``random() < 0.5`` coin of the warm-up and the loop passes, in draw
     order.  Both follow the policy stream's seed draw (two words), which
     every policy consumes though only ``random`` uses the stream.
+
+    The words are drawn as wide as the widest Table I cell of this
+    condition needs, so every cell on these seeds reads a prefix of the
+    same kept words (:func:`~repro.common.rng.word_tops`).
     """
-    coins = (16 if condition == "sequential" else 0) + (
-        7 * passes if sequence == 2 else 0
-    )
+    word_tops(seeds, _words(2, condition, max(passes, ITERATIONS[-1])))
+    coins = _coins(sequence, condition, passes)
 
     def decode(tops):
         if condition == "random":
@@ -166,8 +170,20 @@ def _draw(seeds: List[int], sequence: int, condition: str, passes: int):
         flips, enough = coin_draws(tops, start, coins)
         return (choices, flips), ok & enough
 
+    return decode_word_tops(seeds, _words(sequence, condition, passes), decode)
+
+
+def _coins(sequence: int, condition: str, passes: int) -> int:
+    """The ``random() < 0.5`` coins of one trial's warm-up and passes."""
+    return (16 if condition == "sequential" else 0) + (
+        7 * passes if sequence == 2 else 0
+    )
+
+
+def _words(sequence: int, condition: str, passes: int) -> int:
+    """Words a trial's draws get before a redraw (seed draw included)."""
     warmup = _WARMUP_WORDS if condition == "random" else 0
-    return decode_word_tops(seeds, 2 + warmup + 2 * coins, decode)
+    return 2 + warmup + 2 * _coins(sequence, condition, passes)
 
 
 def _simulate(kernel, slots, trials: int) -> List[int]:

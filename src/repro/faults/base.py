@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import islice
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
@@ -229,6 +230,11 @@ class FaultInjector:
         self.event_log: Deque[Tuple[float, float]] = deque(
             maxlen=self._EVENT_LOG_LIMIT
         )
+        # The latest event time logged so far, after each entry of
+        # ``event_log``.  Models log in time order each, but an advance
+        # that fires several models' events logs them model by model,
+        # so the log itself need not be time-ordered; this is.
+        self._log_peaks: Deque[float] = deque(maxlen=self._EVENT_LOG_LIMIT)
         self._obs = for_injector(obs_active())
         # Earliest time any model's time-advance hook can act; see
         # FaultModel.next_event_at.
@@ -285,6 +291,8 @@ class FaultInjector:
     def _record_event(self, at: float, stolen: float) -> None:
         if stolen > 0:
             self.event_log.append((at, stolen))
+            peaks = self._log_peaks
+            peaks.append(max(peaks[-1], at) if peaks else at)
 
     def on_time_advance(self, now: float) -> float:
         # Called before every scheduled operation, but events are rare:
@@ -305,10 +313,20 @@ class FaultInjector:
         that window: interrupts wake a halted logical CPU, so the
         sleeper runs the accumulated handlers before resuming, while a
         sibling that never slept is only touched by the pollution.
+
+        Such events sit in the log's tail after the last entry whose
+        running peak time is at most ``start``.  Only that tail is
+        visited, and it is summed forward, in log order, as the whole
+        log would be, so the float sum is the full scan's.
         """
-        return sum(
-            stolen for at, stolen in self.event_log if start < at <= end
-        )
+        tail = 0
+        for peak in reversed(self._log_peaks):
+            if peak <= start:
+                break
+            tail += 1
+        recent = list(islice(reversed(self.event_log), tail))
+        recent.reverse()
+        return sum(stolen for at, stolen in recent if start < at <= end)
 
     def perturb_tsc(self, value: float) -> float:
         # Models that keep FaultModel.perturb_tsc return ``value`` as

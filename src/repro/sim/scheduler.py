@@ -567,8 +567,8 @@ class TimeSlicedScheduler(_SchedulerBase):
         * ``(_ACCESS, op)`` — an access that always goes through
           ``hierarchy.access`` (another L1, a flush, a speculative,
           locking, unlocking or uncounted access);
-        * ``(_CHOOSE, choice, steps)`` — one of ``steps``, drawn by the
-          program's own ``choice``.
+        * ``(_CHOOSE, draw, steps)`` — ``steps[draw()]``, where ``draw``
+          reads the ``Choose`` element's own index stream.
         """
         l1 = self._plain_l1()
         if l1 is not None:
@@ -611,7 +611,7 @@ class TimeSlicedScheduler(_SchedulerBase):
                 options = tuple(lower(option) for option in op.options)
                 step = None
                 if None not in options:
-                    step = (_CHOOSE, op.choice, options)
+                    step = (_CHOOSE, op.draws.__next__, options)
             else:
                 step = lower(op)
             if step is None:
@@ -656,7 +656,7 @@ class TimeSlicedScheduler(_SchedulerBase):
             issued += 1
             kind = step[0]
             if kind == _CHOOSE:
-                step = step[1](step[2])
+                step = step[2][step[1]()]
                 kind = step[0]
             if kind == _COMPUTE:
                 ready += step[1]

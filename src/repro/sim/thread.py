@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.common.errors import SimulationError
+from repro.common.rng import RngLike, choice_stream, make_rng
 
 #: A thread program: a generator yielding operations from
 #: :mod:`repro.sim.ops` and receiving each operation's result.
@@ -26,19 +27,22 @@ class Choose:
 
     Args:
         options: The prebuilt ops to choose among.
-        choice: The drawing function, normally a bound
-            ``random.Random.choice``; it is called as ``choice(seq)``
-            with a sequence as long as ``options``, and its draw depends
-            only on that length.
+        rng: The element's own RNG (see
+            :func:`~repro.common.rng.make_rng`).  It draws exactly the
+            indices ``rng.choice(options)`` would, read ahead in blocks
+            from :func:`~repro.common.rng.choice_stream`, so nothing
+            else may draw from it.
     """
 
-    __slots__ = ("options", "choice")
+    __slots__ = ("options", "rng", "draws")
 
-    def __init__(self, options: Sequence, choice: Callable[[Sequence], Any]):
+    def __init__(self, options: Sequence, rng: RngLike):
         self.options = tuple(options)
         if not self.options:
             raise SimulationError("Choose needs at least one option")
-        self.choice = choice
+        self.rng = make_rng(rng)
+        #: The stream of option indices; every scheduler path reads it.
+        self.draws = choice_stream(self.rng, len(self.options))
 
 
 class LoopProgram:
@@ -47,7 +51,7 @@ class LoopProgram:
     ``ops`` holds operations from :mod:`repro.sim.ops` and
     :class:`Choose` elements; results are never read.  ``position`` is
     the index of the next op to issue, and it is the program's only
-    state besides the RNGs its ``Choose`` elements draw from.
+    state besides its ``Choose`` elements' RNGs and index streams.
 
     The instance is its own program factory: calling it restarts at the
     first op and returns the generator form, which reads and advances
@@ -76,7 +80,7 @@ class LoopProgram:
             op = ops[position]
             self.position = 0 if position == last else position + 1
             if type(op) is Choose:
-                op = op.choice(op.options)
+                op = op.options[next(op.draws)]
             yield op
 
 

@@ -285,11 +285,37 @@ class TestRouteUnit:
         assert counters["cluster.repairs.scheduled"] == 1
         assert router.repairer._queue.qsize() == 1
 
-    def test_expired_deadline_stops_attempts(self):
-        router = make_router({name: ok_response(name) for name in "abc"})
+    def test_expired_deadline_gets_one_attempt(self):
+        # A node answers a spent budget itself, so the router asks the
+        # first peer once (passing the spent budget on) and relays its
+        # answer; a spent budget never fails over.
+        seen = []
+
+        async def record(payload):
+            seen.append(payload["deadline_ms"])
+            return await ok_response("any", degraded=True)(payload)
+
+        router = make_router({name: record for name in "abc"})
+        response = self._route(router, dict(RUN, deadline_ms=0))
+        assert response["status"] == "ok" and response["degraded"] is True
+        primary = router.ring.preference(routing_key(make_request(RUN)))[0]
+        assert router.transport.calls == [primary]
+        assert seen == [0.0]
+        router = make_router({name: unavailable() for name in "abc"})
         response = self._route(router, dict(RUN, deadline_ms=0))
         assert response["status"] == "error"
-        assert router.transport.calls == []
+        assert len(router.transport.calls) == 1
+
+    def test_spent_budget_attempt_gets_the_spent_budget_timeout(self):
+        from repro.cluster.router import SPENT_BUDGET_TIMEOUT
+
+        router = make_router(
+            {name: ok_response(name) for name in "ab"},
+            request_timeout=3.0,
+        )
+        assert router._attempt_timeout(Deadline.after(0.0)) == min(
+            3.0, SPENT_BUDGET_TIMEOUT
+        )
 
     def test_open_breakers_are_tried_last(self):
         behavior = {name: ok_response(name) for name in "abc"}
@@ -315,6 +341,17 @@ class TestClusterIntegration:
                 "repeat must land on the warm replica"
             )
             assert second["result"] == first["result"]
+
+    def test_expired_deadline_answers_as_a_node_does(self, cluster_factory):
+        cluster = cluster_factory()
+        with cluster.node_client("node0") as client:
+            direct = client.analyze("bit-plru", 4, deadline_ms=0)
+        with cluster.client() as client:
+            routed = client.analyze("bit-plru", 4, deadline_ms=0)
+        for response in (direct, routed):
+            assert response["status"] == "ok"
+            assert response["degraded"] is True
+            assert response["error"]["type"] == "ExperimentTimeout"
 
     def test_killed_primary_fails_over_exactly(self, cluster_factory):
         cluster = cluster_factory()

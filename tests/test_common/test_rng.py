@@ -1,6 +1,7 @@
 """Tests for deterministic RNG plumbing."""
 
 import random
+import sys
 
 import pytest
 
@@ -226,3 +227,117 @@ class TestMersenneTwisterWords:
         roomy = decode_word_tops(self.SEEDS, 400, decode)
         for small, large in zip(tiny, roomy):
             assert small.tolist() == large.tolist()
+
+
+class TestChoiceStream:
+    """``choice_stream`` reads exactly the indices ``choice`` draws."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 255, 256, 257, 1000])
+    def test_matches_random_choice_across_blocks(self, n):
+        from repro.common import rng as rng_module
+
+        options = list(range(n))
+        stream = rng_module.choice_stream(random.Random(n + 11), n)
+        expected = random.Random(n + 11)
+        # More draws than one block's words can hold, for any n.
+        count = 2 * rng_module._CHOICE_BLOCK + 7
+        assert [next(stream) for _ in range(count)] == [
+            expected.choice(options) for _ in range(count)
+        ]
+
+    def test_reads_its_rng_a_block_at_a_time(self):
+        from repro.common import rng as rng_module
+
+        source, twin = random.Random(3), random.Random(3)
+        stream = rng_module.choice_stream(source, 9)
+        next(stream)
+        twin.getrandbits(32 * rng_module._CHOICE_BLOCK)
+        assert source.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("n", [0, 2**32])
+    def test_out_of_range_lengths_rejected(self, n):
+        from repro.common.rng import choice_stream
+
+        with pytest.raises(ValueError):
+            choice_stream(random.Random(1), n)
+
+
+class TestWordTopsMemo:
+    """Kept words answer exactly what a fresh draw would."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        from repro.common import rng as rng_module
+
+        with rng_module._TOPS_LOCK:
+            rng_module._TOPS.clear()
+        yield rng_module
+        with rng_module._TOPS_LOCK:
+            rng_module._TOPS.clear()
+
+    SEEDS = [3, 5, 2**70 + 1]
+
+    def test_cold_equals_warm(self, empty_memo):
+        cold = empty_memo.word_tops(self.SEEDS, 50).copy()
+        warm = empty_memo.word_tops(self.SEEDS, 50)
+        assert warm.tolist() == cold.tolist()
+        assert warm.tolist() == empty_memo._draw_tops(self.SEEDS, 50).tolist()
+
+    def test_narrow_then_wider_request(self, empty_memo):
+        narrow = empty_memo.word_tops(self.SEEDS, 20)
+        wide = empty_memo.word_tops(self.SEEDS, 60)
+        assert wide.shape == (3, 60)
+        assert wide[:, :20].tolist() == narrow.tolist()
+        assert wide.tolist() == empty_memo._draw_tops(self.SEEDS, 60).tolist()
+        # The wider draw replaced the narrower one: a prefix of it.
+        again = empty_memo.word_tops(self.SEEDS, 20)
+        assert again.base is not None and again.shape == (3, 20)
+        assert again.tolist() == narrow.tolist()
+        assert empty_memo._TOPS[tuple(self.SEEDS)].shape == (3, 60)
+
+    def test_views_are_read_only(self, empty_memo):
+        for count in (40, 10, 40):
+            tops = empty_memo.word_tops(self.SEEDS, count)
+            assert not tops.flags.writeable
+            with pytest.raises(ValueError):
+                tops[0, 0] = 1
+
+    def test_holds_a_bounded_number_of_seed_sets(self, empty_memo):
+        bound = empty_memo._TOPS_HELD
+        for first in range(bound + 3):
+            empty_memo.word_tops([first, first + 1000], 8)
+            assert len(empty_memo._TOPS) <= bound
+        assert len(empty_memo._TOPS) == bound
+        # The least recently read sets went first.
+        assert (0, 1000) not in empty_memo._TOPS
+        assert (bound + 2, bound + 1002) in empty_memo._TOPS
+
+    def test_concurrent_readers_agree(self, empty_memo):
+        import threading
+
+        expected = {
+            first: empty_memo._draw_tops([first, first + 7], 30).tolist()
+            for first in range(2 * empty_memo._TOPS_HELD)
+        }
+        errors = []
+
+        def read(offset):
+            for step in range(200):
+                first = (offset + step) % len(expected)
+                got = empty_memo.word_tops([first, first + 7], 10 + step % 21)
+                if got.tolist() != [row[:got.shape[1]] for row in expected[first]]:
+                    errors.append(first)
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(empty_memo._TOPS) <= empty_memo._TOPS_HELD

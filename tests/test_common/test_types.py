@@ -63,6 +63,22 @@ class TestAccessOutcome:
         outcome = AccessOutcome(hit_level=CacheLevel.L2, latency=12.0)
         assert not outcome.l1_hit
 
+    def test_defaults_and_positional_fields(self):
+        outcome = AccessOutcome(CacheLevel.MEMORY, 200.0)
+        assert outcome.evicted_address is None
+        assert outcome.was_way_predictor_miss is False
+        assert outcome == AccessOutcome(
+            hit_level=CacheLevel.MEMORY,
+            latency=200.0,
+            evicted_address=None,
+            was_way_predictor_miss=False,
+        )
+
+    def test_is_immutable(self):
+        outcome = AccessOutcome(hit_level=CacheLevel.L1, latency=4.0)
+        with pytest.raises(AttributeError):
+            outcome.latency = 5.0  # type: ignore[misc]
+
 
 class TestLineAddress:
     def test_recompose_roundtrip(self):

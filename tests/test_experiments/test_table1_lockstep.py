@@ -72,6 +72,29 @@ def test_run_table1_makes_one_pass_per_column(monkeypatch):
     assert len(passes) == 12  # 2 conditions x 3 policies x 2 sequences
 
 
+def test_run_table1_draws_each_chunks_words_once(monkeypatch):
+    # Every cell on one seed chunk reads a prefix of the same kept
+    # words, whichever condition, policy or sequence comes first.
+    from repro.common import rng as rng_module
+
+    drawn = []
+    draw_tops = rng_module._draw_tops
+
+    def counting(seeds, count):
+        drawn.append((tuple(seeds), count))
+        return draw_tops(seeds, count)
+
+    monkeypatch.setattr(rng_module, "_draw_tops", counting)
+    with rng_module._TOPS_LOCK:
+        rng_module._TOPS.clear()
+    table1.run_table1(trials=1200, rng=17)
+    chunks = [seeds for seeds, _ in drawn if len(seeds) > 100]
+    assert [len(seeds) for seeds in chunks] == [500, 500, 200]
+    assert {count for seeds, count in drawn if len(seeds) > 100} == {
+        2 + table1._WARMUP_WORDS + 2 * 7 * ITERATIONS[-1]
+    }
+
+
 @pytest.mark.parametrize("trials", [1, 150, 501])
 @pytest.mark.parametrize("policy", POLICIES)
 def test_trial_counts_across_chunk_edges(policy, trials):

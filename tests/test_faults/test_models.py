@@ -19,6 +19,13 @@ from repro.faults import (
 )
 
 
+def _full_scan(injector, start, end):
+    """``stall_in_window`` as a forward sum over the whole log."""
+    return sum(
+        stolen for at, stolen in injector.event_log if start < at <= end
+    )
+
+
 def _bound(model, hierarchy, seed=7):
     model.bind(hierarchy, make_rng(seed))
     return model
@@ -234,6 +241,42 @@ class TestFaultInjector:
         stolen = injector.on_time_advance(1e6)
         assert stolen > 0
         assert injector.stall_in_window(0.0, 1e6) == pytest.approx(stolen)
+
+    def test_interleaved_models_log_out_of_time_order(self, hierarchy):
+        # One advance fires each model's due events model by model.
+        injector = FaultInjector(hierarchy, rng_source=lambda: make_rng(1))
+        injector.attach_all(
+            [
+                InterruptBurstFault(rate_per_mcycle=50.0),
+                ContextSwitchFault(rate_per_mcycle=50.0),
+            ]
+        )
+        injector.on_time_advance(1e6)
+        times = [at for at, _ in injector.event_log]
+        assert times != sorted(times)
+        for start, end in [(0.0, 1e6), (2e5, 7e5), (9e5, 1e6), (1e6, 2e6)]:
+            assert injector.stall_in_window(start, end) == _full_scan(
+                injector, start, end
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stall_in_window_equals_the_full_scan(self, hierarchy, seed):
+        # Random logs: mostly time-ordered runs with interleaved
+        # stretches, non-binary-fraction costs (so the float sum shows
+        # its order) and more events than the log keeps.
+        rng = make_rng(seed)
+        injector = FaultInjector(hierarchy, rng_source=lambda: make_rng(1))
+        clock = 0.0
+        for _ in range(rng.choice([10, 500, 5000])):
+            clock += rng.expovariate(1e-3)
+            at = clock - rng.uniform(0.0, 5e3) * (rng.random() < 0.2)
+            injector._record_event(at, rng.uniform(0.0, 300.0) / 7.0)
+        for _ in range(200):
+            start = rng.uniform(-1e3, clock)
+            end = start + rng.choice([0.0, 10.0, 1e3, 1e5, 1e9])
+            assert injector.stall_in_window(start, end) == _full_scan(
+                injector, start, end
+            )
 
 
 class TestStandardFaultSuite:

@@ -63,21 +63,19 @@ class TestLoopProgram:
         assert next(steps) == ops[2]
         assert next(steps) == ops[0]
 
-    def test_choose_draws_with_its_choice(self):
+    def test_choose_draws_what_its_rngs_choice_draws(self):
         options = [Access(64 * i) for i in range(10)]
-        program = LoopProgram(
-            [Choose(options, random.Random(5).choice), Compute(1.0)]
-        )
+        program = LoopProgram([Choose(options, random.Random(5)), Compute(1.0)])
         steps = program()
-        drawn = [next(steps) for _ in range(40)][::2]
+        drawn = [next(steps) for _ in range(4000)][::2]
         expected = random.Random(5)
-        assert drawn == [expected.choice(options) for _ in range(20)]
+        assert drawn == [expected.choice(options) for _ in range(2000)]
 
     def test_empty_programs_rejected(self):
         with pytest.raises(SimulationError):
             LoopProgram([])
         with pytest.raises(SimulationError):
-            Choose([], random.Random(1).choice)
+            Choose([], random.Random(1))
 
     def test_runs_under_the_hyper_threaded_scheduler(self):
         machine = Machine(INTEL_E5_2690, rng=3, engine="fast")
@@ -157,7 +155,7 @@ def machine_state(machine, scheduler):
         ],
         "scheduler_rng": scheduler.rng.getstate(),
         "choice_rngs": [
-            op.choice.__self__.getstate()
+            op.rng.getstate()
             for t in threads
             if isinstance(t.program_factory, LoopProgram)
             for op in t.program_factory.ops
@@ -407,7 +405,7 @@ def test_uncounted_store_and_speculative_accesses(invisible):
                         Access(0x2000, access_type=AccessType.STORE),
                         Compute(7.25),
                         Access(0x3000, speculative=True),
-                        Choose(lines, random.Random(2).choice),
+                        Choose(lines, random.Random(2)),
                     ]
                 ),
                 thread_id=3,
@@ -570,7 +568,7 @@ def walker_ops():
         for i in range(12)
     ]
     l2_lines = [Access((1 << 22) + 64 + L2_STRIDE * i) for i in range(12)]
-    ops += [Choose(l2_lines, random.Random(8).choice), Compute(3.5)]
+    ops += [Choose(l2_lines, random.Random(8)), Compute(3.5)]
     return ops
 
 

@@ -55,7 +55,7 @@ state what the paper reports for the same quantity.  We reproduce the
 *shape* of every result (who wins, by what rough factor, where the
 crossovers fall); absolute cycle counts and rates differ because the
 substrate is a simulator, not the authors' testbed.  The `_run:` footer
-under each block is its manifest (seed, machines, engine, package
+under each block is its manifest (seed, machines, faults, package
 version) and the `_metrics:` line is the run's counter digest — both
 deterministic, both explained in docs/OBSERVABILITY.md.
 
@@ -64,7 +64,7 @@ Any experiment here can be re-run with runtime invariant checking:
 proxies of `repro.analysis` (see docs/ANALYSIS.md), turning silent
 replacement-state corruption into a structured `InvariantViolation`;
 results are bit-identical with the flag on or off.  Engine selection
-(`--engine fast`, docs/PERFORMANCE.md) and fault injection
+(`--engine reference`, docs/PERFORMANCE.md) and fault injection
 (docs/FAULTS.md) are likewise result-preserving and documented there.
 
 ## Headline comparisons

@@ -35,13 +35,13 @@ during the run is wrapped in the invariant-checking proxies of
 ``InvariantViolation`` at the offending transition.  The companion
 static checks live under ``python -m repro.analysis lint``.
 
-Both also accept ``--engine {reference,fast,batch}``: the table-driven
-fast engine is bit-identical to the reference one
-(``docs/PERFORMANCE.md``) and is the way to make big sweeps cheap;
-``batch`` adds vectorized multi-trial entry points on top of the fast
-scalar paths.  ``run <alg1|alg2> --trials N`` runs N independent
-channel transfers through the lockstep batch engine
-(``repro.sim.batch``) in checkpointable blocks.
+``run``, ``demo`` and ``serve`` accept ``--engine {reference,fast}``:
+``fast``, the table-driven default, is bit-identical to ``reference``,
+the oracle (``docs/PERFORMANCE.md``), so the engine is provenance and
+never changes a result; a bad ``REPRO_ENGINE`` exits 2 up front.
+``run <alg1|alg2> --trials N`` runs N independent channel transfers
+through the lockstep batch engine (``repro.sim.batch``) in
+checkpointable blocks, whichever engine is selected.
 
 ``run <alg1|alg2|occupancy> --defense <design>`` runs one channel
 against a defense design from the registry (``repro.defenses``) —
@@ -57,13 +57,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-
-def _use_engine(engine) -> None:
-    if engine is not None:
-        from repro.sim.fastpath import set_default_engine
-
-        set_default_engine(engine)
 
 
 def _cmd_list(args) -> int:
@@ -91,7 +84,6 @@ def _cmd_run(args) -> int:
 
 
 def _run(args) -> int:
-    _use_engine(args.engine)
     from repro.experiments import EXPERIMENT_REGISTRY
     from repro.experiments.runner import ExperimentRunner, auto_jobs
 
@@ -277,7 +269,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    _use_engine(args.engine)
     if args.sanitize:
         from repro.analysis.sanitize import enable_sanitize
 
@@ -331,7 +322,6 @@ def _serve_until_signalled(front_end, banner, farewell: str) -> int:
 
 
 def _cmd_serve(args) -> int:
-    _use_engine(args.engine)
     from repro.common.errors import ServiceError
     from repro.service.server import ExperimentService, ServiceConfig
 
@@ -444,6 +434,8 @@ def _cmd_route(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed so docs tests can audit flags)."""
+    from repro.sim.fastpath import ENGINES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
@@ -452,10 +444,21 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    engine_flag = argparse.ArgumentParser(add_help=False)
+    engine_flag.add_argument(
+        "--engine",
+        choices=ENGINES,
+        default=None,
+        help="simulation engine: 'fast' (precompiled replacement "
+        "tables) or 'reference', the oracle it is bit-identical to "
+        "(default: the REPRO_ENGINE environment variable, else fast)",
+    )
     sub.add_parser(
         "list", help="list registered experiments"
     ).set_defaults(handler=_cmd_list)
-    run_parser = sub.add_parser("run", help="run experiments by id")
+    run_parser = sub.add_parser(
+        "run", parents=[engine_flag], help="run experiments by id"
+    )
     run_parser.set_defaults(handler=_cmd_run)
     run_parser.add_argument("ids", nargs="+", help="experiment ids, or 'all'")
     run_parser.add_argument(
@@ -495,15 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the batch; experiments are seeded "
         "deterministically so results match a sequential run "
         "(default: os.cpu_count(); values above it warn and time-slice)",
-    )
-    run_parser.add_argument(
-        "--engine",
-        choices=["reference", "fast", "batch"],
-        default=None,
-        help="simulation engine; 'fast' uses precompiled replacement "
-        "tables, bit-identical to 'reference'; 'batch' additionally "
-        "vectorizes multi-trial runs (default: reference, or the "
-        "REPRO_ENGINE environment variable)",
     )
     run_parser.add_argument(
         "--trials",
@@ -615,7 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
         "is stale (the CI docs-drift gate)",
     )
     serve_parser = sub.add_parser(
-        "serve", help="run the fault-tolerant experiment service"
+        "serve",
+        parents=[engine_flag],
+        help="run the fault-tolerant experiment service",
     )
     serve_parser.set_defaults(handler=_cmd_serve)
     serve_parser.add_argument(
@@ -695,13 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="master seed for circuit-breaker probe jitter "
         "(default: 0)",
-    )
-    serve_parser.add_argument(
-        "--engine",
-        choices=["reference", "fast", "batch"],
-        default=None,
-        help="simulation engine for served experiments (default: "
-        "reference, or the REPRO_ENGINE environment variable)",
     )
     request_parser = sub.add_parser(
         "request", help="send one request to a running service"
@@ -857,7 +846,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between peer health-check rounds (default: 0.5)",
     )
     demo_parser = sub.add_parser(
-        "demo", help="10-second covert-channel sanity check"
+        "demo",
+        parents=[engine_flag],
+        help="10-second covert-channel sanity check",
     )
     demo_parser.set_defaults(handler=_cmd_demo)
     demo_parser.add_argument(
@@ -865,17 +856,22 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the demo with the runtime sanitizer armed",
     )
-    demo_parser.add_argument(
-        "--engine",
-        choices=["reference", "fast", "batch"],
-        default=None,
-        help="simulation engine for the demo machine",
-    )
     return parser
 
 
 def main(argv: list = None) -> int:
     args = build_parser().parse_args(argv)
+    if "engine" in args:
+        from repro.common.errors import ConfigurationError
+        from repro.sim.fastpath import resolve_engine, set_default_engine
+
+        try:  # without --engine, an inherited REPRO_ENGINE must name one
+            resolve_engine(args.engine)
+        except ConfigurationError as error:
+            print(f"{args.command}: {error}", file=sys.stderr)
+            return 2
+        if args.engine is not None:
+            set_default_engine(args.engine)
     return args.handler(args)
 
 

@@ -41,14 +41,12 @@ class CacheHierarchy:
         invisible_speculation: InvisiSpec-style defense — accesses marked
             ``speculative`` produce correct latencies but make no state
             change anywhere in the hierarchy (Section IX-B).
-        engine: ``"reference"`` (the oracle implementation),
-            ``"fast"`` (table-driven policies + tag maps; bit-identical,
-            see ``repro.sim.fastpath``), or ``"batch"`` (scalar paths
-            identical to ``fast``; multi-trial entry points vectorize
-            through ``repro.sim.batch``).  None consults the
-            process-wide default (``REPRO_ENGINE``, set by the CLI's
-            ``--engine``).  A pre-built ``l1_cache`` is used as given
-            either way.
+        engine: ``"fast"`` (table-driven policies + tag maps, the
+            default; see ``repro.sim.fastpath``) or ``"reference"``
+            (the oracle implementation, bit-identical).  None consults
+            the process-wide default (``REPRO_ENGINE``, set by the
+            CLI's ``--engine``).  A pre-built ``l1_cache`` is used as
+            given either way.
     """
 
     def __init__(
@@ -70,11 +68,9 @@ class CacheHierarchy:
 
         self.config = config
         self.engine = resolve_engine(engine)
-        # "batch" machines share the fast scalar cache classes; only the
-        # multi-trial entry points (repro.sim.batch) vectorize further.
         cache_cls = (
             FastSetAssociativeCache
-            if self.engine in ("fast", "batch")
+            if self.engine == "fast"
             else SetAssociativeCache
         )
         base_rng = make_rng(rng)

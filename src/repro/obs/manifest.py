@@ -10,12 +10,13 @@ deterministic fields into every EXPERIMENTS.md block.
 
 Two field classes are deliberately separated:
 
-* **deterministic** fields (seed, machines, engine, fault models,
-  package version) — identical across reruns of the same code, so they
-  belong in regenerated docs and golden files;
-* **provenance** fields (git revision, python version) — vary between
-  checkouts, so the report prints them in its header, never inside the
-  reproducible experiment blocks.
+* **deterministic** fields (seed, machines, fault models, package
+  version) — identical across reruns of the same code, so they belong
+  in regenerated docs and golden files;
+* **provenance** fields (engine, git revision, python version) — vary
+  between runs without changing a result (the fast engine is
+  bit-identical to the reference one), so the report prints them in
+  its header, never inside the reproducible experiment blocks.
 """
 
 from __future__ import annotations
@@ -61,9 +62,10 @@ class RunManifest:
         seed: The ``rng`` seed the successful attempt ran with; None
             when the run function takes no seed.
         attempts: Attempts consumed (1 = first try succeeded).
-        machines: Deduped machine builds: ``{spec, engine, count}``.
+        machines: Deduped machine builds: ``{spec, count}``.
         fault_models: Names of fault models attached during the run.
-        engine: Process-wide default engine the run started under.
+        engine: Process-wide default engine the run started under
+            (provenance; not rendered in blocks).
         sanitize: Whether the runtime sanitizer was armed.
         package_version: ``repro.__version__``.
         git_rev: Checkout revision (provenance; not rendered in blocks).
@@ -75,7 +77,7 @@ class RunManifest:
     attempts: int = 1
     machines: List[Dict] = field(default_factory=list)
     fault_models: List[str] = field(default_factory=list)
-    engine: str = "reference"
+    engine: str = "fast"
     sanitize: bool = False
     package_version: str = repro.__version__
     git_rev: str = "unknown"
@@ -110,7 +112,7 @@ class RunManifest:
             attempts=data.get("attempts", 1),
             machines=[dict(m) for m in data.get("machines", [])],
             fault_models=list(data.get("fault_models", [])),
-            engine=data.get("engine", "reference"),
+            engine=data.get("engine", "fast"),
             sanitize=data.get("sanitize", False),
             package_version=data.get("package_version", ""),
             git_rev=data.get("git_rev", "unknown"),
@@ -126,7 +128,7 @@ class RunManifest:
         for entry in self.machines:
             count = entry.get("count", 1)
             prefix = f"{count}× " if count != 1 else ""
-            parts.append(f"{prefix}{entry['spec']} ({entry['engine']})")
+            parts.append(f"{prefix}{entry['spec']}")
         return " + ".join(parts)
 
     def footer_line(self) -> str:

@@ -40,17 +40,16 @@ class ObsSession:
                 depth=trace_depth,
                 dropped_counter=self.metrics.counter("trace.events.dropped"),
             )
-        # spec/engine pairs of machines built under this session, with
-        # multiplicity (sweeps build one machine per point).
-        self._machines: Dict[tuple, int] = {}
+        # specs of machines built under this session, with multiplicity
+        # (sweeps build one machine per point).
+        self._machines: Dict[str, int] = {}
         # names of fault models attached to any of those machines.
         self._fault_models: Dict[str, int] = {}
 
     # -- manifest notes -------------------------------------------------
 
-    def note_machine(self, spec_name: str, engine: str) -> None:
-        key = (spec_name, engine)
-        self._machines[key] = self._machines.get(key, 0) + 1
+    def note_machine(self, spec_name: str) -> None:
+        self._machines[spec_name] = self._machines.get(spec_name, 0) + 1
 
     def note_fault_model(self, name: str) -> None:
         self._fault_models[name] = self._fault_models.get(name, 0) + 1
@@ -58,8 +57,8 @@ class ObsSession:
     def machines(self) -> List[Dict]:
         """Deduped machine builds, stable order (first-built first)."""
         return [
-            {"spec": spec, "engine": engine, "count": count}
-            for (spec, engine), count in self._machines.items()
+            {"spec": spec, "count": count}
+            for spec, count in self._machines.items()
         ]
 
     def fault_models(self) -> List[str]:

@@ -3,13 +3,14 @@
 The cache is what turns the service's failure story from "retry and
 pray" into graceful degradation: every successful execution is memoized
 under a key derived from the *deterministic* fields of its
-:class:`~repro.obs.manifest.RunManifest` (experiment id, seed, engine,
-sanitizer state, package version — exactly the fields that determine the
-result bits, and none of the provenance fields that do not).  A repeat
-request is served the stored canonical payload verbatim, so a client
-that reconnects after a drain gets a **bit-identical** response; a
-request that lands on an open-circuit pool is served from here rather
-than erroring.
+:class:`~repro.obs.manifest.RunManifest` (experiment id, seed,
+sanitizer state, package version — exactly the fields that determine
+the result bits, and none of the provenance fields that do not, the
+engine among them: the fast engine is bit-identical to the reference
+one).  A repeat request is served the stored canonical payload
+verbatim, so a client that reconnects after a drain gets a
+**bit-identical** response; a request that lands on an open-circuit
+pool is served from here rather than erroring.
 
 Entries are durable and *checksummed*: each file is the
 :func:`~repro.common.atomicio.seal` of the entry's
@@ -40,22 +41,21 @@ from repro.common.atomicio import atomic_write_text, quarantine_file
 from repro.common.atomicio import checksum as record_checksum, seal, unseal
 
 #: RunManifest fields that determine the result bits; the cache key is
-#: a hash over exactly these (provenance fields — git rev, python
-#: version — deliberately excluded: they vary without changing results).
-KEY_FIELDS = ("experiment_id", "seed", "engine", "sanitize", "package_version")
+#: a hash over exactly these (provenance fields — engine, git rev,
+#: python version — deliberately excluded: they vary without changing
+#: results).
+KEY_FIELDS = ("experiment_id", "seed", "sanitize", "package_version")
 
 
 def key_fields(
     experiment_id: str,
     seed: Optional[int],
-    engine: str,
     sanitize: bool,
 ) -> Dict:
     """The deterministic manifest subset one request is keyed by."""
     return {
         "experiment_id": experiment_id,
         "seed": seed,
-        "engine": engine,
         "sanitize": sanitize,
         "package_version": repro.__version__,
     }

@@ -822,8 +822,6 @@ class ExperimentService(LineFrontEnd):
         """The cache key: the identity fields of the result a request
         names (``refresh`` and ``deadline_ms`` change only how it is
         served)."""
-        from repro.sim.fastpath import default_engine
-
         if request.op == "analyze":
             from repro.replacement.tables import EAGER_STATE_BUDGET
 
@@ -833,7 +831,6 @@ class ExperimentService(LineFrontEnd):
                     f"defense={request.defense}/budget={EAGER_STATE_BUDGET}"
                 ),
                 seed=0,
-                engine="static-analysis",
                 sanitize=False,
             )
         elif request.defense != "none":
@@ -842,20 +839,18 @@ class ExperimentService(LineFrontEnd):
             fields = key_fields(
                 experiment_id=f"{request.experiment_id}@{request.defense}",
                 seed=17,
-                engine=default_engine(),
                 sanitize=self.config.sanitize,
             )
         elif request.trials:
             # Batch-trial requests: the trial count is part of the
-            # result bits, and the engine/seed are fixed by the batch
-            # path (deterministic counter-based streams from the
+            # result bits, and the seed is fixed by the batch path
+            # (deterministic counter-based streams from the batch
             # engine's default master seed).
             fields = key_fields(
                 experiment_id=(
                     f"{request.experiment_id}@trials{request.trials}"
                 ),
                 seed=None,
-                engine="batch",
                 sanitize=self.config.sanitize,
             )
         else:
@@ -867,7 +862,6 @@ class ExperimentService(LineFrontEnd):
             fields = key_fields(
                 experiment_id=request.experiment_id,
                 seed=ExperimentRunner._attempt_seed(parameter, 0),
-                engine=default_engine(),
                 sanitize=self.config.sanitize,
             )
         return request_key(fields)

@@ -25,18 +25,17 @@ so the tag-map speedup applies regardless.
 
 Engine selection: :class:`~repro.sim.machine.Machine`,
 :class:`~repro.cache.hierarchy.CacheHierarchy` and the CLI accept
-``engine="fast" | "reference" | "batch"``; the process-wide default
-lives in the ``REPRO_ENGINE`` environment variable so it propagates to
-``multiprocessing`` workers under both fork and spawn start methods.
-The reference engine stays the oracle: ``tests/test_perf`` drives both
-engines over identical traces and requires bit-identical behaviour.
-
-The ``batch`` engine (:mod:`repro.sim.batch`) is a superset of the fast
-engine: scalar machines built under it use the fast cache classes
-unchanged, and multi-trial entry points
+``engine="fast" | "reference"``.  ``fast`` is the default; the
+process-wide choice lives in the ``REPRO_ENGINE`` environment variable
+so it propagates to ``multiprocessing`` workers under both fork and
+spawn start methods.  The reference engine stays the oracle:
+``tests/test_perf`` drives both engines over identical traces and
+requires bit-identical behaviour, so the engine is provenance, never
+part of a result's identity.  Multi-trial entry points
 (:meth:`~repro.experiments.runner.ExperimentRunner.run_trials`, the
-CLI's ``run --trials N``, the service's multi-trial ``run`` op)
-additionally vectorize the per-trial axis over numpy arrays.
+CLI's ``run --trials N``, the service's multi-trial ``run`` op) run on
+the lockstep batch engine (:mod:`repro.sim.batch`) whichever engine
+is selected.
 """
 
 from __future__ import annotations
@@ -57,16 +56,29 @@ from repro.common.types import (
 )
 from repro.replacement.tables import TABLEABLE_POLICIES, TabledPolicy
 
-#: Recognised engine names.
-ENGINES = ("reference", "fast", "batch")
+#: Engine names: the oracle, then the default.
+ENGINES = ("reference", "fast")
 
 #: Environment variable holding the process-wide default engine.
 ENGINE_ENV = "REPRO_ENGINE"
 
 
+def _checked(engine: str, source: str = "engine") -> str:
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"unknown {source} {engine!r}; choose from {ENGINES}"
+        )
+    return engine
+
+
 def default_engine() -> str:
-    """The process-wide default engine (``reference`` unless overridden)."""
-    return os.environ.get(ENGINE_ENV, "reference")
+    """The process-wide default engine: ``REPRO_ENGINE``, else ``fast``.
+
+    Raises :class:`~repro.common.errors.ConfigurationError` when
+    ``REPRO_ENGINE`` names no engine, so a typo fails up front rather
+    than inside every machine built later.
+    """
+    return _checked(os.environ.get(ENGINE_ENV, "fast"), ENGINE_ENV)
 
 
 def set_default_engine(engine: Optional[str]) -> None:
@@ -77,23 +89,13 @@ def set_default_engine(engine: Optional[str]) -> None:
     """
     if engine is None:
         os.environ.pop(ENGINE_ENV, None)
-        return
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; choose from {ENGINES}"
-        )
-    os.environ[ENGINE_ENV] = engine
+    else:
+        os.environ[ENGINE_ENV] = _checked(engine)
 
 
 def resolve_engine(engine: Optional[str]) -> str:
     """Resolve an explicit engine choice or fall back to the default."""
-    if engine is None:
-        engine = default_engine()
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; choose from {ENGINES}"
-        )
-    return engine
+    return default_engine() if engine is None else _checked(engine)
 
 
 class FastCacheSet(CacheSet):
@@ -206,7 +208,7 @@ class FastSetAssociativeCache(SetAssociativeCache):
             # The inlined hot paths hard-code modulo indexing; a keyed
             # index function must flow through the reference control
             # flow (whose _locate consults it) or it would be silently
-            # ignored under the fast/batch engines.
+            # ignored under the fast engine.
             self._plain_hit_path = False
             self._plain_fill_path = False
 

@@ -42,9 +42,11 @@ class Machine:
             :class:`~repro.common.errors.InvariantViolation` at the
             offending transition.  ``None`` (the default) follows the
             process-wide flag set by the CLI's ``--sanitize``.
-        engine: ``"reference"`` or ``"fast"`` simulation engine (see
-            ``repro.sim.fastpath``); ``None`` (the default) follows the
-            process-wide default set by the CLI's ``--engine``.
+        engine: ``"fast"`` or ``"reference"`` simulation engine (see
+            ``repro.sim.fastpath``); the two are bit-identical.
+            ``None`` (the default) follows the process-wide default:
+            ``fast``, or what the CLI's ``--engine`` or
+            ``REPRO_ENGINE`` names.
     """
 
     def __init__(
@@ -71,7 +73,7 @@ class Machine:
         self.engine = self.hierarchy.engine
         session = obs_active()
         if session is not None:
-            session.note_machine(spec.name, self.engine)
+            session.note_machine(spec.name)
         self.tsc = TimestampCounter(spec.tsc, rng=spawn_rng(self.rng, "tsc"))
         # The injector draws its RNG lazily on first attach, so a
         # fault-free machine consumes exactly the same seed stream as

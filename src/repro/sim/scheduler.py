@@ -103,7 +103,7 @@ class _SchedulerBase:
         hierarchy = self.hierarchy
         return (
             hierarchy.prefetcher is None
-            and hierarchy.engine in ("fast", "batch")
+            and hierarchy.engine == "fast"
             and getattr(self._execute, "__func__", None)
             is _SchedulerBase._execute
             and getattr(hierarchy.access, "__func__", None)

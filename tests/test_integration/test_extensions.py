@@ -125,6 +125,59 @@ class TestCLI:
         assert "channel works" in capsys.readouterr().out
 
 
+class TestEngineChoice:
+    """One ``--engine`` flag on run/demo/serve; a bad ``REPRO_ENGINE``
+    is refused with one line before anything runs."""
+
+    ARGV = {
+        "run": ["run", "table2", "fig11"],
+        "demo": ["demo"],
+        "serve": ["serve", "--port", "0"],
+    }
+
+    @pytest.mark.parametrize("value", ["Fast", "batch"])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_bad_env_engine_exits_2_before_anything_runs(
+        self, monkeypatch, capsys, command, value
+    ):
+        import repro.__main__ as cli
+
+        monkeypatch.setenv("REPRO_ENGINE", value)
+        ran = []
+        monkeypatch.setattr(cli, f"_cmd_{command}", ran.append)
+        assert cli.main(self.ARGV[command]) == 2
+        assert ran == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"{command}: unknown REPRO_ENGINE {value!r}; "
+            f"choose from ('reference', 'fast')"
+        ]
+
+    def test_engine_flag_overrides_a_bad_env_engine(self, monkeypatch):
+        from repro.__main__ import main
+
+        monkeypatch.setenv("REPRO_ENGINE", "Fast")
+        assert main(["run", "table2", "--engine", "reference"]) == 0
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_engine_flag_takes_the_two_engine_names(self, command, capsys):
+        from repro.__main__ import build_parser
+        from repro.sim.fastpath import ENGINES
+
+        parser = build_parser()
+        argv = self.ARGV[command]
+        for engine in ENGINES:
+            assert parser.parse_args(argv + ["--engine", engine]).engine == (
+                engine
+            )
+        assert parser.parse_args(argv).engine is None
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv + ["--engine", "batch"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
+
+
 class TestRequestPathFlags:
     """Failover belongs to `route`; `serve` and `request` run once."""
 

@@ -9,8 +9,7 @@ def _manifest(**overrides):
         experiment_id="fig4",
         seed=7,
         attempts=1,
-        machines=[{"spec": "Intel Xeon E5-2690", "engine": "reference",
-                   "count": 2}],
+        machines=[{"spec": "Intel Xeon E5-2690", "count": 2}],
         fault_models=[],
         engine="reference",
         sanitize=False,
@@ -31,7 +30,7 @@ class TestRoundTrip:
         assert manifest.seed is None
         assert manifest.attempts == 1
         assert manifest.machines == []
-        assert manifest.engine == "reference"
+        assert manifest.engine == "fast"
 
     def test_with_provenance_stamps_checkout(self):
         manifest = RunManifest.with_provenance(experiment_id="fig4")
@@ -47,12 +46,13 @@ class TestFooterLine:
     def test_deterministic_fields_only(self):
         footer = _manifest().footer_line()
         assert footer == (
-            "_run: seed 7 · 2× Intel Xeon E5-2690 (reference) · "
+            "_run: seed 7 · 2× Intel Xeon E5-2690 · "
             f"repro {repro.__version__}_"
         )
         # provenance must stay out of regenerated doc blocks
         assert "abc1234" not in footer
         assert "3.11.0" not in footer
+        assert "reference" not in footer
 
     def test_seedless_run_renders_dash(self):
         assert "_run: seed -" in _manifest(seed=None).footer_line()

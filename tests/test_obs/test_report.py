@@ -38,8 +38,7 @@ def _manifest():
     return RunManifest(
         experiment_id="fig4",
         seed=7,
-        machines=[{"spec": "Intel Xeon E5-2690", "engine": "reference",
-                   "count": 1}],
+        machines=[{"spec": "Intel Xeon E5-2690", "count": 1}],
         engine="reference",
         package_version="1.0.0",
         git_rev="abc1234",
@@ -123,8 +122,10 @@ class TestExperimentBlock:
         assert block.endswith(
             "_metrics: cache.l1.hits=100 · channel.bits.sent=8_\n"
         )
-        assert "_run: seed 7 · Intel Xeon E5-2690 (reference) " in block
-        assert "abc1234" not in block  # provenance never in blocks
+        assert "_run: seed 7 · Intel Xeon E5-2690 · " in block
+        # provenance (engine included) never in blocks
+        assert "abc1234" not in block
+        assert "reference" not in block
 
     def test_manifest_optional(self):
         block = experiment_block(_result())

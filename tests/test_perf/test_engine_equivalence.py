@@ -33,6 +33,7 @@ from repro.replacement.tables import (
 )
 from repro.sim.fastpath import (
     ENGINE_ENV,
+    ENGINES,
     FastSetAssociativeCache,
     default_engine,
     resolve_engine,
@@ -328,22 +329,23 @@ class TestTableCompilation:
 class TestEngineSelection:
     """Engine resolution helpers and the REPRO_ENGINE environment knob."""
 
-    def test_resolve_defaults_to_reference(self, monkeypatch):
+    def test_two_engines_fast_by_default(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert default_engine() == "reference"
-        assert resolve_engine(None) == "reference"
-        assert resolve_engine("fast") == "fast"
+        assert ENGINES == ("reference", "fast")
+        assert default_engine() == "fast"
+        assert resolve_engine(None) == "fast"
+        assert resolve_engine("reference") == "reference"
 
     def test_env_var_sets_process_default(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "fast")
-        assert resolve_engine(None) == "fast"
+        monkeypatch.setenv(ENGINE_ENV, "reference")
+        assert resolve_engine(None) == "reference"
 
     def test_set_default_engine_round_trip(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
-        set_default_engine("fast")
-        assert default_engine() == "fast"
-        set_default_engine(None)
+        set_default_engine("reference")
         assert default_engine() == "reference"
+        set_default_engine(None)
+        assert default_engine() == "fast"
 
     def test_unknown_engine_rejected(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
@@ -351,6 +353,15 @@ class TestEngineSelection:
             set_default_engine("warp")
         with pytest.raises(ConfigurationError):
             resolve_engine("warp")
+
+    @pytest.mark.parametrize("value", ["Fast", "batch", ""])
+    def test_unknown_env_engine_rejected(self, monkeypatch, value):
+        monkeypatch.setenv(ENGINE_ENV, value)
+        with pytest.raises(ConfigurationError, match=ENGINE_ENV):
+            default_engine()
+        with pytest.raises(ConfigurationError, match=ENGINE_ENV):
+            resolve_engine(None)
+        assert resolve_engine("fast") == "fast"
 
     def test_hierarchy_engine_selection(self):
         from repro.cache.config import HierarchyConfig
@@ -362,21 +373,6 @@ class TestEngineSelection:
         assert isinstance(fast.l1, FastSetAssociativeCache)
         assert ref.engine == "reference"
         assert not isinstance(ref.l1, FastSetAssociativeCache)
-
-    def test_batch_engine_is_resolvable(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_engine("batch") == "batch"
-        set_default_engine("batch")
-        assert default_engine() == "batch"
-        set_default_engine(None)
-
-    def test_batch_hierarchy_uses_fast_scalar_caches(self):
-        from repro.cache.config import HierarchyConfig
-        from repro.cache.hierarchy import CacheHierarchy
-
-        batch = CacheHierarchy(HierarchyConfig(), rng=1, engine="batch")
-        assert batch.engine == "batch"
-        assert isinstance(batch.l1, FastSetAssociativeCache)
 
 
 # ----------------------------------------------------------------------

@@ -8,13 +8,16 @@ import repro
 from repro.common.atomicio import RECORD_VERSION
 from repro.experiments.chaos import bit_flip_file
 from repro.obs.registry import MetricsRegistry
-from repro.service.cache import ResultCache, key_fields, request_key
+from repro.service.cache import (
+    KEY_FIELDS,
+    ResultCache,
+    key_fields,
+    request_key,
+)
 
 
 def fields(**overrides):
-    base = key_fields(
-        experiment_id="alpha", seed=11, engine="reference", sanitize=False
-    )
+    base = key_fields(experiment_id="alpha", seed=11, sanitize=False)
     base.update(overrides)
     return base
 
@@ -27,9 +30,17 @@ class TestRequestKey:
         baseline = request_key(fields())
         assert request_key(fields(experiment_id="beta")) != baseline
         assert request_key(fields(seed=12)) != baseline
-        assert request_key(fields(engine="fast")) != baseline
         assert request_key(fields(sanitize=True)) != baseline
         assert request_key(fields(package_version="99.0")) != baseline
+
+    def test_engine_is_not_part_of_the_key(self):
+        # The fast engine is bit-identical to the reference oracle, so
+        # the engine is provenance, not identity.
+        assert "engine" not in KEY_FIELDS
+        assert "engine" not in fields()
+        assert request_key(fields(engine="fast")) == request_key(
+            fields(engine="reference")
+        )
 
     def test_version_is_baked_in(self):
         assert fields()["package_version"] == repro.__version__

@@ -365,6 +365,38 @@ class TestDrain:
         assert not responses[0]["degraded"]
 
 
+class TestEngineIsNotIdentity:
+    def test_reference_node_hits_what_a_default_node_cached(
+        self, harness_factory, tmp_path, monkeypatch
+    ):
+        from repro.experiments import EXPERIMENT_REGISTRY
+        from repro.sim.fastpath import ENGINE_ENV
+
+        registry = {"table2": EXPERIMENT_REGISTRY["table2"]}
+        cache_dir = str(tmp_path / "shared-cache")
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        first = harness_factory(registry=registry, cache_dir=cache_dir)
+        with first.client() as client:
+            original = client.request("table2")
+        first.stop()
+        # What `serve --engine reference` sets before the node starts.
+        monkeypatch.setenv(ENGINE_ENV, "reference")
+        second = harness_factory(registry=registry, cache_dir=cache_dir)
+        with second.client() as client:
+            replay = client.request("table2")
+            recomputed = client.request("table2", refresh=True)
+        assert original["source"] == "pool"
+        assert replay["source"] == "cache"
+        assert replay["cache_key"] == original["cache_key"]
+        assert canonical(replay["result"]) == canonical(original["result"])
+        # The oracle recomputes the same bytes under the same key.
+        assert recomputed["source"] == "pool"
+        assert recomputed["cache_key"] == original["cache_key"]
+        assert canonical(recomputed["result"]) == canonical(
+            original["result"]
+        )
+
+
 class TestBatchTrials:
     def test_trials_request_answers_with_an_aggregate(
         self, harness_factory

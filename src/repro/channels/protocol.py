@@ -23,7 +23,7 @@ from repro.faults.interrupts import InterruptBurstFault
 from repro.obs.instruments import for_protocol
 from repro.obs.session import active as obs_active
 from repro.sim.machine import Machine
-from repro.sim.ops import Access, Compute, ReadTSC, SleepUntil
+from repro.sim.ops import Access, Compute, HoldLoop, ReadTSC, SleepUntil
 from repro.sim.thread import Choose, LoopProgram, SimThread
 from repro.timing.measurement import observed_chase_latency
 
@@ -171,16 +171,17 @@ class CovertChannelProtocol:
         obs = self._obs
         session = self._session
 
-        # Ops that do not depend on a runtime value are built once;
-        # the channel's address sequences are pure, so each bit's
-        # encoding accesses are too.
+        # Each bit value's op cycle is built once; the channel's address
+        # sequences are pure, so its encoding accesses are too.
         read_tsc = ReadTSC()
         silent = Compute(4.0)
         gap = Compute(config.encode_gap)
-        encodings = {
-            bit: tuple(Access(a) for a in channel.sender_addresses(bit))
-            for bit in (0, 1)
-        }
+        loops = {}
+        for bit in (0, 1):
+            encode = tuple(Access(a) for a in channel.sender_addresses(bit))
+            # Bit 0: the sender stays silent but still burns the loop's
+            # bookkeeping time.
+            loops[bit] = (encode or (silent,)) + (gap, read_tsc)
 
         def program():
             now = yield read_tsc
@@ -190,17 +191,9 @@ class CovertChannelProtocol:
                 if obs is not None:
                     obs.bits_sent.inc()
                     session.event("channel.bit", bit=bit, cycle=now)
-                deadline = now + config.ts
-                encode = encodings[bit]
-                while now < deadline:
-                    for op in encode:
-                        yield op
-                    if not encode:
-                        # Bit 0: the sender stays silent but still burns
-                        # the loop's bookkeeping time.
-                        yield silent
-                    yield gap
-                    now = yield read_tsc
+                # Encode, gap and read the TSC until it reads Ts past
+                # ``now``; Ts > 0, so at least one cycle runs.
+                now = yield HoldLoop(loops[bit], now + config.ts)
 
         return program
 

@@ -766,13 +766,16 @@ class ExperimentRunner:
     ) -> None:
         """Run pending experiments on the supervised executor.
 
-        Callbacks and checkpoint merges happen in this (parent) process
-        as completions arrive; the final report lists results in
-        submission order so output is stable across schedules.  Worker
-        crashes re-queue their task (the re-run is bit-identical),
-        poison tasks arrive as structured ``WorkerCrashed`` failures,
-        and a task past ``task_deadline`` is killed and arrives as an
-        ``ExperimentTimeout`` failure.
+        Checkpoint merges happen in this (parent) process as completions
+        arrive.  Callbacks fire in submission order, as ``run_many``
+        promises: a completion waits until every experiment before it
+        has arrived, and an interrupted batch releases the rest, in
+        order, once the executor returns.  The final report lists
+        results in submission order too, so output is stable across
+        schedules.  Worker crashes re-queue their task (the re-run is
+        bit-identical), poison tasks arrive as structured
+        ``WorkerCrashed`` failures, and a task past ``task_deadline`` is
+        killed and arrives as an ``ExperimentTimeout`` failure.
         """
         from repro.experiments.supervisor import SupervisedExecutor
 
@@ -793,12 +796,33 @@ class ExperimentRunner:
         ]
         results_by_id: Dict[str, ExperimentResult] = {}
         failures_by_id: Dict[str, ExperimentFailure] = {}
+        elapsed_by_id: Dict[str, float] = {}
+        released = 0
+
+        def release(stop_at_gap: bool) -> None:
+            """Fire the callbacks of arrived records, in ``pending`` order."""
+            nonlocal released
+            while released < len(pending):
+                experiment_id = pending[released]
+                if experiment_id in results_by_id:
+                    if on_result is not None:
+                        on_result(
+                            results_by_id[experiment_id],
+                            elapsed_by_id[experiment_id],
+                        )
+                elif experiment_id in failures_by_id:
+                    if on_failure is not None:
+                        on_failure(failures_by_id[experiment_id])
+                elif stop_at_gap:
+                    return
+                released += 1
 
         def on_record(record) -> None:
             experiment_id, kind, payload, elapsed, obs_payload = record
             if kind == "result":
                 result = ExperimentResult.from_dict(payload)
                 results_by_id[experiment_id] = result
+                elapsed_by_id[experiment_id] = elapsed
                 completed[experiment_id] = result
                 if obs_payload is not None:
                     capture = ObsCapture.from_dict(experiment_id, obs_payload)
@@ -806,13 +830,9 @@ class ExperimentRunner:
                     self.captures[experiment_id] = capture
                 self._record_completion(experiment_id, result)
                 self._save_checkpoint(completed)
-                if on_result is not None:
-                    on_result(result, elapsed)
             else:
-                failure = ExperimentFailure(**payload)
-                failures_by_id[experiment_id] = failure
-                if on_failure is not None:
-                    on_failure(failure)
+                failures_by_id[experiment_id] = ExperimentFailure(**payload)
+            release(stop_at_gap=True)
 
         executor = SupervisedExecutor(
             worker_fn=_pool_worker,
@@ -828,6 +848,9 @@ class ExperimentRunner:
             outcome = executor.run(tasks, on_record)
         finally:
             self.executor = None
+        # A drain leaves unfinished experiments; what arrived after the
+        # first of them is still reported, in order.
+        release(stop_at_gap=False)
         self.executor_stats = outcome.stats
         report.interrupted = outcome.interrupted
         report.unfinished = list(outcome.unfinished)

@@ -19,7 +19,9 @@ into the simulator at three injection points:
   the hook while there are none;
 * **observation delivery** — each receiver sample passes through the
   models, which may drop or duplicate it (lost and repeated samples are
-  two of the paper's three error types).
+  two of the paper's three error types); only models whose class
+  overrides :meth:`FaultModel.filter_observation` are called, and a
+  sample is delivered as is while there are none.
 
 A :class:`FaultInjector` owns the attached models and fans the three
 hooks out to them; :class:`~repro.sim.machine.Machine` owns one
@@ -241,6 +243,8 @@ class FaultInjector:
         self._next_due = math.inf
         # The attached models whose perturb_tsc is not the identity.
         self._tsc_models: List[FaultModel] = []
+        # The attached models whose filter_observation is not the identity.
+        self._sample_models: List[FaultModel] = []
 
     @property
     def active(self) -> bool:
@@ -280,6 +284,8 @@ class FaultInjector:
         self._next_due = min(self._next_due, model.next_event_at())
         if type(model).perturb_tsc is not FaultModel.perturb_tsc:
             self._tsc_models.append(model)
+        if type(model).filter_observation is not FaultModel.filter_observation:
+            self._sample_models.append(model)
         return model
 
     def attach_all(self, models: Sequence[FaultModel]) -> None:
@@ -336,8 +342,12 @@ class FaultInjector:
         return value
 
     def filter_observation(self, observation: Observation) -> List[Observation]:
+        # As with perturb_tsc, only models that override the hook can
+        # change the sample; without one it is delivered as is.
+        if not self._sample_models:
+            return [observation]
         pending = [observation]
-        for model in self.models:
+        for model in self._sample_models:
             emitted: List[Observation] = []
             for obs in pending:
                 emitted.extend(model.filter_observation(obs))

@@ -1,8 +1,8 @@
 """Bit-PLRU / MRU replacement (Malamy et al.; paper Section II-B).
 
-One MRU bit per way.  An access sets the way's bit; when the last zero
-bit would disappear, all *other* bits are cleared (the just-accessed way
-keeps its bit, so it is not immediately evictable).  The victim is the
+One MRU bit per way.  An access sets the way's bit; when that sets the
+last zero bit, every bit is cleared, the just-accessed way's too (paper
+Section II-B), so that way can be the next victim.  The victim is the
 lowest-index way whose MRU bit is 0.
 """
 

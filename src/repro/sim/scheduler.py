@@ -19,8 +19,9 @@ observe the individual calls (see :meth:`_SchedulerBase._inlinable`).
 The hyper-threaded loop is then an *op kernel*: it executes every
 operation itself, with the fast engine's L1 hit path (the AMD utag
 check included) inlined and its L1 misses finished by the fast
-engine's one miss routine (:func:`repro.sim.fastpath.demand_paths`).
-The time-sliced scheduler runs :class:`~repro.sim.thread.LoopProgram`
+engine's one miss routine (:func:`repro.sim.fastpath.demand_paths`);
+a sender's :class:`~repro.sim.ops.HoldLoop` that reaches a cache fixed
+point only moves the clock there.  The time-sliced scheduler runs :class:`~repro.sim.thread.LoopProgram`
 threads (the constant sender and the background noise, which issue
 almost every op of a time-sliced run) through a *slice kernel*: a tight
 loop over the program's prebuilt ops with the same hit and miss paths.
@@ -31,6 +32,8 @@ per-op route through ``_execute`` produces; see
 
 from __future__ import annotations
 
+import math
+from itertools import cycle, islice
 from typing import Dict, List, Optional, Sequence
 
 from repro.cache.hierarchy import CacheHierarchy
@@ -39,7 +42,15 @@ from repro.common.rng import RngLike, make_rng
 from repro.common.types import AccessType, MemoryAccess
 from repro.obs.instruments import for_scheduler
 from repro.obs.session import active as obs_active
-from repro.sim.ops import Access, Compute, ReadTSC, READ_TSC_COST, SleepUntil
+from repro.replacement.tables import TabledPolicy
+from repro.sim.ops import (
+    Access,
+    Compute,
+    HoldLoop,
+    ReadTSC,
+    READ_TSC_COST,
+    SleepUntil,
+)
 from repro.sim.thread import Choose, LoopProgram, SimThread
 
 
@@ -194,7 +205,8 @@ class HyperThreadedScheduler(_SchedulerBase):
     thread's tie-break against equal ``ready_at``; the earliest
     ``(ready_at, draw)`` issues, the first one winning an exact tie.
     Each executed operation then draws one more ``random()`` for its
-    jitter.
+    jitter.  A fast-forward (see :meth:`run`) takes a step's tie-break
+    draws as one ``getrandbits(64 * alive)``: the same words.
     """
 
     def __init__(
@@ -235,6 +247,27 @@ class HyperThreadedScheduler(_SchedulerBase):
         Otherwise, and for op subclasses, every op goes through
         ``_execute``.
 
+        A :class:`~repro.sim.ops.HoldLoop` runs in the kernel from ops
+        lowered once (see :meth:`_lower_ops`), one op per step, without
+        resuming the program.  It is at a *fixed point* once, since
+        anything else last acted (another thread's op or a fault step),
+        each access of its cycle has been issued as an in-place L1 hit
+        with a matching utag whose policy touch left the set's
+        ``TabledPolicy`` state as it was; ops that touch no cache always
+        leave it so.  Repeating the cycle then changes nothing but the
+        clock and the counters, and the kernel *fast-forwards* it: while
+        the thread's time is below every other alive thread's, the fault
+        injector's next due time and ``until_cycle``, the thread wins
+        every pick and no fault can act, so each op only skips the
+        pick's tie-break draws (``getrandbits(64 * alive)`` consumes the
+        words that many ``random()`` calls do), draws its jitter, adds
+        its cost and is counted with its hit and reference.  A hold never
+        fast-forwards under a TSC fault model (readings draw) or with an
+        access that is not in place or touches an untabled policy.  Off
+        the kernel, and for a hold the kernel cannot lower,
+        :meth:`SimThread.expand_hold` issues the hold op by op through
+        the per-op path.
+
         Under an observing session, L1 hits done in place reach the
         hierarchy's metrics as runs of hits, reported before the next
         miss, mispredict or other counted access (fault disturbances
@@ -245,20 +278,23 @@ class HyperThreadedScheduler(_SchedulerBase):
         for thread in threads:
             if not thread.alive:
                 thread.start()
+        self._expand_holds()
         # This loop runs once per simulated operation: everything it
         # touches per step is a local.  ``_execute`` is looked up on the
         # instance so per-instance wrappers (the sanitizer) see every op.
         rand = self.rng.random
+        skip_draws = self.rng.getrandbits
         jitter = self.jitter
         execute = self._execute
         faults = self.faults
         models = self._fault_models()
         tsc_models = faults._tsc_models if faults is not None else ()
-        # Op types the loop executes in place; the rest take _execute.
-        kernel_kinds = _OP_KINDS if self._inlinable() else ()
+        inlinable = self._inlinable()
+        probe = _PROBE
+        hold_kind = HoldLoop
         hierarchy = self.hierarchy
         access = hierarchy.access
-        l1 = self._plain_l1()
+        l1 = self._plain_l1() if inlinable else None
         if l1 is not None:
             sets = l1.sets
             offset_bits = l1._offset_bits
@@ -275,10 +311,14 @@ class HyperThreadedScheduler(_SchedulerBase):
         obs = hierarchy._obs
         record_hits = None if obs is None else obs.record_l1_hits
         flush_type = AccessType.FLUSH
+        lowered: Dict[tuple, _Lowering] = {}
+        horizon = math.inf if until_cycle is None else until_cycle
         issued = 0
         hits = 0
         recorded = 0
         last_time = 0.0
+        # The thread whose op ran last; None once a fault step ran since.
+        actor = None
         while True:
             thread = None
             for candidate in threads:
@@ -300,13 +340,188 @@ class HyperThreadedScheduler(_SchedulerBase):
             ):
                 now += self._fault_wake_stall(thread, now)
                 thread.ready_at = now
-            try:
-                op = thread._program.send(thread.pending_result)
-            except StopIteration:
-                thread.alive = False
-                continue
-            kind = type(op)
-            if kind not in kernel_kinds:
+                actor = None
+            hold = thread._hold
+            if hold is None:
+                clean = False
+                try:
+                    op = thread._program.send(thread.pending_result)
+                except StopIteration:
+                    thread.alive = False
+                    continue
+                kind = type(op)
+                if kind is Access:
+                    if (
+                        l1 is not None
+                        and op.count
+                        and not op.speculative
+                        and not op.locked
+                        and not op.unlock
+                        and op.access_type is not flush_type
+                    ):
+                        address = op.address
+                        cache_set = sets[(address >> offset_bits) & index_mask]
+                        tag = address >> tag_shift
+                        utag = (
+                            None
+                            if utag_of is None
+                            else utag_of(thread.address_space, address)
+                        )
+                        kind = probe
+                elif kind is hold_kind:
+                    if inlinable:
+                        hold = self._lower_hold(op, thread, lowered)
+                    if hold is None:
+                        thread.expand_hold(op)
+                        op = next(thread._program)
+                        kind = type(op)
+                    else:
+                        thread._hold = hold
+                if not inlinable:
+                    # Off the kernel every op takes _execute.
+                    kind = None
+            if hold is not None:
+                position = hold.position
+                (
+                    kind, op, cache_set, tag, utag, need, following, clean
+                ) = hold.steps[position]
+                if actor is not thread:
+                    hold.run = 0
+                if hold.run >= need:
+                    # A fixed point.  This step's pick and fault gate
+                    # already ran; the thread keeps winning the pick,
+                    # and no fault can act, while its time stays below
+                    # ``limit``.
+                    limit = horizon
+                    if models and faults._next_due < limit:
+                        limit = faults._next_due
+                    alive = 1
+                    for other in hold.others:
+                        if other.alive:
+                            alive += 1
+                            if other.ready_at < limit:
+                                limit = other.ready_at
+                    # Fast-forward unless the stretch ends with this op.
+                    if now + hold.fast[position][0] < limit:
+                        bits = 64 * alive
+                        deadline = hold.deadline
+                        count = 0
+                        for cost, reads in islice(
+                            cycle(hold.fast), position, None
+                        ):
+                            count += 1
+                            if reads and now >= deadline:
+                                thread.pending_result = now
+                                thread._hold = None
+                                now += cost + jitter * rand()
+                                break
+                            now += cost + jitter * rand()
+                            if now >= limit:
+                                break
+                            skip_draws(bits)
+                        issued += count
+                        size = len(hold.fast)
+                        hold.position = (position + count) % size
+                        hits_before = hold.hits_before
+                        n_hits = (
+                            count // size * hits_before[size]
+                            + hits_before[position + count % size]
+                            - hits_before[position]
+                        )
+                        if n_hits:
+                            hits += n_hits
+                            references[thread.thread_id] += n_hits
+                        thread.ready_at = now
+                        actor = thread
+                        if now > last_time:
+                            last_time = now
+                        continue
+                hold.position = following
+            if kind is probe:
+                way = cache_set._tag_map.get(tag)
+                if way is None:
+                    clean = False
+                    if record_hits is not None and hits != recorded:
+                        record_hits(hit_latency, hits - recorded)
+                        recorded = hits
+                    outcome = l1_miss(
+                        cache_set,
+                        op.address,
+                        op.access_type,
+                        thread.thread_id,
+                        thread.address_space,
+                        utag,
+                        True,
+                    )
+                    thread.pending_result = outcome
+                    cost = outcome.latency
+                else:
+                    if update_on_hit:
+                        policy = cache_set.policy
+                        if clean:
+                            state = policy._state
+                            policy.touch(way)
+                            clean = policy._state == state
+                        else:
+                            policy.touch(way)
+                    references[thread.thread_id] += 1
+                    # _check_way_predictor: adopt a missing utag and
+                    # retrain a mismatched one; only a mismatch is
+                    # observed (without a predictor both are None).
+                    stored = utag
+                    if utag is not None:
+                        line = cache_set.lines[way]
+                        stored = line.utag
+                        if stored != utag:
+                            clean = False
+                            line.utag = utag
+                            line.owner_space = thread.address_space
+                    if stored is None or stored == utag:
+                        hits += 1
+                        thread.pending_result = hit_outcome
+                        cost = hit_latency
+                    else:
+                        if record_hits is not None:
+                            if hits != recorded:
+                                record_hits(hit_latency, hits - recorded)
+                                recorded = hits
+                            obs.record_l1_hit(utag_miss.latency, True)
+                        thread.pending_result = utag_miss
+                        cost = utag_miss.latency
+            elif kind is Compute:
+                thread.pending_result = None
+                cost = op.cycles
+            elif kind is ReadTSC:
+                reading = faults.perturb_tsc(now) if tsc_models else now
+                thread.pending_result = reading
+                if hold is not None and reading >= hold.deadline:
+                    thread._hold = None
+                cost = READ_TSC_COST
+            elif kind is Access:
+                clean = False
+                if record_hits is not None and hits != recorded:
+                    record_hits(hit_latency, hits - recorded)
+                    recorded = hits
+                outcome = access(
+                    MemoryAccess(
+                        op.address,
+                        op.access_type,
+                        thread.thread_id,
+                        thread.address_space,
+                        op.locked,
+                        op.unlock,
+                        op.speculative,
+                    ),
+                    count=op.count,
+                )
+                thread.pending_result = outcome
+                cost = outcome.latency
+            elif kind is SleepUntil:
+                thread.pending_result = None
+                if models:
+                    thread._slept_from = now
+                cost = max(0.0, op.cycle - now)
+            else:
                 thread.pending_result = None
                 if op is None:
                     continue
@@ -314,106 +529,183 @@ class HyperThreadedScheduler(_SchedulerBase):
                     record_hits(hit_latency, hits - recorded)
                     recorded = hits
                 cost = execute(thread, op, now)
-            elif kind is Access:
-                if (
-                    l1 is not None
-                    and op.count
-                    and not op.speculative
-                    and not op.locked
-                    and not op.unlock
-                    and op.access_type is not flush_type
-                ):
-                    address = op.address
-                    cache_set = sets[(address >> offset_bits) & index_mask]
-                    way = cache_set._tag_map.get(address >> tag_shift)
-                    utag = (
-                        None
-                        if utag_of is None
-                        else utag_of(thread.address_space, address)
-                    )
-                    if way is None:
-                        if record_hits is not None and hits != recorded:
-                            record_hits(hit_latency, hits - recorded)
-                            recorded = hits
-                        outcome = l1_miss(
-                            cache_set,
-                            address,
-                            op.access_type,
-                            thread.thread_id,
-                            thread.address_space,
-                            utag,
-                            True,
-                        )
-                        thread.pending_result = outcome
-                        cost = outcome.latency
-                    else:
-                        if update_on_hit:
-                            cache_set.policy.touch(way)
-                        references[thread.thread_id] += 1
-                        # _check_way_predictor: adopt a missing utag and
-                        # retrain a mismatched one; only a mismatch is
-                        # observed (without a predictor both are None).
-                        stored = utag
-                        if utag is not None:
-                            line = cache_set.lines[way]
-                            stored = line.utag
-                            if stored != utag:
-                                line.utag = utag
-                                line.owner_space = thread.address_space
-                        if stored is None or stored == utag:
-                            hits += 1
-                            thread.pending_result = hit_outcome
-                            cost = hit_latency
-                        else:
-                            if record_hits is not None:
-                                if hits != recorded:
-                                    record_hits(hit_latency, hits - recorded)
-                                    recorded = hits
-                                obs.record_l1_hit(utag_miss.latency, True)
-                            thread.pending_result = utag_miss
-                            cost = utag_miss.latency
-                else:
-                    if record_hits is not None and hits != recorded:
-                        record_hits(hit_latency, hits - recorded)
-                        recorded = hits
-                    outcome = access(
-                        MemoryAccess(
-                            op.address,
-                            op.access_type,
-                            thread.thread_id,
-                            thread.address_space,
-                            op.locked,
-                            op.unlock,
-                            op.speculative,
-                        ),
-                        count=op.count,
-                    )
-                    thread.pending_result = outcome
-                    cost = outcome.latency
-            elif kind is Compute:
-                thread.pending_result = None
-                cost = op.cycles
-            elif kind is ReadTSC:
-                thread.pending_result = (
-                    faults.perturb_tsc(now) if tsc_models else now
-                )
-                cost = READ_TSC_COST
-            else:  # SleepUntil
-                thread.pending_result = None
-                if models:
-                    thread._slept_from = now
-                cost = max(0.0, op.cycle - now)
+            if hold is not None:
+                hold.run = hold.run + 1 if clean else 0
             issued += 1
             # ``jitter * rand()`` is ``uniform(0.0, jitter)`` bit for bit.
             now += cost + jitter * rand()
             thread.ready_at = now
+            actor = thread
             if now > last_time:
                 last_time = now
+        self._expand_holds()
         if record_hits is not None and hits != recorded:
             record_hits(hit_latency, hits - recorded)
         if self._obs is not None:
             self._obs.ops.inc(issued)
         return last_time
+
+    def _expand_holds(self) -> None:
+        """Hand holds the kernel left unfinished back to their programs.
+
+        A hold cut off by ``until_cycle`` (or by an exception) goes on
+        op by op through :meth:`SimThread.expand_hold`, whichever route
+        the next run takes.
+        """
+        for thread in self.threads:
+            hold = thread._hold
+            if hold is not None:
+                thread._hold = None
+                thread.expand_hold(hold.source, hold.position)
+
+    def _lower_hold(self, hold: HoldLoop, thread: SimThread, lowered: dict):
+        """``hold`` as kernel state for ``thread``, or None if it can't run.
+
+        A hold's ops are lowered once per run and address space (see
+        :meth:`_lower_ops`) and kept in ``lowered``.  An op subclass
+        keeps the whole hold on :meth:`SimThread.expand_hold`.
+        """
+        key = (hold.ops, thread.address_space)
+        lowering = lowered.get(key)
+        if lowering is None:
+            lowering = lowered[key] = self._lower_ops(
+                hold.ops, thread.address_space
+            )
+        if lowering.steps is None:
+            return None
+        others = tuple(other for other in self.threads if other is not thread)
+        return _Hold(hold, lowering, others)
+
+    def _lower_ops(self, ops: tuple, space: int) -> "_Lowering":
+        """Lower a hold's ops for a thread in address space ``space``.
+
+        Each op becomes a step ``(kind, op, cache_set, tag, utag, need,
+        following, trackable)``:
+        - ``kind`` is ``_PROBE`` for an access the kernel does in place,
+          with its set, tag and utag resolved as the kernel resolves
+          them, and the op's type otherwise;
+        - ``need`` is how many ops issued just before this one, with
+          nothing else acting between them, must have left the cache as
+          it was for the cycle to be a fixed point here: enough to cover
+          every ``_PROBE`` of the cycle (0 without one);
+        - ``following`` is the next op's index;
+        - ``trackable`` is where each op's cleanliness check starts.
+        The hold can fast-forward (it is *trackable*) only when every
+        access is a ``_PROBE`` into a set whose policy is a
+        ``TabledPolicy`` or is not touched on hits, and no TSC fault
+        model is attached; otherwise every ``need`` is infinite.
+        """
+        l1 = self._plain_l1()
+        faults = self.faults
+        trackable = faults is None or not faults._tsc_models
+        resolved = []
+        fast = []
+        for op in ops:
+            kind = type(op)
+            if kind not in (Access, Compute, ReadTSC):
+                return _Lowering(None, None)
+            step = (kind, op, None, None, None)
+            if kind is Compute:
+                cost = op.cycles
+            elif kind is ReadTSC:
+                cost = READ_TSC_COST
+            elif (
+                l1 is not None
+                and op.count
+                and op.access_type is not AccessType.FLUSH
+                and not op.speculative
+                and not op.locked
+                and not op.unlock
+            ):
+                address = op.address
+                index = (address >> l1._offset_bits) & l1._index_mask
+                cache_set = l1.sets[index]
+                predictor = l1.way_predictor
+                utag = None
+                if predictor is not None:
+                    utag = predictor.utag(space, address)
+                step = (_PROBE, op, cache_set, address >> l1._tag_shift, utag)
+                cost = self.hierarchy.config.l1.hit_latency
+                if l1._update_on_hit and not isinstance(
+                    cache_set.policy, TabledPolicy
+                ):
+                    trackable = False
+            else:
+                # Through hierarchy.access: never part of a fixed point.
+                cost = None
+                trackable = False
+            resolved.append(step)
+            fast.append((cost, kind is ReadTSC))
+        size = len(resolved)
+        probes = [i for i, step in enumerate(resolved) if step[0] is _PROBE]
+        steps = []
+        for position, step in enumerate(resolved):
+            need = math.inf
+            if trackable:
+                need = max(
+                    ((position - i - 1) % size + 1 for i in probes), default=0
+                )
+            following = (position + 1) % size
+            steps.append(step + (need, following, trackable))
+        return _Lowering(tuple(steps), tuple(fast))
+
+
+class _Lowering:
+    """A hold's ops lowered for the op kernel (see ``_lower_ops``).
+
+    ``steps`` is None when the kernel cannot run the hold.  ``fast``
+    holds each op's ``(cost, reads_tsc)`` inside a fixed point, and
+    ``hits_before[i]`` counts the L1 hits among the first ``i`` ops of
+    the cycle repeated twice.
+    """
+
+    __slots__ = ("steps", "fast", "hits_before")
+
+    def __init__(self, steps, fast):
+        self.steps = steps
+        self.fast = fast
+        hits_before = [0]
+        for step in (steps or ()) * 2:
+            hits_before.append(hits_before[-1] + (step[0] is _PROBE))
+        self.hits_before = tuple(hits_before)
+
+
+class _Hold:
+    """A :class:`~repro.sim.ops.HoldLoop` the op kernel is running.
+
+    ``position`` is the next op's index and ``run`` the number of ops
+    just issued in a row, with nothing else acting between them, that
+    left the cache as it was (see :meth:`HyperThreadedScheduler.run`).
+    """
+
+    __slots__ = (
+        "source",
+        "others",
+        "deadline",
+        "steps",
+        "fast",
+        "hits_before",
+        "position",
+        "run",
+    )
+
+    def __init__(self, source: HoldLoop, lowering: _Lowering, others):
+        self.source = source
+        self.others = others
+        self.deadline = source.deadline
+        self.steps = lowering.steps
+        self.fast = lowering.fast
+        self.hits_before = lowering.hits_before
+        self.position = 0
+        self.run = 0
+
+    def at_fixed_point(self) -> bool:
+        """Whether the next op may fast-forward (the kernel inlines this)."""
+        return self.run >= self.steps[self.position][5]
+
+
+#: The kind of a kernel access done in place: an L1 probe.
+_PROBE = object()
 
 
 #: Slice-kernel step kinds (see :meth:`TimeSlicedScheduler._compile_loop`).
@@ -503,19 +795,21 @@ class TimeSlicedScheduler(_SchedulerBase):
                 thread.ready_at = ready
                 now = slice_end + switch_cost
                 continue
-            send = thread._program.send
             while ready < slice_end:
                 if models:
                     ready += self._fault_wake_stall(thread, ready)
                     thread.ready_at = ready
                 try:
-                    op = send(thread.pending_result)
+                    op = thread._program.send(thread.pending_result)
                 except StopIteration:
                     thread.alive = False
                     break
                 thread.pending_result = None
                 if op is None:
                     break
+                if type(op) is HoldLoop:
+                    thread.expand_hold(op)
+                    op = next(thread._program)
                 issued += 1
                 ready += execute(thread, op, ready)
                 thread.ready_at = ready

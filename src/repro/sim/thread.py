@@ -16,6 +16,7 @@ from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.common.errors import SimulationError
 from repro.common.rng import RngLike, choice_stream, make_rng
+from repro.sim.ops import HoldLoop, ReadTSC
 
 #: A thread program: a generator yielding operations from
 #: :mod:`repro.sim.ops` and receiving each operation's result.
@@ -117,6 +118,9 @@ class SimThread:
         #: Cycle at which the thread went to sleep, while fault models
         #: are attached; the scheduler charges wake stalls from it.
         self._slept_from: Optional[float] = None
+        #: The hold the hyper-threaded op kernel is running for this
+        #: thread, only during a kernel run (see ``expand_hold``).
+        self._hold = None
 
     def start(self, at_cycle: float = 0.0) -> None:
         """(Re)start the program from the beginning."""
@@ -124,25 +128,39 @@ class SimThread:
         self.ready_at = at_cycle
         self.alive = True
         self.pending_result = None
+        self._hold = None
 
-    def next_operation(self):
-        """Advance the program one step, delivering the prior result.
+    def expand_hold(self, hold: HoldLoop, position: int = 0) -> None:
+        """Issue ``hold`` op by op from ``hold.ops[position]`` on.
 
-        Returns the next operation, or None when the program finished.
+        The thread's program is replaced by a generator that yields the
+        hold's ops in cycle order until a ``ReadTSC`` among them reads
+        at least the deadline.  That generator then hands the reading
+        to the program, puts the program back and yields the program's
+        next op: the op stream of the loop the hold stands for.  A
+        scheduler that does not run a hold itself issues it this way,
+        through its ordinary per-op path; the next op is the program's
+        next ``send(None)``.
         """
-        if not self.alive or self._program is None:
-            raise SimulationError(f"thread {self.name!r} is not running")
-        try:
-            op = self._program.send(self.pending_result)
-        except StopIteration:
-            self.alive = False
-            return None
+        self._program = self._holding(hold, position, self._program)
         self.pending_result = None
-        return op
 
-    def deliver(self, result: Any) -> None:
-        """Stash an operation's result for the next program step."""
-        self.pending_result = result
+    def _holding(self, hold: HoldLoop, position: int, program: Program):
+        ops = hold.ops
+        last = len(ops) - 1
+        deadline = hold.deadline
+        while True:
+            op = ops[position]
+            position = 0 if position == last else position + 1
+            result = yield op
+            if isinstance(op, ReadTSC) and result >= deadline:
+                break
+        self._program = program
+        try:
+            op = program.send(result)
+        except StopIteration:
+            return
+        yield op
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "stopped"

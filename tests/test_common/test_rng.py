@@ -155,6 +155,17 @@ class TestMersenneTwisterWords:
             assert stream.getrandbits(64) == low | high << 32
             assert stream.getstate() == twin.getstate()
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_getrandbits_64n_skips_n_random_calls(self, n):
+        # The hyper-threaded kernel skips a step's n tie-break draws
+        # with one getrandbits(64 * n) call.
+        for seed in self.SEEDS:
+            stream, twin = random.Random(seed), random.Random(seed)
+            stream.getrandbits(64 * n)
+            for _ in range(n):
+                twin.random()
+            assert stream.getstate() == twin.getstate()
+
     @pytest.mark.parametrize("n, draw", [
         (9, lambda stream: stream.choice(range(9))),
         (8, lambda stream: stream.randrange(8)),

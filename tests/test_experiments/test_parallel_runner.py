@@ -6,8 +6,10 @@ use freely, cannot cross a process boundary).
 """
 
 import json
+import os
 import signal
 import time
+from functools import partial
 
 import pytest
 
@@ -46,6 +48,22 @@ def run_delta():
 
 def run_broken():
     raise RuntimeError("intentional failure")
+
+
+def run_after_marker(marker, experiment_id):
+    # Finishes only once a later experiment has written ``marker``.
+    deadline = time.monotonic() + 60.0
+    while not os.path.exists(marker):
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"{marker} never appeared")
+        time.sleep(0.01)
+    return _result(experiment_id)
+
+
+def run_writing_marker(marker, experiment_id):
+    with open(marker, "w"):
+        pass
+    return _result(experiment_id)
 
 
 def make_registry():
@@ -120,6 +138,37 @@ class TestParallelRunMany:
         )
         assert sorted(seen_results) == ["alpha", "beta"]
         assert seen_failures == ["broken"]
+
+    def test_callbacks_fire_in_submission_order(self, tmp_path):
+        # The first experiment finishes only after the last one has, so
+        # records arrive out of order; the callbacks must not.
+        marker = str(tmp_path / "last-finished")
+        checkpoint = tmp_path / "progress.json"
+        registry = {
+            "first": partial(run_after_marker, marker, "first"),
+            "broken": run_broken,
+            "last": partial(run_writing_marker, marker, "last"),
+        }
+        seen = []
+
+        def on_result(result, elapsed):
+            saved = sorted(checkpoint_payload(checkpoint)["results"])
+            seen.append((result.experiment_id, saved))
+
+        report = ExperimentRunner(
+            retries=0, registry=registry, checkpoint_path=str(checkpoint)
+        ).run_many(
+            ["first", "broken", "last"],
+            on_result=on_result,
+            on_failure=lambda failure: seen.append(
+                (failure.experiment_id, None)
+            ),
+            jobs=2,
+        )
+        assert [entry[0] for entry in seen] == ["first", "broken", "last"]
+        # ``last`` arrived, and was checkpointed, before ``first``.
+        assert seen[0][1] == ["first", "last"]
+        assert [r.experiment_id for r in report.results] == ["first", "last"]
 
     def test_checkpoint_written_and_resumed(self, tmp_path):
         checkpoint = tmp_path / "progress.json"
@@ -196,8 +245,6 @@ def run_slow(experiment_id, rng: int = 5):
 
 
 def make_slow_registry():
-    from functools import partial
-
     return {
         experiment_id: partial(run_slow, experiment_id)
         for experiment_id in SLOW_IDS

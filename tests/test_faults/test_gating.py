@@ -13,16 +13,24 @@ import pytest
 
 from repro.cache.config import HierarchyConfig
 from repro.cache.hierarchy import CacheHierarchy
+from repro.channels.algorithm1 import SharedMemoryLRUChannel
+from repro.channels.protocol import CovertChannelProtocol, ProtocolConfig
+from repro.common.types import Observation
 from repro.faults import (
     ContextSwitchFault,
     FaultInjector,
     FaultModel,
     InterruptBurstFault,
     PoissonFault,
+    SampleDropFault,
+    SampleDuplicateFault,
     TSCFault,
 )
+from repro.obs.session import ObsSession, observe
+from repro.sim.machine import Machine
 from repro.sim.ops import Access, Compute, ReadTSC, SleepUntil
 from repro.sim.scheduler import HyperThreadedScheduler
+from repro.sim.specs import INTEL_E5_2690
 from repro.sim.thread import SimThread
 
 
@@ -238,3 +246,84 @@ class TestTscGate:
             gated = run(FaultInjector, recorded)
             assert len(gated["events"]) > 5
             assert gated == run(_UngatedTscInjector, recorded)
+
+
+class _UngatedSampleInjector(FaultInjector):
+    """Reference observation fan-out: every model on every sample."""
+
+    def filter_observation(self, observation):
+        pending = [observation]
+        for model in self.models:
+            emitted = []
+            for sample in pending:
+                emitted.extend(model.filter_observation(sample))
+            pending = emitted
+        if self._obs is not None:
+            if not pending:
+                self._obs.samples_dropped.inc()
+            elif len(pending) > 1:
+                self._obs.samples_duplicated.inc(len(pending) - 1)
+        return pending
+
+
+class TestSampleGate:
+    def test_only_overriding_models_are_fanned_out_to(self):
+        injector = FaultInjector(
+            _hierarchy(), rng_source=lambda: random.Random(1)
+        )
+        injector.attach(InterruptBurstFault(rate_per_mcycle=100.0))
+        injector.attach(TSCFault(jitter_cycles=2.0))
+        assert injector._sample_models == []
+        observation = Observation(sequence=0, latency=30.0, timestamp=5)
+        assert injector.filter_observation(observation) == [observation]
+        drop = injector.attach(SampleDropFault(0.5))
+        dup = injector.attach(SampleDuplicateFault(0.5))
+        assert injector._sample_models == [drop, dup]
+
+    @pytest.mark.parametrize(
+        "models",
+        [
+            lambda: [InterruptBurstFault(rate_per_mcycle=100.0)],
+            lambda: [SampleDropFault(0.2)],
+            lambda: [SampleDuplicateFault(0.2)],
+            lambda: [
+                InterruptBurstFault(rate_per_mcycle=100.0),
+                SampleDropFault(0.1),
+                TSCFault(jitter_cycles=2.0),
+                SampleDuplicateFault(0.1),
+            ],
+        ],
+        ids=["interrupts", "drop", "dup", "mixed"],
+    )
+    def test_matches_ungated_fan_out(self, models):
+        """Protocol samples and their obs counters match every-model fan-out."""
+
+        def run(injector_cls):
+            session = ObsSession(trace_depth=0)
+            with observe(session):
+                machine = Machine(INTEL_E5_2690, rng=9)
+                machine.faults.__class__ = injector_cls
+                machine.faults.attach_all(models())
+                channel = SharedMemoryLRUChannel.build(
+                    INTEL_E5_2690.hierarchy.l1, 1, d=4
+                )
+                protocol = CovertChannelProtocol(
+                    machine, channel, ProtocolConfig(ts=3000.0, tr=600.0)
+                )
+                run = protocol.run_hyper_threaded([1, 0, 1, 1, 0, 1, 0, 0])
+            samples = [
+                (o.sequence, o.latency, o.timestamp) for o in run.observations
+            ]
+            return samples, session.metrics.snapshot()["counters"]
+
+        samples, counters = run(FaultInjector)
+        assert (samples, counters) == run(_UngatedSampleInjector)
+        kinds = {type(model) for model in models()}
+        if SampleDropFault in kinds:
+            assert counters["faults.samples.dropped"] > 0
+        if SampleDuplicateFault in kinds:
+            assert counters["faults.samples.duplicated"] > 0
+        sequences = [sequence for sequence, _, _ in samples]
+        assert (len(set(sequences)) < len(sequences)) == (
+            SampleDuplicateFault in kinds
+        )

@@ -11,7 +11,9 @@ counters, every thread's ``ready_at``, the scheduler's and fault
 injector's RNG states, the fault event log, the observations and
 ``total_cycles``.  The general route shares the miss routine, so the
 miss-path and way-predictor tests also run the scenario on the
-reference engine, the oracle.
+reference engine, the oracle, and so do the hold-loop cases at the end,
+which also check that the fixed-point fast-forward ran (or, where it
+must not, did not).
 """
 
 import dataclasses
@@ -33,7 +35,7 @@ from repro.faults import FaultInjector, InterruptBurstFault, TSCFault
 from repro.obs.session import ObsSession, observe
 from repro.sim import scheduler as scheduler_module
 from repro.sim.machine import Machine
-from repro.sim.ops import Access, Compute, ReadTSC, SleepUntil
+from repro.sim.ops import Access, Compute, HoldLoop, ReadTSC, SleepUntil
 from repro.sim.scheduler import HyperThreadedScheduler
 from repro.sim.fastpath import FastSetAssociativeCache
 from repro.sim.specs import AMD_EPYC_7571, INTEL_E5_2690, INTEL_E5_2690_3LEVEL
@@ -145,14 +147,20 @@ def run_protocol(
     tr=600.0,
     noise=100.0,
     sender_space=1,
+    faults=(),
+    watched=None,
 ):
     """One Algorithm 3 run; returns (final state, the scheduler).
 
     ``mode`` is ``kernel``, ``general`` (the fast engine with the
     general route forced) or ``reference`` (the reference engine).
+    ``faults`` holds factories of extra fault models; a ``watched``
+    dict gets the scheduler watched (see :func:`watch`).
     """
     engine = "reference" if mode == "reference" else "fast"
-    machine = Machine(spec, rng=21, engine=engine)
+    machine = Machine(
+        spec, rng=21, engine=engine, faults=[model() for model in faults]
+    )
     if algorithm == 1:
         channel = SharedMemoryLRUChannel.build(spec.hierarchy.l1, 1, d=d)
     else:
@@ -168,6 +176,8 @@ def run_protocol(
         scheduler = hyper_threaded(threads)
         if mode == "general":
             force_general(scheduler)
+        if watched is not None:
+            watch(scheduler, watched)
         captured["scheduler"] = scheduler
         return scheduler
 
@@ -697,3 +707,252 @@ def test_one_bit_utags_collide_across_spaces():
         AMD_EPYC_7571, utag_programs(1), "kernel", utag_bits=1
     )
     assert 0 < mispredicts(narrow) < mispredicts(wide)
+
+
+# ----------------------------------------------------------------------
+# Hold loops and the fixed-point fast-forward, three ways
+# ----------------------------------------------------------------------
+
+
+class CountingRandom(random.Random):
+    """The scheduler's RNG, counting ``getrandbits`` calls.
+
+    Only a fast-forward calls ``getrandbits`` (to skip a step's
+    tie-break draws), so a non-zero count shows one ran.
+    """
+
+    def __init__(self, source):
+        super().__init__()
+        self.setstate(source.getstate())
+        self.skips = 0
+
+    def getrandbits(self, k):
+        self.skips += 1
+        return super().getrandbits(k)
+
+
+def watch(scheduler, watched):
+    """Count fast-forwards, and fault steps taken at a fixed point.
+
+    The scheduler's RNG becomes a :class:`CountingRandom`.
+    ``watched["fixed_faults"]`` counts fault-gate steps in which the
+    picked thread's hold was at a fixed point: a fault falling due is
+    what ended that thread's fast-forward.
+    """
+    scheduler.rng = CountingRandom(scheduler.rng)
+    watched["fixed_faults"] = 0
+    wake_stall = scheduler._fault_wake_stall
+
+    def watching(thread, now):
+        hold = thread._hold
+        if hold is not None and hold.at_fixed_point():
+            watched["fixed_faults"] += 1
+        return wake_stall(thread, now)
+
+    scheduler._fault_wake_stall = watching
+
+
+def run_protocol_watched(spec, algorithm, mode, **kwargs):
+    """``run_protocol`` with a watched scheduler.
+
+    Returns (final state, scheduler, fast-forwards, fixed-point faults).
+    """
+    watched = {}
+    state, scheduler = run_protocol(
+        spec, algorithm, mode, watched=watched, **kwargs
+    )
+    return state, scheduler, scheduler.rng.skips, watched["fixed_faults"]
+
+
+def assert_three_ways(execute_calls, spec, algorithm, **kwargs):
+    """Kernel, forced general route and reference engine agree.
+
+    Returns the kernel's state, its fast-forward count and its count of
+    faults that landed at a fixed point.
+    """
+    kernel, scheduler, skips, fixed_faults = run_protocol_watched(
+        spec, algorithm, "kernel", **kwargs
+    )
+    assert scheduler._inlinable(), "the kernel was not eligible"
+    assert not execute_calls, "an op left the kernel"
+    general, _, general_skips, _ = run_protocol_watched(
+        spec, algorithm, "general", **kwargs
+    )
+    assert len(execute_calls) > 1000, "the general route was not forced"
+    reference, _, reference_skips, _ = run_protocol_watched(
+        spec, algorithm, "reference", **kwargs
+    )
+    assert general_skips == reference_skips == 0
+    assert kernel == general
+    assert kernel == reference
+    return kernel, skips, fixed_faults
+
+
+@pytest.mark.parametrize("algorithm", [1, 2])
+def test_fast_forward_ended_by_a_fault(execute_calls, algorithm):
+    state, skips, fixed_faults = assert_three_ways(
+        execute_calls, INTEL_E5_2690, algorithm, d=4, noise=400.0
+    )
+    assert skips > 1000
+    assert fixed_faults > 0
+    assert len(state["event_log"]) > 10
+
+
+@pytest.mark.parametrize("algorithm", [1, 2])
+def test_amd_utags_across_address_spaces(execute_calls, algorithm):
+    # Under Algorithm 1 the receiver retrains the shared line's utag to
+    # its own space, so the sender's next access mispredicts and is no
+    # fixed point; the sender's own private line (Algorithm 2) is.
+    _, skips, _ = assert_three_ways(
+        execute_calls,
+        AMD_EPYC_7571,
+        algorithm,
+        d=5,
+        ts=2.0e4,
+        tr=1000.0,
+        noise=20.0,
+        sender_space=1,
+    )
+    assert skips > 100
+
+
+def test_random_l1_policy(execute_calls):
+    # No table, so an access never joins a fixed point; the silent
+    # bit-0 holds still fast-forward.
+    _, skips, _ = assert_three_ways(
+        execute_calls, with_l1(INTEL_E5_2690, policy="random"), 2, d=3
+    )
+    assert skips > 0
+
+
+def test_tsc_fault_model_never_fast_forwards(execute_calls):
+    _, skips, _ = assert_three_ways(
+        execute_calls,
+        INTEL_E5_2690,
+        1,
+        d=4,
+        faults=[lambda: TSCFault(jitter_cycles=3.0, drift_ppm=50.0)],
+    )
+    assert skips == 0
+
+
+def hold_sender(line, hold_cycles, bits):
+    """Alternate silent and encoding holds of ``hold_cycles`` each."""
+
+    def program():
+        silent = (Compute(4.0), Compute(20.0), ReadTSC())
+        encode = (Access(line), Compute(20.0), ReadTSC())
+        now = yield ReadTSC()
+        for bit in range(bits):
+            now = yield HoldLoop(encode if bit % 2 else silent, now + hold_cycles)
+        yield Access(line)
+
+    return program
+
+
+def sleepy_prober(lines, period, samples):
+    """Sleep ``period`` cycles, then probe ``lines``; ``samples`` times."""
+
+    def program():
+        t = yield ReadTSC()
+        for _ in range(samples):
+            yield SleepUntil(t + period)
+            t = yield ReadTSC()
+            for line in lines:
+                yield Access(line)
+
+    return program
+
+
+def hold_threads(third=False):
+    target = [L1_STRIDE * i + 64 for i in range(10)]
+    threads = [
+        SimThread("sender", hold_sender(target[0], 6000.0, 12), 1, 1),
+        SimThread("receiver", sleepy_prober(target, 700.0, 90), 0, 0),
+    ]
+    if third:
+        other = [(1 << 20) + 64 * i for i in range(40)]
+        threads.append(
+            SimThread("noise", sleepy_prober(other, 1900.0, 30), 2, 2)
+        )
+    return threads
+
+
+def run_holds(mode, threads, *, until_cycles=(None,), faults=()):
+    """Run ``threads`` in ``mode``, once per entry of ``until_cycles``.
+
+    Returns the final state and the fast-forward count after each run.
+    """
+    engine = "reference" if mode == "reference" else "fast"
+    machine = Machine(
+        INTEL_E5_2690,
+        rng=3,
+        engine=engine,
+        faults=[model() for model in faults],
+    )
+    scheduler = machine.hyper_threaded(threads)
+    if mode == "general":
+        force_general(scheduler)
+    watch(scheduler, {})
+    states = []
+    skips = []
+    for until_cycle in until_cycles:
+        end = scheduler.run(until_cycle=until_cycle)
+        state = final_state(machine.hierarchy, scheduler)
+        state["end"] = end
+        states.append(state)
+        skips.append(scheduler.rng.skips)
+    return states, skips
+
+
+def assert_holds_three_ways(execute_calls, third=False, **kwargs):
+    kernel, skips = run_holds("kernel", hold_threads(third), **kwargs)
+    assert not execute_calls
+    general, general_skips = run_holds("general", hold_threads(third), **kwargs)
+    reference, reference_skips = run_holds(
+        "reference", hold_threads(third), **kwargs
+    )
+    assert general_skips == reference_skips == [0] * len(general_skips)
+    assert kernel == general
+    assert kernel == reference
+    return kernel, skips
+
+
+def test_until_cycle_inside_a_fast_forward(execute_calls):
+    # The receiver sleeps from about 100 to 700 cycles, so the sender is
+    # fast-forwarding at 400; the second run carries the cut hold on.
+    states, skips = assert_holds_three_ways(
+        execute_calls,
+        until_cycles=(400.0, 3.5e4, None),
+        faults=[lambda: InterruptBurstFault(rate_per_mcycle=200.0)],
+    )
+    first = states[0]
+    assert 400.0 <= first["ready_at"][0] < 440.0
+    assert all(first["alive"])
+    assert 0 < skips[0] < skips[-1]
+    assert not any(states[-1]["alive"])
+
+
+def test_three_threads(execute_calls):
+    # Three alive threads: a fast-forward skips three draws per step.
+    states, skips = assert_holds_three_ways(execute_calls, third=True)
+    assert skips[-1] > 100
+    assert states[-1]["counters"][0][0][2] > 100
+
+
+def test_obs_hit_totals_match_with_fast_forward():
+    """Fast-forwarded hits reach the metrics as the general route's do."""
+    snapshots = []
+    for mode in ("kernel", "general", "reference"):
+        session = ObsSession(trace_depth=0)
+        with observe(session):
+            state, _, skips, _ = run_protocol_watched(
+                with_fractional_latencies(INTEL_E5_2690), 1, mode, d=6
+            )
+        snapshots.append((session.metrics.snapshot(), state, skips))
+    (kernel, kernel_state, skips), general, reference = snapshots
+    assert skips > 1000
+    counters = kernel["counters"]
+    assert counters["cache.l1.hits"] > 1000
+    assert kernel == general[0] == reference[0]
+    assert kernel_state == general[1] == reference[1]

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.common.types import AccessType
-from repro.sim.ops import Access, Compute, ReadTSC, READ_TSC_COST, SleepUntil
+from repro.sim.ops import (
+    Access,
+    Compute,
+    HoldLoop,
+    ReadTSC,
+    READ_TSC_COST,
+    SleepUntil,
+)
 
 
 class TestAccess:
@@ -41,3 +48,23 @@ class TestTimerOps:
 
     def test_read_tsc_is_stateless_marker(self):
         assert ReadTSC() == ReadTSC()
+
+
+class TestHoldLoop:
+    def test_ops_are_kept_as_a_tuple(self):
+        hold = HoldLoop([Access(64), Compute(2.0), ReadTSC()], 100.0)
+        assert hold.ops == (Access(64), Compute(2.0), ReadTSC())
+        assert hold.deadline == 100.0
+
+    def test_needs_a_read_tsc(self):
+        with pytest.raises(ValueError):
+            HoldLoop((Access(64), Compute(2.0)), 100.0)
+
+    @pytest.mark.parametrize(
+        "op",
+        [SleepUntil(5.0), HoldLoop((ReadTSC(),), 1.0), None],
+        ids=["sleep", "nested-hold", "none"],
+    )
+    def test_rejects_other_ops(self, op):
+        with pytest.raises(ValueError):
+            HoldLoop((op, ReadTSC()), 100.0)

@@ -9,7 +9,14 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import SimulationError
 from repro.faults import InterruptBurstFault, TSCFault
 from repro.faults.base import FaultInjector
-from repro.sim.ops import Access, Compute, ReadTSC, READ_TSC_COST, SleepUntil
+from repro.sim.ops import (
+    Access,
+    Compute,
+    HoldLoop,
+    ReadTSC,
+    READ_TSC_COST,
+    SleepUntil,
+)
 from repro.sim.scheduler import HyperThreadedScheduler, TimeSlicedScheduler
 from repro.sim.thread import SimThread
 
@@ -29,34 +36,95 @@ def accesses_program(addresses, log):
 
 class TestSimThread:
     def test_lifecycle(self):
-        log = []
-        t = SimThread("t", accesses_program([0, 64], log))
-        t.start()
+        t = SimThread("t", accesses_program([0, 64], []))
+        assert not t.alive
+        t.start(at_cycle=5.0)
         assert t.alive
-        op = t.next_operation()
-        assert isinstance(op, Access)
-
-    def test_next_before_start_raises(self):
-        t = SimThread("t", accesses_program([], []))
-        with pytest.raises(SimulationError):
-            t.next_operation()
+        assert t.ready_at == 5.0
 
     def test_finishes(self):
         t = SimThread("t", accesses_program([], []))
-        t.start()
-        assert t.next_operation() is None
+        HyperThreadedScheduler(make_hierarchy(), [t], rng=1).run()
         assert not t.alive
 
     def test_restartable(self):
+        # A scheduler restarts every thread that is not alive, so a
+        # second run replays the program from its first op.
         log = []
         t = SimThread("t", accesses_program([0], log))
+        scheduler = HyperThreadedScheduler(make_hierarchy(), [t], rng=1)
         for _ in range(2):
-            t.start()
-            while t.alive:
-                op = t.next_operation()
-                if op is not None:
-                    t.deliver(None)
-        assert not t.alive
+            scheduler.run()
+            assert not t.alive
+        assert len(log) == 2
+        assert not log[0].l1_hit and log[1].l1_hit
+
+
+def holding_program(as_data, log):
+    """Five holds of 300 cycles, as a HoldLoop or as the loop it means."""
+
+    def program():
+        ops = (Access(0), Compute(7.0), ReadTSC())
+        now = yield ReadTSC()
+        for _ in range(5):
+            deadline = now + 300.0
+            if as_data:
+                now = yield HoldLoop(ops, deadline)
+            else:
+                while now < deadline:
+                    for op in ops[:-1]:
+                        yield op
+                    now = yield ops[-1]
+            log.append(now)
+
+    return program
+
+
+def probing_program():
+    def program():
+        for i in range(60):
+            t = yield ReadTSC()
+            yield Access(64 * 64 * (i % 12))
+            yield SleepUntil(t + 45.0)
+
+    return program
+
+
+class TestHoldLoop:
+    """A HoldLoop issues exactly the op stream of the loop it stands for."""
+
+    def _run(self, as_data, engine, scheduler_cls, until_cycle=None, **kwargs):
+        log = []
+        h = CacheHierarchy(HierarchyConfig(), rng=7, engine=engine)
+        threads = [
+            SimThread("holder", holding_program(as_data, log), 1, 1),
+            SimThread("prober", probing_program(), 0, 0),
+        ]
+        scheduler = scheduler_cls(h, threads, rng=5, **kwargs)
+        end = scheduler.run(until_cycle=until_cycle)
+        return (
+            log,
+            end,
+            [t.ready_at for t in threads],
+            scheduler.rng.getstate(),
+            [s.snapshot() for s in h.l1.sets],
+            dict(h.l1.counters.references),
+        )
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_hyper_threaded(self, engine):
+        held = self._run(True, engine, HyperThreadedScheduler)
+        assert len(held[0]) == 5
+        assert held == self._run(False, engine, HyperThreadedScheduler)
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_time_sliced(self, engine):
+        kwargs = dict(until_cycle=3.0e3, quantum=400.0, switch_cost=50.0)
+        held = self._run(True, engine, TimeSlicedScheduler, **kwargs)
+        assert held[0]
+        assert held == self._run(
+            False, engine, TimeSlicedScheduler, **kwargs
+        )
 
 
 class TestHyperThreadedScheduler:

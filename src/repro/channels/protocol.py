@@ -11,6 +11,7 @@ truth for evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -23,8 +24,15 @@ from repro.faults.interrupts import InterruptBurstFault
 from repro.obs.instruments import for_protocol
 from repro.obs.session import active as obs_active
 from repro.sim.machine import Machine
-from repro.sim.ops import Access, Compute, HoldLoop, ReadTSC, SleepUntil
-from repro.sim.thread import Choose, LoopProgram, SimThread
+from repro.sim.ops import (
+    Access,
+    Choose,
+    Compute,
+    HoldLoop,
+    ReadTSC,
+    SleepUntil,
+)
+from repro.sim.thread import SimThread
 from repro.timing.measurement import observed_chase_latency
 
 
@@ -205,10 +213,16 @@ class CovertChannelProtocol:
         operation count tractable without changing what a context-switch
         boundary observes.
         """
-        return LoopProgram(
+        hold = HoldLoop(
             [Access(address) for address in self.channel.sender_addresses(bit)]
-            + [Compute(encode_period)]
+            + [Compute(encode_period)],
+            math.inf,
         )
+
+        def program():
+            yield hold
+
+        return program
 
     def _noise_program(
         self, working_set_lines: int, pace: float, process: int = 0
@@ -228,9 +242,15 @@ class CovertChannelProtocol:
         ]
         # Each pick is ``rng.choice(accesses)``, which draws exactly as
         # ``randrange(len(accesses))`` does.
-        return LoopProgram(
-            [Choose(accesses, make_rng(0xBEEF + process)), Compute(pace)]
+        hold = HoldLoop(
+            [Choose(accesses, make_rng(0xBEEF + process)), Compute(pace)],
+            math.inf,
         )
+
+        def program():
+            yield hold
+
+        return program
 
     def _receiver_program(self, num_samples: int, run: ChannelRun):
         """Receiver: init, sleep to the Tr boundary, decode, probe.

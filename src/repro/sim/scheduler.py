@@ -16,42 +16,52 @@ The paper evaluates both co-residency modes (Section III):
 
 Both schedulers do their per-op work in place whenever nothing could
 observe the individual calls (see :meth:`_SchedulerBase._inlinable`).
-The hyper-threaded loop is then an *op kernel*: it executes every
-operation itself, with the fast engine's L1 hit path (the AMD utag
-check included) inlined and its L1 misses finished by the fast
-engine's one miss routine (:func:`repro.sim.fastpath.demand_paths`);
-a sender's :class:`~repro.sim.ops.HoldLoop` that reaches a cache fixed
-point only moves the clock there.  The time-sliced scheduler runs :class:`~repro.sim.thread.LoopProgram`
-threads (the constant sender and the background noise, which issue
-almost every op of a time-sliced run) through a *slice kernel*: a tight
-loop over the program's prebuilt ops with the same hit and miss paths.
+A program repeats a fixed cycle of ops by yielding a
+:class:`~repro.sim.ops.HoldLoop`: the hyper-threaded sender's bit hold,
+the time-sliced constant sender and the background noise thread.  Both
+kernels run a hold from one lowering (:meth:`_SchedulerBase._lower_ops`),
+with the fast engine's L1 hit path (the AMD utag check included) inlined
+and its L1 misses finished by the fast engine's one miss routine
+(:func:`repro.sim.fastpath.demand_paths`):
+
+* the hyper-threaded loop is an *op kernel* that executes every
+  operation itself, and a hold that reaches a cache fixed point only
+  moves the clock there;
+* the time-sliced scheduler runs a hold without a ``ReadTSC`` through
+  a *slice kernel*, a tight loop over the lowered ops.  The constant
+  sender's and the noise thread's holds issue almost every op of a
+  time-sliced run.
+
 Each produces exactly the state, times, counters and draws the general
-per-op route through ``_execute`` produces; see
-:meth:`HyperThreadedScheduler.run` and :meth:`TimeSlicedScheduler.run`.
+per-op route through ``_execute`` produces, and a hold's position is
+thread state, so a hold begun on one route goes on from the same op on
+the other; see :meth:`HyperThreadedScheduler.run` and
+:meth:`TimeSlicedScheduler.run`.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import cycle, islice
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import SimulationError
 from repro.common.rng import RngLike, make_rng
-from repro.common.types import AccessType, MemoryAccess
+from repro.common.types import MemoryAccess
 from repro.obs.instruments import for_scheduler
 from repro.obs.session import active as obs_active
 from repro.replacement.tables import TabledPolicy
 from repro.sim.ops import (
     Access,
+    Choose,
     Compute,
     HoldLoop,
     ReadTSC,
     READ_TSC_COST,
     SleepUntil,
 )
-from repro.sim.thread import Choose, LoopProgram, SimThread
+from repro.sim.thread import SimThread
 
 
 class _SchedulerBase:
@@ -144,8 +154,6 @@ class _SchedulerBase:
         The calling loop counts the op in ``sched.ops``.
         """
         kind = type(op)
-        if kind not in _OP_KINDS:
-            kind = _op_kind(op)
         # Most frequent first: the channel loops are access-dominated.
         if kind is Access:
             outcome = self.hierarchy.access(
@@ -171,24 +179,157 @@ class _SchedulerBase:
         if kind is Compute:
             thread.pending_result = None
             return op.cycles
-        # SleepUntil
-        thread.pending_result = None
+        if kind is SleepUntil:
+            thread.pending_result = None
+            faults = self.faults
+            if faults is not None and faults.models:
+                thread._slept_from = now
+            return max(0.0, op.cycle - now)
+        raise SimulationError(f"unknown operation {op!r}")
+
+    def _lower_hold(self, hold: HoldLoop, space: int, lowered: dict):
+        """``hold``'s ops lowered for a thread in address space ``space``.
+
+        Lowered once per run and address space (see :meth:`_lower_ops`)
+        and kept in ``lowered``; holds of one op cycle share it.
+        """
+        key = (hold.ops, space)
+        lowering = lowered.get(key)
+        if lowering is None:
+            lowering = lowered[key] = self._lower_ops(hold.ops, space)
+        return lowering
+
+    def _lower_ops(self, ops: tuple, space: int) -> "_Lowering":
+        """Lower a hold's ops for a thread in address space ``space``.
+
+        This is the one lowering both kernels read.  Each op becomes a
+        step ``(kind, op, cache_set, tag, utag, need, following,
+        trackable)``; the slice kernel reads the first five fields:
+        - an access is done in place (``kind`` is ``_PROBE``, with its
+          set, tag and utag resolved) when it is ``plain`` (counted,
+          not speculative, locking, unlocking or a flush) and the L1 is
+          one :meth:`_plain_l1` accepts.  A ``Choose`` becomes
+          ``(Choose, (next_index, options), None, None, None)``, where
+          ``next_index`` reads its index stream and ``options`` are its
+          options lowered alike.  Every other op keeps its type as its
+          kind;
+        - ``need`` is how many ops issued just before this one, with
+          nothing else acting between them, must have left the cache as
+          it was for the cycle to be a fixed point here: enough to cover
+          every ``_PROBE`` of the cycle (0 without one);
+        - ``following`` is the next op's index;
+        - ``trackable`` is where each op's cleanliness check starts.
+        The hold can fast-forward (it is *trackable*) only when every
+        access is a ``_PROBE`` into a set whose policy is a
+        ``TabledPolicy`` or is not touched on hits, it holds no
+        ``Choose`` and no TSC fault model is attached; otherwise every
+        ``need`` is infinite.
+        """
+        l1 = self._plain_l1()
+
+        def lower(op):
+            if type(op) is Access and l1 is not None and op.plain:
+                address = op.address
+                index = (address >> l1._offset_bits) & l1._index_mask
+                predictor = l1.way_predictor
+                utag = None
+                if predictor is not None:
+                    utag = predictor.utag(space, address)
+                return (
+                    _PROBE, op, l1.sets[index], address >> l1._tag_shift, utag
+                )
+            return (type(op), op, None, None, None)
+
         faults = self.faults
-        if faults is not None and faults.models:
-            thread._slept_from = now
-        return max(0.0, op.cycle - now)
+        trackable = faults is None or not faults._tsc_models
+        resolved = []
+        fast = []
+        for op in ops:
+            if type(op) is Choose:
+                options = tuple(map(lower, op.options))
+                step = (Choose, (op.draws.__next__, options), None, None, None)
+            else:
+                step = lower(op)
+            kind = step[0]
+            if kind is Compute:
+                cost = op.cycles
+            elif kind is ReadTSC:
+                cost = READ_TSC_COST
+            elif kind is _PROBE:
+                cost = self.hierarchy.config.l1.hit_latency
+                if l1._update_on_hit and not isinstance(
+                    step[2].policy, TabledPolicy
+                ):
+                    trackable = False
+            else:
+                # Through hierarchy.access, or a Choose: never part of a
+                # fixed point.
+                cost = None
+                trackable = False
+            resolved.append(step)
+            fast.append((cost, kind is ReadTSC))
+        size = len(resolved)
+        probes = [i for i, step in enumerate(resolved) if step[0] is _PROBE]
+        steps = []
+        for position, step in enumerate(resolved):
+            need = math.inf
+            if trackable:
+                need = max(
+                    ((position - i - 1) % size + 1 for i in probes), default=0
+                )
+            following = (position + 1) % size
+            steps.append(step + (need, following, trackable))
+        return _Lowering(tuple(steps), tuple(fast))
 
 
-#: The operation types :meth:`_SchedulerBase._execute` dispatches on.
-_OP_KINDS = frozenset({Access, ReadTSC, Compute, SleepUntil})
+class _Lowering:
+    """A hold's ops lowered for both kernels (see ``_lower_ops``).
+
+    ``fast`` holds each step's ``(cost, reads_tsc)`` inside a fixed
+    point, and ``hits_before[i]`` counts the L1 hits among the first
+    ``i`` ops of the cycle repeated twice.  ``reads_tsc`` is whether the
+    hold can issue a ``ReadTSC``, whose reading depends on the clock;
+    only a hold that cannot issue one runs in the slice kernel.
+    """
+
+    __slots__ = ("steps", "fast", "hits_before", "reads_tsc")
+
+    def __init__(self, steps, fast):
+        self.steps = steps
+        self.fast = fast
+        hits_before = [0]
+        for step in steps * 2:
+            hits_before.append(hits_before[-1] + (step[0] is _PROBE))
+        self.hits_before = tuple(hits_before)
+        self.reads_tsc = any(
+            kind is ReadTSC
+            or kind is Choose
+            and any(option[0] is ReadTSC for option in op[1])
+            for kind, op, *_ in steps
+        )
 
 
-def _op_kind(op) -> type:
-    """The operation type a subclass instance dispatches as."""
-    for kind in (ReadTSC, Access, Compute, SleepUntil):
-        if isinstance(op, kind):
-            return kind
-    raise SimulationError(f"unknown operation {op!r}")
+class _Hold:
+    """A :class:`~repro.sim.ops.HoldLoop` the op kernel is running.
+
+    ``run`` is the number of ops just issued in a row, with nothing else
+    acting between them, that left the cache as it was (see
+    :meth:`HyperThreadedScheduler.run`); the position is the thread's
+    ``hold_position``.
+    """
+
+    __slots__ = ("others", "steps", "fast", "hits_before", "run")
+
+    def __init__(self, lowering: _Lowering, others):
+        self.others = others
+        self.steps = lowering.steps
+        self.fast = lowering.fast
+        self.hits_before = lowering.hits_before
+        self.run = 0
+
+
+#: The kind of a kernel access done in place: an L1 probe.
+_PROBE = object()
 
 
 class HyperThreadedScheduler(_SchedulerBase):
@@ -230,9 +371,8 @@ class HyperThreadedScheduler(_SchedulerBase):
 
         When :meth:`_inlinable` holds, the loop is an *op kernel*: it
         executes ``Access``, ``Compute``, ``ReadTSC`` and ``SleepUntil``
-        ops itself, exactly as ``_execute`` would.  On an L1 that
-        :meth:`_plain_l1` accepts, a counted load or store that is not
-        speculative, locking or unlocking runs in place:
+        ops itself, exactly as ``_execute`` would.  An access that
+        :meth:`_lower_ops` would lower to an in-place probe runs in place:
         - it probes its set's tag map and, with a way predictor,
           computes ``utag(space, address)`` once;
         - a hit touches the policy and counts the reference.  It then
@@ -244,11 +384,10 @@ class HyperThreadedScheduler(_SchedulerBase):
         - a miss goes to ``hierarchy._l1_miss`` with the set already
           resolved, the fast engine's one miss routine.
         Every other access goes through ``hierarchy.access``.
-        Otherwise, and for op subclasses, every op goes through
-        ``_execute``.
+        Otherwise every op goes through ``_execute``.
 
-        A :class:`~repro.sim.ops.HoldLoop` runs in the kernel from ops
-        lowered once (see :meth:`_lower_ops`), one op per step, without
+        A :class:`~repro.sim.ops.HoldLoop` runs in the kernel from its
+        lowered ops (see :meth:`_lower_ops`), one op per step, without
         resuming the program.  It is at a *fixed point* once, since
         anything else last acted (another thread's op or a fault step),
         each access of its cycle has been issued as an in-place L1 hit
@@ -262,11 +401,13 @@ class HyperThreadedScheduler(_SchedulerBase):
         pick's tie-break draws (``getrandbits(64 * alive)`` consumes the
         words that many ``random()`` calls do), draws its jitter, adds
         its cost and is counted with its hit and reference.  A hold never
-        fast-forwards under a TSC fault model (readings draw) or with an
-        access that is not in place or touches an untabled policy.  Off
-        the kernel, and for a hold the kernel cannot lower,
-        :meth:`SimThread.expand_hold` issues the hold op by op through
-        the per-op path.
+        fast-forwards under a TSC fault model (readings draw), with a
+        ``Choose``, or with an access that is not in place or touches an
+        untabled policy.  Off the kernel, :meth:`SimThread.next_hold_op`
+        issues the hold op by op through ``_execute``.  Either way the
+        hold's position is the thread's ``hold_position``, so a hold cut
+        off by ``until_cycle`` goes on from there in the next run,
+        whichever route that run takes.
 
         Under an observing session, L1 hits done in place reach the
         hierarchy's metrics as runs of hits, reported before the next
@@ -275,10 +416,15 @@ class HyperThreadedScheduler(_SchedulerBase):
         takes its float additions in the general route's order.
         """
         threads = self.threads
+        inlinable = self._inlinable()
+        lowered = {}
+        #: The kernel's view of each thread's running hold.
+        views = self._holds = {}
         for thread in threads:
             if not thread.alive:
                 thread.start()
-        self._expand_holds()
+            elif inlinable and thread.hold is not None:
+                views[thread] = self._hold_view(thread, thread.hold, lowered)
         # This loop runs once per simulated operation: everything it
         # touches per step is a local.  ``_execute`` is looked up on the
         # instance so per-instance wrappers (the sanitizer) see every op.
@@ -289,19 +435,19 @@ class HyperThreadedScheduler(_SchedulerBase):
         faults = self.faults
         models = self._fault_models()
         tsc_models = faults._tsc_models if faults is not None else ()
-        inlinable = self._inlinable()
         probe = _PROBE
         hold_kind = HoldLoop
+        choose_kind = Choose
         hierarchy = self.hierarchy
         access = hierarchy.access
         l1 = self._plain_l1() if inlinable else None
         if l1 is not None:
+            update_on_hit = l1._update_on_hit
+            references = l1._references
             sets = l1.sets
             offset_bits = l1._offset_bits
             index_mask = l1._index_mask
             tag_shift = l1._tag_shift
-            update_on_hit = l1._update_on_hit
-            references = l1._references
             predictor = l1.way_predictor
             utag_of = None if predictor is None else predictor.utag
             l1_miss = hierarchy._l1_miss
@@ -310,8 +456,6 @@ class HyperThreadedScheduler(_SchedulerBase):
         utag_miss = hierarchy._utag_miss
         obs = hierarchy._obs
         record_hits = None if obs is None else obs.record_l1_hits
-        flush_type = AccessType.FLUSH
-        lowered: Dict[tuple, _Lowering] = {}
         horizon = math.inf if until_cycle is None else until_cycle
         issued = 0
         hits = 0
@@ -341,7 +485,7 @@ class HyperThreadedScheduler(_SchedulerBase):
                 now += self._fault_wake_stall(thread, now)
                 thread.ready_at = now
                 actor = None
-            hold = thread._hold
+            hold = thread.hold
             if hold is None:
                 clean = False
                 try:
@@ -350,93 +494,92 @@ class HyperThreadedScheduler(_SchedulerBase):
                     thread.alive = False
                     continue
                 kind = type(op)
-                if kind is Access:
-                    if (
-                        l1 is not None
-                        and op.count
-                        and not op.speculative
-                        and not op.locked
-                        and not op.unlock
-                        and op.access_type is not flush_type
-                    ):
-                        address = op.address
-                        cache_set = sets[(address >> offset_bits) & index_mask]
-                        tag = address >> tag_shift
-                        utag = (
-                            None
-                            if utag_of is None
-                            else utag_of(thread.address_space, address)
-                        )
-                        kind = probe
-                elif kind is hold_kind:
+                if kind is hold_kind:
+                    hold = thread.hold = op
+                    thread.hold_position = 0
                     if inlinable:
-                        hold = self._lower_hold(op, thread, lowered)
-                    if hold is None:
-                        thread.expand_hold(op)
-                        op = next(thread._program)
-                        kind = type(op)
-                    else:
-                        thread._hold = hold
-                if not inlinable:
+                        views[thread] = self._hold_view(thread, op, lowered)
+                elif not inlinable:
                     # Off the kernel every op takes _execute.
                     kind = None
+                elif kind is Access and l1 is not None and op.plain:
+                    # As _lower_ops lowers it, inline: a call per access
+                    # would cost a tenth of the loop.
+                    address = op.address
+                    cache_set = sets[(address >> offset_bits) & index_mask]
+                    tag = address >> tag_shift
+                    utag = (
+                        None
+                        if utag_of is None
+                        else utag_of(thread.address_space, address)
+                    )
+                    kind = probe
+            view = None
             if hold is not None:
-                position = hold.position
-                (
-                    kind, op, cache_set, tag, utag, need, following, clean
-                ) = hold.steps[position]
-                if actor is not thread:
-                    hold.run = 0
-                if hold.run >= need:
-                    # A fixed point.  This step's pick and fault gate
-                    # already ran; the thread keeps winning the pick,
-                    # and no fault can act, while its time stays below
-                    # ``limit``.
-                    limit = horizon
-                    if models and faults._next_due < limit:
-                        limit = faults._next_due
-                    alive = 1
-                    for other in hold.others:
-                        if other.alive:
-                            alive += 1
-                            if other.ready_at < limit:
-                                limit = other.ready_at
-                    # Fast-forward unless the stretch ends with this op.
-                    if now + hold.fast[position][0] < limit:
-                        bits = 64 * alive
-                        deadline = hold.deadline
-                        count = 0
-                        for cost, reads in islice(
-                            cycle(hold.fast), position, None
-                        ):
-                            count += 1
-                            if reads and now >= deadline:
-                                thread.pending_result = now
-                                thread._hold = None
+                if not inlinable:
+                    kind = None
+                    op = thread.next_hold_op()
+                else:
+                    view = views[thread]
+                    position = thread.hold_position
+                    (
+                        kind, op, cache_set, tag, utag, need, following, clean
+                    ) = view.steps[position]
+                    if actor is not thread:
+                        view.run = 0
+                    if view.run >= need:
+                        # A fixed point.  This step's pick and fault gate
+                        # already ran; the thread keeps winning the pick,
+                        # and no fault can act, while its time stays
+                        # below ``limit``.
+                        limit = horizon
+                        if models and faults._next_due < limit:
+                            limit = faults._next_due
+                        alive = 1
+                        for other in view.others:
+                            if other.alive:
+                                alive += 1
+                                if other.ready_at < limit:
+                                    limit = other.ready_at
+                        # Fast-forward unless the stretch ends with this op.
+                        if now + view.fast[position][0] < limit:
+                            bits = 64 * alive
+                            deadline = hold.deadline
+                            count = 0
+                            for cost, reads in islice(
+                                cycle(view.fast), position, None
+                            ):
+                                count += 1
+                                if reads and now >= deadline:
+                                    thread.pending_result = now
+                                    thread.hold = None
+                                    now += cost + jitter * rand()
+                                    break
                                 now += cost + jitter * rand()
-                                break
-                            now += cost + jitter * rand()
-                            if now >= limit:
-                                break
-                            skip_draws(bits)
-                        issued += count
-                        size = len(hold.fast)
-                        hold.position = (position + count) % size
-                        hits_before = hold.hits_before
-                        n_hits = (
-                            count // size * hits_before[size]
-                            + hits_before[position + count % size]
-                            - hits_before[position]
-                        )
-                        if n_hits:
-                            hits += n_hits
-                            references[thread.thread_id] += n_hits
-                        thread.ready_at = now
-                        actor = thread
-                        if now > last_time:
-                            last_time = now
-                        continue
-                hold.position = following
+                                if now >= limit:
+                                    break
+                                skip_draws(bits)
+                            issued += count
+                            size = len(view.fast)
+                            thread.hold_position = (position + count) % size
+                            hits_before = view.hits_before
+                            n_hits = (
+                                count // size * hits_before[size]
+                                + hits_before[position + count % size]
+                                - hits_before[position]
+                            )
+                            if n_hits:
+                                hits += n_hits
+                                references[thread.thread_id] += n_hits
+                            thread.ready_at = now
+                            actor = thread
+                            if now > last_time:
+                                last_time = now
+                            continue
+                    thread.hold_position = following
+                    if kind is choose_kind:
+                        next_index, options = op
+                        kind, op, cache_set, tag, utag = options[next_index()]
             if kind is probe:
                 way = cache_set._tag_map.get(tag)
                 if way is None:
@@ -495,7 +638,7 @@ class HyperThreadedScheduler(_SchedulerBase):
                 reading = faults.perturb_tsc(now) if tsc_models else now
                 thread.pending_result = reading
                 if hold is not None and reading >= hold.deadline:
-                    thread._hold = None
+                    thread.hold = None
                 cost = READ_TSC_COST
             elif kind is Access:
                 clean = False
@@ -529,8 +672,14 @@ class HyperThreadedScheduler(_SchedulerBase):
                     record_hits(hit_latency, hits - recorded)
                     recorded = hits
                 cost = execute(thread, op, now)
-            if hold is not None:
-                hold.run = hold.run + 1 if clean else 0
+                if (
+                    hold is not None
+                    and type(op) is ReadTSC
+                    and thread.pending_result >= hold.deadline
+                ):
+                    thread.hold = None
+            if view is not None:
+                view.run = view.run + 1 if clean else 0
             issued += 1
             # ``jitter * rand()`` is ``uniform(0.0, jitter)`` bit for bit.
             now += cost + jitter * rand()
@@ -538,178 +687,17 @@ class HyperThreadedScheduler(_SchedulerBase):
             actor = thread
             if now > last_time:
                 last_time = now
-        self._expand_holds()
         if record_hits is not None and hits != recorded:
             record_hits(hit_latency, hits - recorded)
         if self._obs is not None:
             self._obs.ops.inc(issued)
         return last_time
 
-    def _expand_holds(self) -> None:
-        """Hand holds the kernel left unfinished back to their programs.
-
-        A hold cut off by ``until_cycle`` (or by an exception) goes on
-        op by op through :meth:`SimThread.expand_hold`, whichever route
-        the next run takes.
-        """
-        for thread in self.threads:
-            hold = thread._hold
-            if hold is not None:
-                thread._hold = None
-                thread.expand_hold(hold.source, hold.position)
-
-    def _lower_hold(self, hold: HoldLoop, thread: SimThread, lowered: dict):
-        """``hold`` as kernel state for ``thread``, or None if it can't run.
-
-        A hold's ops are lowered once per run and address space (see
-        :meth:`_lower_ops`) and kept in ``lowered``.  An op subclass
-        keeps the whole hold on :meth:`SimThread.expand_hold`.
-        """
-        key = (hold.ops, thread.address_space)
-        lowering = lowered.get(key)
-        if lowering is None:
-            lowering = lowered[key] = self._lower_ops(
-                hold.ops, thread.address_space
-            )
-        if lowering.steps is None:
-            return None
+    def _hold_view(self, thread: SimThread, hold: HoldLoop, lowered: dict):
+        """The op kernel's view of ``hold``, running on ``thread``."""
+        lowering = self._lower_hold(hold, thread.address_space, lowered)
         others = tuple(other for other in self.threads if other is not thread)
-        return _Hold(hold, lowering, others)
-
-    def _lower_ops(self, ops: tuple, space: int) -> "_Lowering":
-        """Lower a hold's ops for a thread in address space ``space``.
-
-        Each op becomes a step ``(kind, op, cache_set, tag, utag, need,
-        following, trackable)``:
-        - ``kind`` is ``_PROBE`` for an access the kernel does in place,
-          with its set, tag and utag resolved as the kernel resolves
-          them, and the op's type otherwise;
-        - ``need`` is how many ops issued just before this one, with
-          nothing else acting between them, must have left the cache as
-          it was for the cycle to be a fixed point here: enough to cover
-          every ``_PROBE`` of the cycle (0 without one);
-        - ``following`` is the next op's index;
-        - ``trackable`` is where each op's cleanliness check starts.
-        The hold can fast-forward (it is *trackable*) only when every
-        access is a ``_PROBE`` into a set whose policy is a
-        ``TabledPolicy`` or is not touched on hits, and no TSC fault
-        model is attached; otherwise every ``need`` is infinite.
-        """
-        l1 = self._plain_l1()
-        faults = self.faults
-        trackable = faults is None or not faults._tsc_models
-        resolved = []
-        fast = []
-        for op in ops:
-            kind = type(op)
-            if kind not in (Access, Compute, ReadTSC):
-                return _Lowering(None, None)
-            step = (kind, op, None, None, None)
-            if kind is Compute:
-                cost = op.cycles
-            elif kind is ReadTSC:
-                cost = READ_TSC_COST
-            elif (
-                l1 is not None
-                and op.count
-                and op.access_type is not AccessType.FLUSH
-                and not op.speculative
-                and not op.locked
-                and not op.unlock
-            ):
-                address = op.address
-                index = (address >> l1._offset_bits) & l1._index_mask
-                cache_set = l1.sets[index]
-                predictor = l1.way_predictor
-                utag = None
-                if predictor is not None:
-                    utag = predictor.utag(space, address)
-                step = (_PROBE, op, cache_set, address >> l1._tag_shift, utag)
-                cost = self.hierarchy.config.l1.hit_latency
-                if l1._update_on_hit and not isinstance(
-                    cache_set.policy, TabledPolicy
-                ):
-                    trackable = False
-            else:
-                # Through hierarchy.access: never part of a fixed point.
-                cost = None
-                trackable = False
-            resolved.append(step)
-            fast.append((cost, kind is ReadTSC))
-        size = len(resolved)
-        probes = [i for i, step in enumerate(resolved) if step[0] is _PROBE]
-        steps = []
-        for position, step in enumerate(resolved):
-            need = math.inf
-            if trackable:
-                need = max(
-                    ((position - i - 1) % size + 1 for i in probes), default=0
-                )
-            following = (position + 1) % size
-            steps.append(step + (need, following, trackable))
-        return _Lowering(tuple(steps), tuple(fast))
-
-
-class _Lowering:
-    """A hold's ops lowered for the op kernel (see ``_lower_ops``).
-
-    ``steps`` is None when the kernel cannot run the hold.  ``fast``
-    holds each op's ``(cost, reads_tsc)`` inside a fixed point, and
-    ``hits_before[i]`` counts the L1 hits among the first ``i`` ops of
-    the cycle repeated twice.
-    """
-
-    __slots__ = ("steps", "fast", "hits_before")
-
-    def __init__(self, steps, fast):
-        self.steps = steps
-        self.fast = fast
-        hits_before = [0]
-        for step in (steps or ()) * 2:
-            hits_before.append(hits_before[-1] + (step[0] is _PROBE))
-        self.hits_before = tuple(hits_before)
-
-
-class _Hold:
-    """A :class:`~repro.sim.ops.HoldLoop` the op kernel is running.
-
-    ``position`` is the next op's index and ``run`` the number of ops
-    just issued in a row, with nothing else acting between them, that
-    left the cache as it was (see :meth:`HyperThreadedScheduler.run`).
-    """
-
-    __slots__ = (
-        "source",
-        "others",
-        "deadline",
-        "steps",
-        "fast",
-        "hits_before",
-        "position",
-        "run",
-    )
-
-    def __init__(self, source: HoldLoop, lowering: _Lowering, others):
-        self.source = source
-        self.others = others
-        self.deadline = source.deadline
-        self.steps = lowering.steps
-        self.fast = lowering.fast
-        self.hits_before = lowering.hits_before
-        self.position = 0
-        self.run = 0
-
-    def at_fixed_point(self) -> bool:
-        """Whether the next op may fast-forward (the kernel inlines this)."""
-        return self.run >= self.steps[self.position][5]
-
-
-#: The kind of a kernel access done in place: an L1 probe.
-_PROBE = object()
-
-
-#: Slice-kernel step kinds (see :meth:`TimeSlicedScheduler._compile_loop`).
-_COMPUTE, _L1_PROBE, _ACCESS, _CHOOSE = range(4)
+        return _Hold(lowering, others)
 
 
 class TimeSlicedScheduler(_SchedulerBase):
@@ -754,11 +742,13 @@ class TimeSlicedScheduler(_SchedulerBase):
         A finished thread simply stops taking slices; the run continues
         until ``until_cycle`` or until every thread has finished.
 
-        A :class:`~repro.sim.thread.LoopProgram` thread spends its
-        slices in the slice kernel (:meth:`_run_loop`) whenever nothing
-        could observe individual ops: no fault model attached and
-        :meth:`_inlinable` holds.  Every other thread, and every thread
-        on the reference engine, runs the general per-op loop.
+        A thread running a :class:`~repro.sim.ops.HoldLoop` without a
+        ``ReadTSC`` spends its slices in the slice kernel
+        (:meth:`_run_loop`) whenever nothing could observe individual
+        ops: no fault model attached and :meth:`_inlinable` holds.
+        Every other op, and every op on the reference engine, takes the
+        general per-op loop, which issues a hold's ops through
+        :meth:`SimThread.next_hold_op`.
         """
         threads = self.threads
         for thread in threads:
@@ -772,7 +762,10 @@ class TimeSlicedScheduler(_SchedulerBase):
         obs = self._obs
         switch_cost = self.switch_cost
         models = self._fault_models()
-        kernel_steps = self._kernel_steps()
+        # The kernel skips the fault hooks as well as what _inlinable
+        # rules out.
+        kernel = not models and self._inlinable()
+        lowered = {}
         count = len(threads)
         now = 0.0
         index = 0
@@ -789,30 +782,46 @@ class TimeSlicedScheduler(_SchedulerBase):
             ready = thread.ready_at
             if ready < now:
                 ready = thread.ready_at = now
-            steps = kernel_steps.get(thread)
-            if steps is not None:
-                ready = self._run_loop(thread, steps, ready, slice_end)
-                thread.ready_at = ready
-                now = slice_end + switch_cost
-                continue
+            # The hold last offered to the kernel in this slice.
+            offered = None
             while ready < slice_end:
                 if models:
                     ready += self._fault_wake_stall(thread, ready)
                     thread.ready_at = ready
-                try:
-                    op = thread._program.send(thread.pending_result)
-                except StopIteration:
-                    thread.alive = False
-                    break
-                thread.pending_result = None
-                if op is None:
-                    break
-                if type(op) is HoldLoop:
-                    thread.expand_hold(op)
-                    op = next(thread._program)
+                hold = thread.hold
+                if hold is None:
+                    try:
+                        op = thread._program.send(thread.pending_result)
+                    except StopIteration:
+                        thread.alive = False
+                        break
+                    thread.pending_result = None
+                    if op is None:
+                        break
+                    if type(op) is HoldLoop:
+                        hold = thread.hold = op
+                        thread.hold_position = 0
+                if hold is not None:
+                    if kernel and hold is not offered:
+                        offered = hold
+                        lowering = self._lower_hold(
+                            hold, thread.address_space, lowered
+                        )
+                        if not lowering.reads_tsc:
+                            ready = self._run_loop(
+                                thread, lowering.steps, ready, slice_end
+                            )
+                            break
+                    op = thread.next_hold_op()
                 issued += 1
                 ready += execute(thread, op, ready)
                 thread.ready_at = ready
+                if (
+                    hold is not None
+                    and type(op) is ReadTSC
+                    and thread.pending_result >= hold.deadline
+                ):
+                    thread.hold = None
             # The core moves on at the end of the slice; a thread whose
             # last operation overran (or that is sleeping far ahead)
             # keeps its own ready_at and simply does nothing next slice.
@@ -825,98 +834,13 @@ class TimeSlicedScheduler(_SchedulerBase):
     # The slice kernel
     # ------------------------------------------------------------------
 
-    def _kernel_steps(self) -> Dict[SimThread, tuple]:
-        """Compiled steps of every thread that runs in the kernel this run.
-
-        The kernel skips the fault hooks as well as what
-        :meth:`_inlinable` rules out, so an attached fault model keeps
-        every thread on the general loop.
-        """
-        if self._fault_models() or not self._inlinable():
-            return {}
-        kernel_steps = {}
-        for thread in self.threads:
-            program = thread.program_factory
-            if type(program) is LoopProgram:
-                steps = self._compile_loop(program, thread.address_space)
-                if steps is not None:
-                    kernel_steps[thread] = steps
-        return kernel_steps
-
-    def _compile_loop(self, program: LoopProgram, space: int):
-        """Lower a loop program to kernel steps, or None if it can't run.
-
-        ``space`` is the address space of the thread that runs it.
-        Steps are tuples tagged by kind:
-
-        * ``(_COMPUTE, cycles)``;
-        * ``(_L1_PROBE, tag_map.get, tag, touch, cache_set, utag, op)``
-          — a counted load or store on an L1 that :meth:`_plain_l1`
-          accepts.  The kernel does its hit in place, exactly as the
-          fast engine's demand path does (``touch`` is the set policy's
-          bound ``touch``, None when hits do not update it; ``utag`` is
-          the way predictor's ``utag(space, address)``, None without a
-          predictor), and finishes a miss with ``hierarchy._l1_miss`` in
-          ``cache_set``;
-        * ``(_ACCESS, op)`` — an access that always goes through
-          ``hierarchy.access`` (another L1, a flush, a speculative,
-          locking, unlocking or uncounted access);
-        * ``(_CHOOSE, draw, steps)`` — ``steps[draw()]``, where ``draw``
-          reads the ``Choose`` element's own index stream.
-        """
-        l1 = self._plain_l1()
-        if l1 is not None:
-            predictor = l1.way_predictor
-            utag_of = None if predictor is None else predictor.utag
-
-        def lower(op):
-            kind = type(op)
-            if kind is Compute:
-                return (_COMPUTE, op.cycles)
-            if kind is not Access:
-                # ReadTSC and SleepUntil results or costs depend on the
-                # clock; they stay on the general loop.
-                return None
-            if (
-                l1 is not None
-                and op.count
-                and op.access_type is not AccessType.FLUSH
-                and not op.speculative
-                and not op.locked
-                and not op.unlock
-            ):
-                address = op.address
-                index = (address >> l1._offset_bits) & l1._index_mask
-                cache_set = l1.sets[index]
-                return (
-                    _L1_PROBE,
-                    cache_set._tag_map.get,
-                    address >> l1._tag_shift,
-                    cache_set.policy.touch if l1._update_on_hit else None,
-                    cache_set,
-                    None if utag_of is None else utag_of(space, address),
-                    op,
-                )
-            return (_ACCESS, op)
-
-        steps = []
-        for op in program.ops:
-            if type(op) is Choose:
-                options = tuple(lower(option) for option in op.options)
-                step = None
-                if None not in options:
-                    step = (_CHOOSE, op.draws.__next__, options)
-            else:
-                step = lower(op)
-            if step is None:
-                return None
-            steps.append(step)
-        return tuple(steps)
-
     def _run_loop(
         self, thread: SimThread, steps: tuple, ready: float, slice_end: float
     ) -> float:
-        """Run one slice of a loop program; return the thread's new time.
+        """Run one slice of a thread's hold; return the thread's new time.
+
+        ``steps`` are the hold's lowered steps (see :meth:`_lower_ops`),
+        and the slice starts at the thread's ``hold_position``.
 
         Issues exactly the ops, in exactly the order, that the general
         loop would, and adds their costs to ``ready`` in the same order,
@@ -927,7 +851,7 @@ class TimeSlicedScheduler(_SchedulerBase):
         hit metrics before the next miss or mispredict and at the end,
         so its latency histogram takes its float additions in the
         general loop's order.  L1 misses go to ``hierarchy._l1_miss``
-        and every ``_ACCESS`` step to ``hierarchy.access``.
+        and every other access to ``hierarchy.access``.
         """
         hierarchy = self.hierarchy
         access = hierarchy.access
@@ -936,49 +860,48 @@ class TimeSlicedScheduler(_SchedulerBase):
         utag_latency = hierarchy._utag_miss.latency
         obs = hierarchy._obs
         record_hits = None if obs is None else obs.record_l1_hits
+        update_on_hit = hierarchy.l1._update_on_hit
+        probe = _PROBE
+        choose = Choose
         tid = thread.thread_id
         space = thread.address_space
-        program = thread.program_factory
         last = len(steps) - 1
-        position = program.position
+        position = thread.hold_position
         issued = 0
         hits = 0
         recorded = 0
         while ready < slice_end:
-            step = steps[position]
+            kind, op, cache_set, tag, utag, _, _, _ = steps[position]
             position = 0 if position == last else position + 1
             issued += 1
-            kind = step[0]
-            if kind == _CHOOSE:
-                step = step[2][step[1]()]
-                kind = step[0]
-            if kind == _COMPUTE:
-                ready += step[1]
+            if kind is choose:
+                next_index, options = op
+                kind, op, cache_set, tag, utag = options[next_index()]
+            if kind is Compute:
+                ready += op.cycles
                 continue
-            if kind == _L1_PROBE:
-                way = step[1](step[2])
+            if kind is probe:
+                way = cache_set._tag_map.get(tag)
                 if way is None:
                     if record_hits is not None and hits != recorded:
                         record_hits(hit_latency, hits - recorded)
                         recorded = hits
-                    op = step[6]
                     ready += l1_miss(
-                        step[4],
+                        cache_set,
                         op.address,
                         op.access_type,
                         tid,
                         space,
-                        step[5],
+                        utag,
                         True,
                     ).latency
                     continue
-                touch = step[3]
-                if touch is not None:
-                    touch(way)
+                if update_on_hit:
+                    cache_set.policy.touch(way)
                 # _check_way_predictor, as in HyperThreadedScheduler.run.
-                utag = stored = step[5]
+                stored = utag
                 if utag is not None:
-                    line = step[4].lines[way]
+                    line = cache_set.lines[way]
                     stored = line.utag
                     if stored != utag:
                         line.utag = utag
@@ -998,7 +921,6 @@ class TimeSlicedScheduler(_SchedulerBase):
             if record_hits is not None and hits != recorded:
                 record_hits(hit_latency, hits - recorded)
                 recorded = hits
-            op = step[-1]
             ready += access(
                 MemoryAccess(
                     op.address,
@@ -1011,7 +933,8 @@ class TimeSlicedScheduler(_SchedulerBase):
                 ),
                 count=op.count,
             ).latency
-        program.position = position
+        thread.hold_position = position
+        thread.ready_at = ready
         if hits:
             hierarchy.l1.counters.references[tid] += hits
             if record_hits is not None and hits != recorded:

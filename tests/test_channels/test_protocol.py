@@ -11,6 +11,7 @@ from repro.channels.protocol import CovertChannelProtocol, ProtocolConfig
 from repro.common.errors import ProtocolError
 from repro.sim.machine import Machine
 from repro.sim.specs import INTEL_E5_2690
+from repro.sim.thread import SimThread
 
 
 def trim_to_active_window(run, ts):
@@ -159,10 +160,13 @@ class TestTimeSlicedRun:
 
     @staticmethod
     def _noise_lines(protocol, process, count=64):
-        steps = protocol._noise_program(
+        # The program yields one hold; take its ops as the per-op route does.
+        (hold,) = protocol._noise_program(
             working_set_lines=256, pace=200.0, process=process
         )()
-        ops = [next(steps) for _ in range(2 * count)]
+        thread = SimThread("noise", None)
+        thread.hold = hold
+        ops = [thread.next_hold_op() for _ in range(2 * count)]
         return [op.address for op in ops[::2]]
 
     def test_noise_processes_draw_independent_streams(self):

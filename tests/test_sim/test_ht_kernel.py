@@ -9,132 +9,40 @@ the instance — what the sanitizer does — forces every op through
 the same final machine: every level's lines, replacement states and
 counters, every thread's ``ready_at``, the scheduler's and fault
 injector's RNG states, the fault event log, the observations and
-``total_cycles``.  The general route shares the miss routine, so the
-miss-path and way-predictor tests also run the scenario on the
-reference engine, the oracle, and so do the hold-loop cases at the end,
-which also check that the fixed-point fast-forward ran (or, where it
-must not, did not).
+``total_cycles`` (see :mod:`tests.test_sim.kernel_harness`).  The
+hold-loop cases at the end also run on the reference engine, the
+oracle, and check that the fixed-point fast-forward ran (or, where it
+must not, did not); ``test_kernel_oracle.py`` checks the shared miss
+routine and utag check against the oracle for both kernels.
 """
 
-import dataclasses
-import functools
 import random
 
 import pytest
 
-from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import HierarchyConfig
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.pl_cache import PLCache
-from repro.cache.way_predictor import WayPredictor
 from repro.channels.algorithm1 import SharedMemoryLRUChannel
 from repro.channels.algorithm2 import NoSharedMemoryLRUChannel
 from repro.channels.protocol import CovertChannelProtocol, ProtocolConfig
-from repro.common.types import AccessType, CacheLevel
+from repro.common.types import AccessType
 from repro.faults import FaultInjector, InterruptBurstFault, TSCFault
 from repro.obs.session import ObsSession, observe
-from repro.sim import scheduler as scheduler_module
 from repro.sim.machine import Machine
 from repro.sim.ops import Access, Compute, HoldLoop, ReadTSC, SleepUntil
 from repro.sim.scheduler import HyperThreadedScheduler
-from repro.sim.fastpath import FastSetAssociativeCache
-from repro.sim.specs import AMD_EPYC_7571, INTEL_E5_2690, INTEL_E5_2690_3LEVEL
+from repro.sim.specs import AMD_EPYC_7571, INTEL_E5_2690
 from repro.sim.thread import SimThread
+from tests.test_sim.kernel_harness import (
+    L1_STRIDE,
+    force_general,
+    machine_state,
+    with_fractional_latencies,
+    with_l1,
+)
 
 MESSAGE = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]
-
-
-@pytest.fixture
-def execute_calls(monkeypatch):
-    """Count ``_execute`` calls without disabling the kernel.
-
-    A class-level replacement is still ``_SchedulerBase._execute``, so
-    the kernel stays eligible; it counts the ops that took the general
-    route.
-    """
-    calls = []
-    original = scheduler_module._SchedulerBase._execute
-
-    def counting(self, thread, op, now):
-        calls.append(type(op).__name__)
-        return original(self, thread, op, now)
-
-    monkeypatch.setattr(scheduler_module._SchedulerBase, "_execute", counting)
-    return calls
-
-
-def force_general(scheduler):
-    """Install a pass-through instance wrapper, as the sanitizer does."""
-    execute = scheduler._execute
-
-    def wrapped(thread, op, now):
-        return execute(thread, op, now)
-
-    scheduler._execute = wrapped
-
-
-def with_l1(spec, **changes):
-    hierarchy = spec.hierarchy
-    l1 = dataclasses.replace(hierarchy.l1, **changes)
-    return dataclasses.replace(
-        spec, hierarchy=dataclasses.replace(hierarchy, l1=l1)
-    )
-
-
-def with_fractional_latencies(spec):
-    # Latencies that are not binary fractions make the histogram's
-    # float total depend on the order of its additions.
-    hierarchy = spec.hierarchy
-    return dataclasses.replace(
-        spec,
-        hierarchy=dataclasses.replace(
-            hierarchy,
-            l1=dataclasses.replace(hierarchy.l1, hit_latency=4.1),
-            l2=dataclasses.replace(hierarchy.l2, hit_latency=12.3),
-            memory_latency=200.7,
-        ),
-    )
-
-
-def final_state(hierarchy, scheduler):
-    """Everything a hyper-threaded run leaves behind in the simulator."""
-    levels = [hierarchy.l1, hierarchy.l2]
-    if hierarchy.llc is not None:
-        levels.append(hierarchy.llc)
-    faults = scheduler.faults
-    return {
-        "lines": [
-            [
-                [
-                    (
-                        l.valid,
-                        l.tag,
-                        l.address,
-                        l.dirty,
-                        l.locked,
-                        l.utag,
-                        l.owner_space,
-                    )
-                    for l in cache_set.lines
-                ]
-                for cache_set in level.sets
-            ]
-            for level in levels
-        ],
-        "policies": [
-            [cache_set.policy.state_snapshot() for cache_set in level.sets]
-            for level in levels
-        ],
-        "counters": [
-            (dict(level.counters.references), dict(level.counters.misses))
-            for level in levels
-        ],
-        "ready_at": [t.ready_at for t in scheduler.threads],
-        "alive": [t.alive for t in scheduler.threads],
-        "scheduler_rng": scheduler.rng.getstate(),
-        "event_log": list(faults.event_log) if faults is not None else [],
-        "fault_rngs": [m.rng.getstate() for m in scheduler._fault_models()],
-    }
 
 
 def run_protocol(
@@ -184,7 +92,7 @@ def run_protocol(
     machine.hyper_threaded = capture
     run = protocol.run_hyper_threaded(MESSAGE)
     scheduler = captured["scheduler"]
-    state = final_state(machine.hierarchy, scheduler)
+    state = machine_state(machine.hierarchy, scheduler)
     state["observations"] = [
         (o.sequence, o.latency, o.timestamp) for o in run.observations
     ]
@@ -288,7 +196,7 @@ def test_pl_cache(execute_calls, lock_lru):
             force_general(scheduler)
         end = scheduler.run()
         assert scheduler._plain_l1() is None
-        return final_state(hierarchy, scheduler), end
+        return machine_state(hierarchy, scheduler), end
 
     kernel = run("kernel")
     assert not execute_calls
@@ -335,7 +243,7 @@ def run_scenario(
     if mode == "general":
         force_general(scheduler)
     end = scheduler.run(until_cycle=until_cycle)
-    state = final_state(machine.hierarchy, scheduler)
+    state = machine_state(machine.hierarchy, scheduler)
     state["end"] = end
     return state
 
@@ -464,252 +372,6 @@ def test_sanitized_and_traced_runs_take_the_general_route(execute_calls):
 
 
 # ----------------------------------------------------------------------
-# The shared L1-miss routine and the way predictor, against the oracle
-# ----------------------------------------------------------------------
-
-#: L1 stride (64 sets of 64 B): lines this far apart share an L1 set.
-L1_STRIDE = 64 * 64
-#: L2 stride of the Intel specs (512 sets): lines share an L2 set too.
-L2_STRIDE = 512 * 64
-
-
-def recording(log, name, op):
-    """Yield ``op``; log the outcome the scheduler delivers for it."""
-    outcome = yield op
-    log.append(
-        (
-            name,
-            outcome.hit_level,
-            outcome.latency,
-            outcome.evicted_address,
-            outcome.was_way_predictor_miss,
-        )
-    )
-    return outcome
-
-
-def miss_walker(log):
-    """L1 misses that hit L2, and memory fetches that evict from L2.
-
-    Twelve lines in one L1 set (eight ways) but in different L2 sets
-    miss L1 and hit L2 after the first pass; twelve lines in one L2 set
-    miss both.  Every third access is a store, so fills set dirty bits.
-    """
-    l1_lines = [(1 << 21) + L1_STRIDE * i for i in range(12)]
-    l2_lines = [(1 << 22) + 64 + L2_STRIDE * i for i in range(12)]
-    for i in range(300):
-        kind = AccessType.STORE if i % 3 == 0 else AccessType.LOAD
-        yield from recording(
-            log, "walker", Access(l1_lines[i % 12], access_type=kind)
-        )
-        yield from recording(log, "walker", Access(l2_lines[i * 5 % 12]))
-        yield Compute(5.0)
-
-
-def flagged_sibling(log):
-    """Hits on a few lines, with locked, unlock, speculative and
-    uncounted accesses mixed in; these stay on the general route."""
-    for i in range(400):
-        t = yield ReadTSC()
-        yield from recording(log, "sibling", Access(0x100040))
-        yield from recording(
-            log,
-            "sibling",
-            Access(0x100080, locked=i % 4 == 0, unlock=i % 4 == 2),
-        )
-        yield from recording(
-            log, "sibling", Access(0x1000C0, speculative=i % 5 == 0)
-        )
-        yield from recording(
-            log, "sibling", Access(0x100100 + L1_STRIDE, count=i % 7 != 0)
-        )
-        yield SleepUntil(t + 30.0)
-
-
-def run_threads(spec, programs, mode, *, utag_bits=None):
-    """Run generator programs in ``mode`` under an observing session.
-
-    ``programs`` holds ``(name, program, thread_id, address_space)``;
-    each program takes the shared outcome log.  ``mode`` is
-    ``kernel``, ``general`` or ``reference`` (as in
-    :func:`run_protocol`).  ``utag_bits`` builds the L1 with a way
-    predictor of that width.  Returns the final state (the outcome log
-    and the metrics snapshot included), the accesses that reached
-    ``hierarchy._demand_access`` and the number of in-place misses.
-    """
-    engine = "reference" if mode == "reference" else "fast"
-    l1 = None
-    if utag_bits is not None:
-        cache_cls = (
-            SetAssociativeCache if engine == "reference"
-            else FastSetAssociativeCache
-        )
-        l1 = cache_cls(
-            spec.hierarchy.l1,
-            rng=1,
-            way_predictor=WayPredictor(utag_bits=utag_bits),
-        )
-    log = []
-    session = ObsSession(trace_depth=0)
-    with observe(session):
-        machine = Machine(spec, rng=3, engine=engine, l1_cache=l1)
-        hierarchy = machine.hierarchy
-        demanded = []
-        demand_access = hierarchy._demand_access
-
-        def counted_demand(access, count=True):
-            demanded.append((access, count))
-            return demand_access(access, count=count)
-
-        hierarchy._demand_access = counted_demand
-        misses = []
-        if hierarchy._l1_miss is not None:
-            l1_miss = hierarchy._l1_miss
-
-            def counted_miss(*args):
-                misses.append(args[1])
-                return l1_miss(*args)
-
-            hierarchy._l1_miss = counted_miss
-        threads = [
-            SimThread(
-                name,
-                functools.partial(program, log),
-                thread_id=tid,
-                address_space=space,
-            )
-            for name, program, tid, space in programs
-        ]
-        scheduler = machine.hyper_threaded(threads)
-        if mode == "general":
-            force_general(scheduler)
-        end = scheduler.run()
-    state = final_state(hierarchy, scheduler)
-    state["end"] = end
-    state["log"] = log
-    state["metrics"] = session.metrics.snapshot()
-    return state, demanded, misses
-
-
-def assert_matches_oracle(execute_calls, spec, programs, **kwargs):
-    """Kernel, forced general route and reference engine agree."""
-    kernel, demanded, misses = run_threads(spec, programs, "kernel", **kwargs)
-    assert not execute_calls, "an op left the kernel"
-    general, general_demanded, _ = run_threads(
-        spec, programs, "general", **kwargs
-    )
-    reference, _, _ = run_threads(spec, programs, "reference", **kwargs)
-    assert misses, "no L1 miss was finished in place"
-    # Exactly the uncounted, locking, unlocking and speculative
-    # accesses reach the hierarchy's demand path from the kernel.
-    assert demanded == [
-        entry
-        for entry in general_demanded
-        if not entry[1]
-        or entry[0].locked
-        or entry[0].unlock
-        or entry[0].speculative
-    ]
-    assert len(general_demanded) > len(demanded)
-    assert kernel == general
-    assert kernel == reference
-    return kernel
-
-
-def test_miss_paths_match_the_reference(execute_calls):
-    programs = [
-        ("walker", miss_walker, 0, 0),
-        ("sibling", flagged_sibling, 1, 1),
-    ]
-    state = assert_matches_oracle(execute_calls, INTEL_E5_2690, programs)
-    (l1_refs, l1_misses), (l2_refs, l2_misses) = state["counters"]
-    # L1 misses that hit L2, and L2 misses beyond the 24 cold ones.
-    assert l1_misses[0] > l2_misses[0] > 24
-    levels = {entry[1] for entry in state["log"]}
-    assert {CacheLevel.L1, CacheLevel.L2, CacheLevel.MEMORY} <= levels
-    assert any(entry[3] is not None for entry in state["log"])
-    # Stores set dirty bits at both levels.
-    for level in state["lines"][:2]:
-        assert any(line[3] for lines in level for line in lines)
-    counters = state["metrics"]["counters"]
-    assert counters["cache.l2.hits"] and counters["cache.memory.fetches"]
-
-
-def test_llc_miss_paths_match_the_reference(execute_calls):
-    programs = [
-        ("walker", miss_walker, 0, 0),
-        ("sibling", flagged_sibling, 1, 1),
-    ]
-    state = assert_matches_oracle(
-        execute_calls, INTEL_E5_2690_3LEVEL, programs
-    )
-    counters = state["metrics"]["counters"]
-    assert counters["cache.llc.hits"] and counters["cache.llc.misses"]
-
-
-def utag_sharer(lines, stride):
-    """A program walking shared lines: hits, misses and fills mixed."""
-
-    def program(log):
-        for i in range(500):
-            yield from recording(
-                log, "sharer", Access(lines[i * stride % len(lines)])
-            )
-            yield Compute(7.0)
-
-    return program
-
-
-def utag_programs(sender_space):
-    # Ten lines in one L1 set keep missing and refilling with fresh
-    # utags; four in another stay resident, so their final utags and
-    # owners are the last retrain's.
-    lines = [(1 << 21) + L1_STRIDE * i for i in range(10)]
-    lines += [(1 << 21) + 64 + L1_STRIDE * i for i in range(4)]
-    return [
-        ("sender", utag_sharer(lines, 3), 0, sender_space),
-        ("receiver", utag_sharer(lines[2:], 1), 1, 0),
-    ]
-
-
-def mispredicts(state):
-    return sum(1 for entry in state["log"] if entry[4])
-
-
-@pytest.mark.parametrize(
-    "sender_space,utag_bits",
-    [(0, None), (1, None), (1, 1)],
-    ids=["same-space", "cross-space", "utag-collisions"],
-)
-def test_way_predictor_matches_the_reference(
-    execute_calls, sender_space, utag_bits
-):
-    state = assert_matches_oracle(
-        execute_calls,
-        AMD_EPYC_7571,
-        utag_programs(sender_space),
-        utag_bits=utag_bits,
-    )
-    if sender_space == 0:
-        assert mispredicts(state) == 0
-    else:
-        assert mispredicts(state) > 20
-    # Every fill stored its line's utag.
-    l1_lines = [line for lines in state["lines"][0] for line in lines]
-    assert all(line[5] is not None for line in l1_lines if line[0])
-
-
-def test_one_bit_utags_collide_across_spaces():
-    # With one utag bit some pages hash alike in both spaces, so some
-    # cross-space hits predict correctly.
-    wide, _, _ = run_threads(AMD_EPYC_7571, utag_programs(1), "kernel")
-    narrow, _, _ = run_threads(
-        AMD_EPYC_7571, utag_programs(1), "kernel", utag_bits=1
-    )
-    assert 0 < mispredicts(narrow) < mispredicts(wide)
-
-
-# ----------------------------------------------------------------------
 # Hold loops and the fixed-point fast-forward, three ways
 # ----------------------------------------------------------------------
 
@@ -744,8 +406,11 @@ def watch(scheduler, watched):
     wake_stall = scheduler._fault_wake_stall
 
     def watching(thread, now):
-        hold = thread._hold
-        if hold is not None and hold.at_fixed_point():
+        # The kernel's view of the thread's hold (none off the kernel).
+        view = scheduler._holds.get(thread)
+        if thread.hold is not None and view is not None and (
+            view.run >= view.steps[thread.hold_position][5]
+        ):
             watched["fixed_faults"] += 1
         return wake_stall(thread, now)
 
@@ -881,9 +546,13 @@ def hold_threads(third=False):
 def run_holds(mode, threads, *, until_cycles=(None,), faults=()):
     """Run ``threads`` in ``mode``, once per entry of ``until_cycles``.
 
-    Returns the final state and the fast-forward count after each run.
+    ``mode`` is ``kernel``, ``general``, ``reference``, or
+    ``<first>-<second>`` to switch the fast engine's route (kernel or
+    general) after the first run.  Returns the final state and the
+    fast-forward count after each run.
     """
-    engine = "reference" if mode == "reference" else "fast"
+    first, _, second = mode.partition("-")
+    engine = "reference" if first == "reference" else "fast"
     machine = Machine(
         INTEL_E5_2690,
         rng=3,
@@ -891,14 +560,18 @@ def run_holds(mode, threads, *, until_cycles=(None,), faults=()):
         faults=[model() for model in faults],
     )
     scheduler = machine.hyper_threaded(threads)
-    if mode == "general":
+    if first == "general":
         force_general(scheduler)
     watch(scheduler, {})
     states = []
     skips = []
     for until_cycle in until_cycles:
+        if states and second == "general":
+            force_general(scheduler)
+        elif states and second == "kernel":
+            scheduler.__dict__.pop("_execute", None)
         end = scheduler.run(until_cycle=until_cycle)
-        state = final_state(machine.hierarchy, scheduler)
+        state = machine_state(machine.hierarchy, scheduler)
         state["end"] = end
         states.append(state)
         skips.append(scheduler.rng.skips)
@@ -931,6 +604,32 @@ def test_until_cycle_inside_a_fast_forward(execute_calls):
     assert all(first["alive"])
     assert 0 < skips[0] < skips[-1]
     assert not any(states[-1]["alive"])
+
+
+@pytest.mark.parametrize("first", ["kernel", "general"])
+def test_hand_over_across_runs(execute_calls, first):
+    # The first run ends inside a sender hold; the next runs go on with
+    # it from the thread's ``hold_position`` on the other route, and the
+    # machine ends as after general-route runs alone.
+    second = "general" if first == "kernel" else "kernel"
+    until_cycles = (400.0, 3.5e4, None)
+    general, _ = run_holds(
+        "general", hold_threads(), until_cycles=until_cycles
+    )
+    calls = len(execute_calls)
+    threads = hold_threads()
+    handed, skips = run_holds(
+        f"{first}-{second}", threads, until_cycles=until_cycles
+    )
+    assert general[0]["holds"][0][0] is not None
+    assert handed == general
+    if first == "kernel":
+        assert skips[0] > 0 and skips[-1] == skips[0]
+    else:
+        # Only the first run left the kernel, and its hold went on in it.
+        assert skips[0] == 0 and skips[-1] > 0
+        assert len(execute_calls) - calls < 100
+    assert not any(handed[-1]["alive"])
 
 
 def test_three_threads(execute_calls):

@@ -41,11 +41,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, LeakageAnalysisError
+from repro.common.gendoc import update_generated_section
 from repro.analysis.reachability import (
     DEFENSES,
     build_system,
+    closure,
     hitmiss_observer_partition,
-    resting_reachable_count,
+    resting_states,
     victim_observer_partition,
 )
 from repro.replacement.tables import TABLEABLE_POLICIES
@@ -146,45 +148,23 @@ def _round_bits(value: float) -> float:
 
 
 def _capacity_series(
-    absorbed_sets: Sequence[Sequence[int]],
+    levels: Sequence[int],
+    order: Sequence[int],
     block_of_state: Sequence[int],
 ) -> List[float]:
-    """log2(#distinct observation classes) among each absorbed set."""
+    """log2(#distinct observation classes) among each absorbed set.
+
+    ``levels``/``order`` are a :func:`closure`: the states absorbed
+    within ``k`` accesses are ``order[:levels[k]]``.
+    """
     series = []
-    for states in absorbed_sets:
-        classes = len({block_of_state[s] for s in states})
-        series.append(_round_bits(math.log2(classes)))
+    classes = set()
+    found = 0
+    for level in levels:
+        classes.update(block_of_state[s] for s in order[found:level])
+        found = level
+        series.append(_round_bits(math.log2(len(classes))))
     return series
-
-
-def _absorbed_sets(
-    system, start: int, alphabet: str
-) -> Tuple[List[int], List[List[int]]]:
-    """Levels plus the concrete absorbed state set at every horizon."""
-    ways = system.ways
-    seen = {start}
-    frontier = [start]
-    sets: List[List[int]] = [[start]]
-    levels = [1]
-    while frontier:
-        nxt: List[int] = []
-        for s in frontier:
-            base = s * ways
-            for w in range(ways):
-                t = system.touch[base + w]
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-            if alphabet == "touch+evict":
-                t = system.evict_to[s]
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-        if nxt:
-            levels.append(len(seen))
-            sets.append(sets[-1] + nxt)
-    return levels, sets
 
 
 def analyze_policy(
@@ -273,16 +253,18 @@ def analyze_policy(
     vw_block, vw_classes = victim_observer_partition(system)
     hm = hitmiss_observer_partition(system)
 
-    hit_levels, hit_sets = _absorbed_sets(system, hm.start_state, "touch")
-    full_levels, _ = _absorbed_sets(system, hm.start_state, "touch+evict")
+    hit_levels, hit_order = closure(
+        hm.start_state, system.successors("touch")
+    )
+    full_levels, _ = closure(hm.start_state, system.successors("touch+evict"))
 
-    vw_series = _capacity_series(hit_sets, vw_block)
-    hm_series = _capacity_series(hit_sets, hm.block_of_state)
+    vw_series = _capacity_series(hit_levels, hit_order, vw_block)
+    hm_series = _capacity_series(hit_levels, hit_order, hm.block_of_state)
 
-    resting_states = resting_reachable_count(
+    resting = resting_states(
         policy, ways, include_flush=False, eager_budget=eager_budget, **kwargs
     )
-    flush_states = resting_reachable_count(
+    flushed = resting_states(
         policy, ways, include_flush=True, eager_budget=eager_budget, **kwargs
     )
 
@@ -293,8 +275,8 @@ def analyze_policy(
         defense=defense,
         mode="exact",
         table_states=system.n,
-        reachable_states=resting_states,
-        flush_reachable_states=flush_states,
+        reachable_states=len(resting),
+        flush_reachable_states=len(flushed),
         state_bits=system.state_bits,
         distinguishable={
             "victim-way": vw_classes,
@@ -563,19 +545,6 @@ def defense_doc_markdown(
     return "\n".join(lines)
 
 
-def replace_defense_section(text: str, content: str) -> str:
-    """Replace the marked matrix section of a doc with ``content``."""
-    begin = text.find(DEFENSE_DOC_BEGIN)
-    end = text.find(DEFENSE_DOC_END)
-    if begin == -1 or end == -1 or end < begin:
-        raise LeakageAnalysisError(
-            f"doc is missing the generated-section markers "
-            f"{DEFENSE_DOC_BEGIN!r} / {DEFENSE_DOC_END!r}"
-        )
-    begin += len(DEFENSE_DOC_BEGIN)
-    return text[:begin] + "\n" + content + "\n" + text[end:]
-
-
 def update_defense_doc(
     path: str,
     check: bool = False,
@@ -587,16 +556,11 @@ def update_defense_doc(
     file is never written (the CI docs-drift gate calls it this way,
     mirroring the OBSERVABILITY.md catalogue check).
     """
-    with open(path) as handle:
-        text = handle.read()
-    updated = replace_defense_section(
-        text, defense_doc_markdown(baseline_path)
+    return update_generated_section(
+        path, DEFENSE_DOC_BEGIN, DEFENSE_DOC_END,
+        defense_doc_markdown(baseline_path),
+        check=check, error=LeakageAnalysisError,
     )
-    current = updated == text
-    if not current and not check:
-        with open(path, "w") as handle:
-            handle.write(updated)
-    return current
 
 
 def diff_reports(

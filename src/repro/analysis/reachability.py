@@ -24,6 +24,10 @@ ingredients of the Cañones–Köpf–Reineke leakage metrics:
     eviction), and observes only timing — modelled exactly as a
     marked-line product automaton over ``(policy state, marked way)``.
 
+The same system answers Table I's exhaustive Sequence-1 bound
+(:func:`sequence1_worst_case`): every resting state crossed with every
+rotation of the lines, run on the transition tables until line 0 leaves.
+
 Everything here is exact and deterministic: no simulation, no sampling,
 no randomness.  Lazily-grown (open) tables are refused with
 :class:`~repro.common.errors.LeakageAnalysisError` rather than silently
@@ -33,9 +37,9 @@ under-approximated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import LeakageAnalysisError
+from repro.common.errors import ConfigurationError, LeakageAnalysisError
 from repro.replacement.tables import (
     EAGER_STATE_BUDGET,
     TABLEABLE_POLICIES,
@@ -97,6 +101,19 @@ class ClosedTransitionSystem:
     def touch_to(self, state: int, way: int) -> int:
         return self.touch[state * self.ways + way]
 
+    def successors(self, alphabet: str) -> Callable[[int], Sequence[int]]:
+        """A sender's one-access moves, for :func:`closure`.
+
+        ``"touch"`` is the paper's stealth sender (hits only, never
+        causing an eviction); ``"touch+evict"`` also allows misses.
+        """
+        ways, touch, evict_to = self.ways, self.touch, self.evict_to
+        if alphabet == "touch":
+            return lambda s: touch[s * ways:s * ways + ways]
+        if alphabet == "touch+evict":
+            return lambda s: touch[s * ways:s * ways + ways] + (evict_to[s],)
+        raise ValueError(f"unknown alphabet {alphabet!r}")
+
 
 def require_closed(
     policy_name: str,
@@ -112,6 +129,11 @@ def require_closed(
             "exact" analysis over them would be a silent lie.
         ConfigurationError: When the policy is not tableable at all.
     """
+    if policy_name not in TABLEABLE_POLICIES:
+        raise ConfigurationError(
+            f"policy {policy_name!r} has no transition tables; "
+            f"choose from {sorted(TABLEABLE_POLICIES)}"
+        )
     budget = EAGER_STATE_BUDGET if eager_budget is None else eager_budget
     estimate = estimated_state_count(policy_name, ways, **kwargs)
     if estimate is None or estimate > budget:
@@ -181,92 +203,147 @@ def build_system(
     )
 
 
-def resting_reachable_count(
+# -- reachability ---------------------------------------------------------
+
+
+def closure(
+    start: int, successors: Callable[[int], Sequence[int]]
+) -> Tuple[List[int], List[int]]:
+    """Breadth-first closure from ``start`` under one input alphabet.
+
+    ``successors(s)`` lists the states one input of the alphabet leads
+    to from ``s``.  Returns ``(levels, order)``: ``order`` holds every
+    reachable state in the order found, and ``levels[k]`` counts the
+    states reachable with at most ``k`` inputs, so ``order[:levels[k]]``
+    is that set.  ``levels[0] == 1`` (just the start state), and the
+    last entry is the fixed point, reached at horizon ``len(levels) - 1``
+    — for a sender alphabet, the Cañones–Köpf–Reineke *absorbed
+    secrets* at each horizon.
+    """
+    seen = {start}
+    order = [start]
+    levels = [1]
+    done = 0
+    while done < len(order):
+        horizon = len(order)
+        for s in order[done:horizon]:
+            for t in successors(s):
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
+        done = horizon
+        if len(order) > horizon:
+            levels.append(len(order))
+    return levels, order
+
+
+def resting_states(
     policy_name: str,
     ways: int,
     include_flush: bool = False,
     eager_budget: Optional[int] = None,
     **kwargs: Any,
-) -> int:
+) -> List[int]:
     """States reachable between complete accesses ("resting" states).
 
     The table core counts every interned snapshot, *including* the
     transient mid-victim-search states of policies whose search mutates
     state (SRRIP ages RRPVs while scanning).  This closure instead
     composes each miss into one step (victim search + fill into the
-    chosen way), so it counts only the states a set can actually rest
-    in between accesses.  With ``include_flush`` the lazy ``invalidate``
-    table joins the alphabet — flushes can reach states ordinary
-    accesses cannot, and may intern states beyond the closed core.
+    chosen way), so it holds only the states a set can actually rest
+    in between accesses, in the order found from power-on.  With
+    ``include_flush`` the lazy ``invalidate`` table joins the alphabet
+    — flushes can reach states ordinary accesses cannot, and may
+    intern states beyond the closed core, so this walks the tables
+    rather than a :class:`ClosedTransitionSystem` snapshot.
     """
     tables = require_closed(policy_name, ways, eager_budget, **kwargs)
-    seen = {tables.initial}
-    frontier = [tables.initial]
-    while frontier:
-        nxt: List[int] = []
-        for s in frontier:
-            succs = [tables.touch_to(s, w) for w in range(tables.ways)]
-            succs += [tables.fill_to(s, w) for w in range(tables.ways)]
-            way, after = tables.victim_of(s)
-            succs.append(tables.fill_to(after, way))
-            if include_flush:
-                succs += [
-                    tables.invalidate_to(s, w) for w in range(tables.ways)
-                ]
-            for t in succs:
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return len(seen)
+    all_ways = range(ways)
+
+    def successors(s: int) -> List[int]:
+        succs = [tables.touch_to(s, w) for w in all_ways]
+        succs += [tables.fill_to(s, w) for w in all_ways]
+        way, after = tables.victim_of(s)
+        succs.append(tables.fill_to(after, way))
+        if include_flush:
+            succs += [tables.invalidate_to(s, w) for w in all_ways]
+        return succs
+
+    return closure(tables.initial, successors)[1]
 
 
-# -- reachability ---------------------------------------------------------
+# -- Sequence 1's eviction bound (Table I) --------------------------------
 
 
-def absorbed_levels(
-    system: ClosedTransitionSystem,
-    start: int,
-    alphabet: str = "touch",
-    max_depth: Optional[int] = None,
-) -> Tuple[List[int], int]:
-    """Cumulative absorbed-state counts per access-sequence length.
+@dataclass
+class WorstCaseResult:
+    """Outcome of the exhaustive Sequence-1 sweep.
 
-    ``absorbed[k]`` is the number of distinct states a sender can drive
-    the policy into using at most ``k`` accesses from ``start`` — the
-    Cañones–Köpf–Reineke *absorbed secrets* at horizon ``k``.  With the
-    ``"touch"`` alphabet the sender is the paper's stealth sender (hits
-    only, never causing an eviction); ``"touch+evict"`` additionally
-    allows misses.
-
-    Returns ``(levels, converged_at)`` where ``levels[0] == 1`` (just
-    the start state), the last entry is the fixed point, and
-    ``converged_at`` is the smallest horizon reaching it.
+    Attributes:
+        policy: Policy name.
+        ways: Associativity analyzed.
+        states_checked: Number of (state, placement) pairs checked.
+        worst_iterations: Max iterations before line 0's eviction;
+            ``max_iterations + 1`` if some pair outlasts the cap.
+        histogram: iterations → count of pairs needing exactly that many.
     """
-    ways = system.ways
-    seen = {start}
-    frontier = [start]
-    levels = [1]
-    depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
-        nxt: List[int] = []
-        for s in frontier:
-            base = s * ways
-            for w in range(ways):
-                t = system.touch[base + w]
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-            if alphabet == "touch+evict":
-                t = system.evict_to[s]
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        depth += 1
-        frontier = nxt
-        if nxt:
-            levels.append(len(seen))
-    return levels, len(levels) - 1
+
+    policy: str
+    ways: int
+    states_checked: int
+    worst_iterations: int
+    histogram: Dict[int, int]
+
+    @property
+    def claim_holds(self) -> bool:
+        """True when every state evicts line 0 within ``ways`` iterations."""
+        return self.worst_iterations <= self.ways
+
+
+def sequence1_worst_case(
+    policy_name: str, ways: int = 8, max_iterations: int = 16
+) -> WorstCaseResult:
+    """Exhaustively bound Sequence 1's eviction delay for a policy shape.
+
+    Sequence 1 (Section IV-C) accesses lines ``0..ways`` in turn — one
+    line more than the set holds — and repeats.  Table I samples how
+    many passes evict line 0; this query checks every resting state of
+    the closed system crossed with every rotation of lines ``0..ways-1``
+    over the ways (the resting states already hold every recency order,
+    so rotations suffice), running the sequence on the transition
+    tables until line 0 leaves the set.
+
+    Raises:
+        LeakageAnalysisError: When the shape's tables are open.
+        ConfigurationError: When the policy is not tableable.
+    """
+    system = build_system(policy_name, ways)
+    touch, victim_way = system.touch, system.victim_way
+    evict_to = system.evict_to
+    histogram: Dict[int, int] = {}
+    for start in resting_states(policy_name, ways):
+        for rotation in range(ways):
+            state = start
+            lines = [(rotation + way) % ways for way in range(ways)]
+            iterations = max_iterations + 1
+            for iteration in range(1, max_iterations + 1):
+                for line in range(ways + 1):
+                    if line in lines:
+                        state = touch[state * ways + lines.index(line)]
+                    else:
+                        lines[victim_way[state]] = line
+                        state = evict_to[state]
+                if 0 not in lines:
+                    iterations = iteration
+                    break
+            histogram[iterations] = histogram.get(iterations, 0) + 1
+    return WorstCaseResult(
+        policy=policy_name,
+        ways=ways,
+        states_checked=sum(histogram.values()),
+        worst_iterations=max(histogram),
+        histogram=dict(sorted(histogram.items())),
+    )
 
 
 # -- observation-equivalence refinement -----------------------------------

@@ -1,8 +1,9 @@
 """Second batch of extension experiments.
 
 * ``ext_verify_table1`` — replaces Table I's Monte-Carlo plateau rows
-  with *exhaustive* state-space bounds (see
-  :mod:`repro.replacement.analysis`).
+  with *exhaustive* state-space bounds, queried from each policy's
+  closed transition system (see
+  :func:`repro.analysis.reachability.sequence1_worst_case`).
 * ``ext_detector`` — the perf-counter detector of Section X evaluated
   against every channel and the benign baselines: the miss-based
   channels are caught, the LRU channels are not.
@@ -13,6 +14,7 @@
 
 from __future__ import annotations
 
+from repro.analysis.reachability import sequence1_worst_case
 from repro.attacks.flush_reload import FlushReloadChannel
 from repro.channels.algorithm1 import SharedMemoryLRUChannel
 from repro.channels.coding import CodedPipe
@@ -21,7 +23,6 @@ from repro.channels.evaluation import evaluate_hyper_threaded, random_message
 from repro.channels.protocol import CovertChannelProtocol, ProtocolConfig
 from repro.defenses.detector import MissRateDetector
 from repro.experiments.base import ExperimentResult, register
-from repro.replacement.analysis import sequence1_worst_case
 from repro.sim.machine import Machine
 from repro.sim.specs import INTEL_E5_2690
 

@@ -176,7 +176,7 @@ def _pool_worker(spec: Tuple) -> Tuple[str, str, Dict, float, Optional[Dict]]:
 
     This is the task body the supervised executor's workers run.
     ``spec`` is ``(experiment_id, retries, sanitize, fn, observe,
-    trace_depth)`` where ``fn`` is None for globally registered
+    tracing)`` where ``fn`` is None for globally registered
     experiments (the worker re-imports the registry — cheap under fork,
     required under spawn) or the pickled callable for custom registries.
     Results come back as ``to_dict`` payloads, the same round-trip
@@ -188,7 +188,7 @@ def _pool_worker(spec: Tuple) -> Tuple[str, str, Dict, float, Optional[Dict]]:
     runner has no wall-clock bound: the supervisor's task deadline is
     the only one.
     """
-    experiment_id, retries, sanitize, fn, observing, trace_depth = spec
+    experiment_id, retries, sanitize, fn, observing, tracing = spec
     if fn is None:
         import repro.experiments  # noqa: F401 - populates the registry
 
@@ -200,9 +200,8 @@ def _pool_worker(spec: Tuple) -> Tuple[str, str, Dict, float, Optional[Dict]]:
         sanitize=sanitize,
         registry=registry,
         observe=observing,
-        trace_depth=max(trace_depth, 1),
     )
-    runner._tracing = trace_depth > 0
+    runner.tracing = tracing
     start = time.monotonic()
     try:
         result = runner.run_one(experiment_id)
@@ -264,8 +263,6 @@ class ExperimentRunner:
         trace_path: Write the batch as a JSONL trace artifact
             (:meth:`write_trace`): run header, then per experiment a
             manifest, result, metrics snapshot, and the trace-bus tail.
-        trace_depth: Ring-buffer depth for the per-attempt trace bus
-            (only meaningful with ``trace_path``).
         max_task_crashes: Consecutive worker crashes one experiment may
             cause in the supervised executor before it is quarantined
             as a structured failure instead of re-queued.
@@ -286,7 +283,6 @@ class ExperimentRunner:
         sanitize: bool = False,
         observe: bool = False,
         trace_path: Optional[str] = None,
-        trace_depth: int = 65536,
         max_task_crashes: int = 3,
         heartbeat_interval: float = 1.0,
         drain_timeout: float = 10.0,
@@ -298,8 +294,6 @@ class ExperimentRunner:
             )
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if trace_depth < 1:
-            raise ValueError(f"trace_depth must be >= 1, got {trace_depth}")
         for option, path in (("checkpoint", checkpoint_path),
                              ("trace", trace_path)):
             # Refuse before any work runs; a bare name means the cwd.
@@ -313,15 +307,14 @@ class ExperimentRunner:
         self.registry = EXPERIMENT_REGISTRY if registry is None else registry
         self.sanitize = sanitize
         self.trace_path = trace_path
-        self.trace_depth = trace_depth
         self.observe = observe or trace_path is not None
         self.max_task_crashes = max_task_crashes
         self.heartbeat_interval = heartbeat_interval
         self.drain_timeout = drain_timeout
         self.chaos = chaos
-        # Whether per-attempt sessions carry a trace bus (the worker
-        # flips this on without a file path of its own).
-        self._tracing = trace_path is not None
+        #: Whether per-attempt sessions carry a trace bus: on with a
+        #: ``trace_path``, and in a pool worker whose parent traces.
+        self.tracing = trace_path is not None
         #: Per-experiment observability records (manifest, metrics,
         #: trace events) of completed experiments, keyed by id.
         self.captures: Dict[str, ObsCapture] = {}
@@ -368,9 +361,7 @@ class ExperimentRunner:
                 return self._run_attempt(fn, kwargs)
             # A fresh session per attempt: counts never bleed between
             # retries, and only the winning attempt's capture survives.
-            session = ObsSession(
-                trace_depth=self.trace_depth if self._tracing else 0
-            )
+            session = self._session()
             with observe(session):
                 with session.span(
                     "experiment", experiment_id=experiment_id, attempt=index
@@ -378,7 +369,12 @@ class ExperimentRunner:
                     result = self._run_attempt(fn, kwargs)
             if index > 0:
                 session.metrics.counter("runner.retries").inc(index)
-            self._capture(experiment_id, session, rng_parameter, index)
+            self._capture(
+                experiment_id,
+                session,
+                self._attempt_seed(rng_parameter, index),
+                index + 1,
+            )
             return result
 
         for index in range(self.retries):
@@ -396,22 +392,26 @@ class ExperimentRunner:
                 return fn(**kwargs)
         return fn(**kwargs)
 
+    def _session(self) -> ObsSession:
+        """A fresh per-attempt session, with a trace bus when tracing."""
+        return ObsSession() if self.tracing else ObsSession(trace_depth=0)
+
     def _capture(
         self,
-        experiment_id: str,
+        capture_id: str,
         session: ObsSession,
-        rng_parameter: Optional[inspect.Parameter],
-        index: int,
+        seed: Optional[int],
+        attempts: int,
     ) -> None:
-        """Record the winning attempt's manifest, metrics, and events."""
+        """Record a winning attempt's manifest, metrics, and events."""
         from repro.sim.fastpath import default_engine
 
-        self.captures[experiment_id] = ObsCapture(
-            experiment_id=experiment_id,
+        self.captures[capture_id] = ObsCapture(
+            experiment_id=capture_id,
             manifest=RunManifest.with_provenance(
-                experiment_id=experiment_id,
-                seed=self._attempt_seed(rng_parameter, index),
-                attempts=index + 1,
+                experiment_id=capture_id,
+                seed=seed,
+                attempts=attempts,
                 machines=session.machines(),
                 fault_models=session.fault_models(),
                 engine=default_engine(),
@@ -661,11 +661,7 @@ class ExperimentRunner:
         seed: int,
     ) -> ExperimentResult:
         """One lockstep block: transfer, per-trial rows, obs capture."""
-        session = (
-            ObsSession(trace_depth=self.trace_depth if self._tracing else 0)
-            if self.observe
-            else None
-        )
+        session = self._session() if self.observe else None
         with _maybe_observe(session):
             if session is not None:
                 with session.span(
@@ -703,24 +699,7 @@ class ExperimentRunner:
             notes=notes,
         )
         if session is not None:
-            from repro.sim.fastpath import default_engine
-
-            self.captures[block_id] = ObsCapture(
-                experiment_id=block_id,
-                manifest=RunManifest.with_provenance(
-                    experiment_id=block_id,
-                    seed=seed,
-                    attempts=1,
-                    machines=session.machines(),
-                    fault_models=session.fault_models(),
-                    engine=default_engine(),
-                    sanitize=self.sanitize,
-                ),
-                metrics=session.metrics.snapshot(),
-                events=(
-                    session.bus.records() if session.bus is not None else []
-                ),
-            )
+            self._capture(block_id, session, seed, 1)
         return result
 
     def _run_sequential(
@@ -789,7 +768,7 @@ class ExperimentRunner:
                     self.sanitize,
                     None if global_registry else self.registry[experiment_id],
                     self.observe,
-                    self.trace_depth if self._tracing else 0,
+                    self.tracing,
                 ),
             )
             for experiment_id in pending

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.common.atomicio import quarantine_file, unseal_jsonl
 from repro.common.errors import CheckpointCorruptWarning, ObservabilityError
+from repro.common.gendoc import update_generated_section
 from repro.experiments.base import ExperimentResult
 from repro.obs.catalog import catalog_markdown
 from repro.obs.manifest import RunManifest
@@ -325,30 +326,13 @@ def render_report(records: Sequence[Dict]) -> str:
 # ----------------------------------------------------------------------
 
 
-def replace_generated_section(text: str, content: str) -> str:
-    """Replace the marked catalogue section of a doc with ``content``."""
-    begin = text.find(CATALOG_BEGIN)
-    end = text.find(CATALOG_END)
-    if begin == -1 or end == -1 or end < begin:
-        raise ObservabilityError(
-            f"doc is missing the generated-section markers "
-            f"{CATALOG_BEGIN!r} / {CATALOG_END!r}"
-        )
-    begin += len(CATALOG_BEGIN)
-    return text[:begin] + "\n" + content + "\n" + text[end:]
-
-
 def update_catalog_doc(path: str, check: bool = False) -> bool:
     """Regenerate the catalogue table inside ``path``.
 
     Returns True when the doc was already current.  With ``check`` the
     file is never written (the CI docs-drift gate calls it this way).
     """
-    with open(path) as handle:
-        text = handle.read()
-    updated = replace_generated_section(text, catalog_markdown())
-    current = updated == text
-    if not current and not check:
-        with open(path, "w") as handle:
-            handle.write(updated)
-    return current
+    return update_generated_section(
+        path, CATALOG_BEGIN, CATALOG_END, catalog_markdown(),
+        check=check, error=ObservabilityError,
+    )

@@ -17,9 +17,9 @@ of the policies the paper discusses:
   ``repro.replacement.tables`` and ``docs/PERFORMANCE.md``).
 
 ``POLICY_REGISTRY`` maps the names used in experiment configs to
-constructors.  The exhaustive state-space analysis lives in
-``repro.replacement.analysis`` (imported directly, not re-exported here,
-because it builds on the cache layer above this package).
+constructors.  Exhaustive state-space queries over these policies (the
+leakage metrics, Table I's Sequence-1 bound) read their compiled tables
+in ``repro.analysis.reachability``.
 """
 
 from typing import Callable, Dict

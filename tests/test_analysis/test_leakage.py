@@ -31,10 +31,10 @@ from repro.analysis.leakage import (
 )
 from repro.analysis.reachability import (
     DEFENSES,
-    absorbed_levels,
     build_system,
+    closure,
     hitmiss_observer_partition,
-    resting_reachable_count,
+    resting_states,
     victim_observer_partition,
 )
 from repro.channels.capacity import BinaryChannelStats
@@ -131,7 +131,7 @@ class TestDifferentialMonteCarlo:
         the absorbed-secret levels computed from the tables."""
         system = build_system(name, ways)
         hm = hitmiss_observer_partition(system)
-        levels, _ = absorbed_levels(system, hm.start_state, "touch")
+        levels, _ = closure(hm.start_state, system.successors("touch"))
 
         # Reference start: prime ways 0..ways-1, then one miss
         # installing the target (exactly the canonical prepare).
@@ -344,7 +344,7 @@ class TestRefusals:
 
     def test_resting_reachability_refuses_open_tables(self):
         with pytest.raises(LeakageAnalysisError):
-            resting_reachable_count("srrip", 8)
+            resting_states("srrip", 8)
 
 
 class TestTableMemoization:

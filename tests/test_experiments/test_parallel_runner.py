@@ -315,7 +315,7 @@ class TestDurableCheckpoints:
 class TestPoolWorker:
     def test_result_payload_round_trips(self):
         experiment_id, kind, payload, elapsed, obs = _pool_worker(
-            ("beta", 0, False, run_beta, False, 0)
+            ("beta", 0, False, run_beta, False, False)
         )
         assert (experiment_id, kind) == ("beta", "result")
         assert ExperimentResult.from_dict(payload).rows == [[2]]
@@ -324,7 +324,7 @@ class TestPoolWorker:
 
     def test_failure_payload_is_structured(self):
         experiment_id, kind, payload, _, obs = _pool_worker(
-            ("broken", 1, False, run_broken, False, 0)
+            ("broken", 1, False, run_broken, False, False)
         )
         assert (experiment_id, kind) == ("broken", "failure")
         assert payload["error_type"] == "RuntimeError"
@@ -333,7 +333,7 @@ class TestPoolWorker:
 
     def test_observing_worker_returns_capture(self):
         _, kind, _, _, obs = _pool_worker(
-            ("beta", 0, False, run_beta, True, 0)
+            ("beta", 0, False, run_beta, True, False)
         )
         assert kind == "result"
         assert obs is not None

@@ -17,7 +17,6 @@ from repro.obs.report import (
     metrics_summary_line,
     read_records,
     render_report,
-    replace_generated_section,
     update_catalog_doc,
 )
 
@@ -251,9 +250,12 @@ class TestCatalogDoc:
         with open(path) as handle:
             assert "stale" in handle.read()
 
-    def test_missing_markers_rejected(self):
+    def test_missing_markers_rejected(self, tmp_path):
+        path = tmp_path / "OBS.md"
+        path.write_text("no markers here\n")
         with pytest.raises(ObservabilityError, match="markers"):
-            replace_generated_section("no markers here", "content")
+            update_catalog_doc(str(path))
+        assert path.read_text() == "no markers here\n"
 
     def test_committed_doc_is_current(self):
         repo_root = os.path.dirname(os.path.dirname(os.path.dirname(GOLDEN)))

@@ -1,9 +1,9 @@
-"""Tests for the exhaustive Sequence-1 state-space analysis."""
+"""Tests for the exhaustive Sequence-1 state-space query."""
 
 import pytest
 
-from repro.common.errors import ConfigurationError
-from repro.replacement.analysis import sequence1_worst_case
+from repro.analysis.reachability import sequence1_worst_case
+from repro.common.errors import ConfigurationError, LeakageAnalysisError
 
 
 class TestSequence1WorstCase:
@@ -44,9 +44,21 @@ class TestSequence1WorstCase:
         # Bit-PLRU: (2^8 - 1) reachable states x 8 placements.
         assert sequence1_worst_case("bit-plru", ways=8).states_checked == 2040
 
-    def test_unsupported_policy(self):
-        with pytest.raises(ConfigurationError):
-            sequence1_worst_case("srrip", ways=8)
+    @pytest.mark.parametrize(
+        "policy, ways, error",
+        [
+            # Open tables: the refusal names the eager budget.
+            ("srrip", 8, LeakageAnalysisError),
+            # No transition tables at all.
+            ("random", 4, ConfigurationError),
+        ],
+    )
+    def test_unsupported_policy(self, policy, ways, error):
+        with pytest.raises(error) as excinfo:
+            sequence1_worst_case(policy, ways=ways)
+        if error is LeakageAnalysisError:
+            assert "eager budget" in str(excinfo.value)
+            assert excinfo.value.eager_budget < excinfo.value.estimated_states
 
     def test_no_state_escapes(self):
         """claim_holds is the channel's reliability guarantee: every

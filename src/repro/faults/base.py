@@ -323,10 +323,15 @@ class FaultInjector:
         Such events sit in the log's tail after the last entry whose
         running peak time is at most ``start``.  Only that tail is
         visited, and it is summed forward, in log order, as the whole
-        log would be, so the float sum is the full scan's.
+        log would be, so the float sum is the full scan's.  A window
+        that starts at or after the latest event has an empty tail, and
+        returns at once.
         """
+        peaks = self._log_peaks
+        if not peaks or peaks[-1] <= start:
+            return 0.0
         tail = 0
-        for peak in reversed(self._log_peaks):
+        for peak in reversed(peaks):
             if peak <= start:
                 break
             tail += 1

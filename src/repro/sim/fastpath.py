@@ -362,6 +362,8 @@ def demand_paths(hierarchy):
     memory_latency = config.memory_latency
     store = AccessType.STORE
     L2, LLC, MEMORY = CacheLevel.L2, CacheLevel.LLC, CacheLevel.MEMORY
+    # AccessOutcome's own __new__ is Python code; every field is given.
+    new_outcome = tuple.__new__
 
     def finish_l1_miss(l1_set, address, access_type, tid, space, utag, count):
         if count:
@@ -423,7 +425,7 @@ def demand_paths(hierarchy):
                     llc_evicted,
                     had_llc=llc is not None,
                 )
-        return AccessOutcome(level, latency, evicted)
+        return new_outcome(AccessOutcome, (level, latency, evicted, False))
 
     def demand_access(access, count=True):
         address = access.address

@@ -257,8 +257,9 @@ class _SchedulerBase:
                 cost = READ_TSC_COST
             elif kind is _PROBE:
                 cost = self.hierarchy.config.l1.hit_latency
-                if l1._update_on_hit and not isinstance(
-                    step[2].policy, TabledPolicy
+                if (
+                    l1._update_on_hit
+                    and type(step[2].policy) is not TabledPolicy
                 ):
                     trackable = False
             else:
@@ -318,10 +319,9 @@ class _Hold:
     ``hold_position``.
     """
 
-    __slots__ = ("others", "steps", "fast", "hits_before", "run")
+    __slots__ = ("steps", "fast", "hits_before", "run")
 
-    def __init__(self, lowering: _Lowering, others):
-        self.others = others
+    def __init__(self, lowering: _Lowering):
         self.steps = lowering.steps
         self.fast = lowering.fast
         self.hits_before = lowering.hits_before
@@ -346,8 +346,11 @@ class HyperThreadedScheduler(_SchedulerBase):
     thread's tie-break against equal ``ready_at``; the earliest
     ``(ready_at, draw)`` issues, the first one winning an exact tie.
     Each executed operation then draws one more ``random()`` for its
-    jitter.  A fast-forward (see :meth:`run`) takes a step's tie-break
-    draws as one ``getrandbits(64 * alive)``: the same words.
+    jitter.  Where the draws cannot change the pick, the loop takes them
+    as one ``getrandbits(64 * alive)``, which consumes the same words:
+    in a step with exactly two alive threads whose ``ready_at`` differ
+    (``getrandbits(128)``; on an exact tie it draws both ``random()``
+    calls), and in a fast-forward (see :meth:`run`).
     """
 
     def __init__(
@@ -375,7 +378,8 @@ class HyperThreadedScheduler(_SchedulerBase):
         :meth:`_lower_ops` would lower to an in-place probe runs in place:
         - it probes its set's tag map and, with a way predictor,
           computes ``utag(space, address)`` once;
-        - a hit touches the policy and counts the reference.  It then
+        - a hit touches the policy (a ``TabledPolicy``'s touch is one
+          table lookup done in place) and counts the reference.  It then
           checks the utag exactly as ``_check_way_predictor`` does:
           adopt a missing one, retrain a mismatched one and set the
           line's ``owner_space``.  A matching or adopted utag costs the
@@ -425,6 +429,10 @@ class HyperThreadedScheduler(_SchedulerBase):
                 thread.start()
             elif inlinable and thread.hold is not None:
                 views[thread] = self._hold_view(thread, thread.hold, lowered)
+        # The alive threads in thread-list order, and them again while
+        # there are exactly two (else None); a program's end updates both.
+        alive = list(threads)
+        pair = alive if len(alive) == 2 else None
         # This loop runs once per simulated operation: everything it
         # touches per step is a local.  ``_execute`` is looked up on the
         # instance so per-instance wrappers (the sanitizer) see every op.
@@ -438,6 +446,7 @@ class HyperThreadedScheduler(_SchedulerBase):
         probe = _PROBE
         hold_kind = HoldLoop
         choose_kind = Choose
+        tabled = TabledPolicy
         hierarchy = self.hierarchy
         access = hierarchy.access
         l1 = self._plain_l1() if inlinable else None
@@ -464,17 +473,31 @@ class HyperThreadedScheduler(_SchedulerBase):
         # The thread whose op ran last; None once a fault step ran since.
         actor = None
         while True:
-            thread = None
-            for candidate in threads:
-                if candidate.alive:
+            if pair is not None:
+                # Unequal clocks decide the pick without the two
+                # tie-break draws, so one call takes their words.
+                first, second = pair
+                now = first.ready_at
+                ready = second.ready_at
+                if now != ready:
+                    skip_draws(128)
+                    thread = first
+                    if ready < now:
+                        thread, now = second, ready
+                else:
+                    draw = rand()
+                    thread = second if rand() < draw else first
+            else:
+                thread = None
+                for candidate in alive:
                     ready = candidate.ready_at
                     draw = rand()
                     if thread is None or ready < now or (
                         ready == now and draw < best_draw
                     ):
                         thread, now, best_draw = candidate, ready, draw
-            if thread is None:
-                break
+                if thread is None:
+                    break
             if until_cycle is not None and now >= until_cycle:
                 break
             # A skipped wake-stall step is one in which no model could
@@ -492,6 +515,8 @@ class HyperThreadedScheduler(_SchedulerBase):
                     op = thread._program.send(thread.pending_result)
                 except StopIteration:
                     thread.alive = False
+                    alive.remove(thread)
+                    pair = alive if len(alive) == 2 else None
                     continue
                 kind = type(op)
                 if kind is hold_kind:
@@ -535,15 +560,12 @@ class HyperThreadedScheduler(_SchedulerBase):
                         limit = horizon
                         if models and faults._next_due < limit:
                             limit = faults._next_due
-                        alive = 1
-                        for other in view.others:
-                            if other.alive:
-                                alive += 1
-                                if other.ready_at < limit:
-                                    limit = other.ready_at
+                        for other in alive:
+                            if other is not thread and other.ready_at < limit:
+                                limit = other.ready_at
                         # Fast-forward unless the stretch ends with this op.
                         if now + view.fast[position][0] < limit:
-                            bits = 64 * alive
+                            bits = 64 * len(alive)
                             deadline = hold.deadline
                             count = 0
                             for cost, reads in islice(
@@ -601,12 +623,22 @@ class HyperThreadedScheduler(_SchedulerBase):
                 else:
                     if update_on_hit:
                         policy = cache_set.policy
-                        if clean:
+                        if type(policy) is tabled:
+                            # TabledPolicy.touch in place; ``way`` came
+                            # from the tag map, so it is in range.
+                            tables = policy._tables
                             state = policy._state
-                            policy.touch(way)
-                            clean = policy._state == state
+                            moved = tables._touch[state * tables.ways + way]
+                            if moved is None:
+                                moved = tables._replay_touch(
+                                    state, way, is_fill=False
+                                )
+                            policy._state = moved
+                            if moved != state:
+                                clean = False
                         else:
                             policy.touch(way)
+                            clean = False
                     references[thread.thread_id] += 1
                     # _check_way_predictor: adopt a missing utag and
                     # retrain a mismatched one; only a mismatch is
@@ -695,9 +727,7 @@ class HyperThreadedScheduler(_SchedulerBase):
 
     def _hold_view(self, thread: SimThread, hold: HoldLoop, lowered: dict):
         """The op kernel's view of ``hold``, running on ``thread``."""
-        lowering = self._lower_hold(hold, thread.address_space, lowered)
-        others = tuple(other for other in self.threads if other is not thread)
-        return _Hold(lowering, others)
+        return _Hold(self._lower_hold(hold, thread.address_space, lowered))
 
 
 class TimeSlicedScheduler(_SchedulerBase):

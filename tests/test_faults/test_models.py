@@ -1,6 +1,9 @@
 """Unit tests for the fault-model framework (`repro.faults`)."""
 
+import math
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common.errors import FaultInjectionError
 from repro.common.rng import make_rng
@@ -277,6 +280,67 @@ class TestFaultInjector:
             assert injector.stall_in_window(start, end) == _full_scan(
                 injector, start, end
             )
+
+
+class TestStallInWindowProperty:
+    """``stall_in_window`` is the brute-force sum, float for float.
+
+    Logs are written as an injector writes them: each model logs its own
+    events in time order, and an advance fires every model's due events
+    model by model, so with several models the log is out of time
+    order.  Windows start anywhere, and often exactly at a logged event
+    or a running peak, where the early exit and the tail scan meet.
+    """
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        models=st.lists(
+            st.lists(
+                st.tuples(st.floats(0.0, 1e4), st.integers(1, 3000)),
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        advances=st.lists(st.floats(0.0, 1.2e4), max_size=6),
+        windows=st.lists(
+            st.tuples(
+                st.integers(-1, 60),
+                st.floats(-10.0, 1.2e4),
+                st.sampled_from([0.0, 1.0, 50.0, 1e3, 1e9]),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_equals_the_brute_force_sum(
+        self, hierarchy, models, advances, windows
+    ):
+        injector = FaultInjector(hierarchy, rng_source=lambda: make_rng(1))
+        queues = [sorted(events) for events in models]
+        for now in sorted(advances) + [math.inf]:
+            for queue in queues:
+                while queue and queue[0][0] <= now:
+                    at, cycles = queue.pop(0)
+                    # Not binary fractions: the sum shows its order.
+                    injector._record_event(at, cycles / 7.0)
+        log = list(injector.event_log)
+        starts = [at for at, _ in log] + list(injector._log_peaks)
+        for pick, free, span in windows:
+            start = starts[pick % len(starts)] if starts and pick >= 0 else free
+            end = start + span
+            assert injector.stall_in_window(start, end) == sum(
+                stolen for at, stolen in log if start < at <= end
+            )
+
+    def test_empty_log(self, hierarchy):
+        injector = FaultInjector(hierarchy, rng_source=lambda: make_rng(1))
+        for start, end in [(0.0, 1e9), (-5.0, 0.0), (7.0, 7.0)]:
+            assert injector.stall_in_window(start, end) == 0.0
 
 
 class TestStandardFaultSuite:

@@ -17,6 +17,7 @@ routine and utag check against the oracle for both kernels.
 """
 
 import random
+import re
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.channels.protocol import CovertChannelProtocol, ProtocolConfig
 from repro.common.types import AccessType
 from repro.faults import FaultInjector, InterruptBurstFault, TSCFault
 from repro.obs.session import ObsSession, observe
+from repro.sim import scheduler as scheduler_module
 from repro.sim.machine import Machine
 from repro.sim.ops import Access, Compute, HoldLoop, ReadTSC, SleepUntil
 from repro.sim.scheduler import HyperThreadedScheduler
@@ -376,33 +378,38 @@ def test_sanitized_and_traced_runs_take_the_general_route(execute_calls):
 # ----------------------------------------------------------------------
 
 
-class CountingRandom(random.Random):
-    """The scheduler's RNG, counting ``getrandbits`` calls.
-
-    Only a fast-forward calls ``getrandbits`` (to skip a step's
-    tie-break draws), so a non-zero count shows one ran.
-    """
-
-    def __init__(self, source):
-        super().__init__()
-        self.setstate(source.getstate())
-        self.skips = 0
-
-    def getrandbits(self, k):
-        self.skips += 1
-        return super().getrandbits(k)
-
-
 def watch(scheduler, watched):
-    """Count fast-forwards, and fault steps taken at a fixed point.
+    """Count fast-forwarded ops, and fault steps taken at a fixed point.
 
-    The scheduler's RNG becomes a :class:`CountingRandom`.
+    Only a fast-forward calls the scheduler module's ``islice`` (to walk
+    its hold's cycle), so while ``scheduler`` runs that name is wrapped
+    to count the ops it hands out: ``watched["forwarded"]`` is the
+    number of ops fast-forwarded so far, over every run.  The pick's
+    draws give no such signal: a two-thread step whose clocks differ
+    takes its tie-break words with ``getrandbits`` on every route.
     ``watched["fixed_faults"]`` counts fault-gate steps in which the
     picked thread's hold was at a fixed point: a fault falling due is
     what ended that thread's fast-forward.
     """
-    scheduler.rng = CountingRandom(scheduler.rng)
+    watched["forwarded"] = 0
     watched["fixed_faults"] = 0
+    original_islice = scheduler_module.islice
+
+    def counting_islice(*args):
+        for item in original_islice(*args):
+            watched["forwarded"] += 1
+            yield item
+
+    run = scheduler.run
+
+    def watched_run(until_cycle=None):
+        scheduler_module.islice = counting_islice
+        try:
+            return run(until_cycle)
+        finally:
+            scheduler_module.islice = original_islice
+
+    scheduler.run = watched_run
     wake_stall = scheduler._fault_wake_stall
 
     def watching(thread, now):
@@ -420,45 +427,46 @@ def watch(scheduler, watched):
 def run_protocol_watched(spec, algorithm, mode, **kwargs):
     """``run_protocol`` with a watched scheduler.
 
-    Returns (final state, scheduler, fast-forwards, fixed-point faults).
+    Returns (final state, scheduler, fast-forwarded ops, fixed-point
+    faults).
     """
     watched = {}
     state, scheduler = run_protocol(
         spec, algorithm, mode, watched=watched, **kwargs
     )
-    return state, scheduler, scheduler.rng.skips, watched["fixed_faults"]
+    return state, scheduler, watched["forwarded"], watched["fixed_faults"]
 
 
 def assert_three_ways(execute_calls, spec, algorithm, **kwargs):
     """Kernel, forced general route and reference engine agree.
 
-    Returns the kernel's state, its fast-forward count and its count of
+    Returns the kernel's state, its count of fast-forwarded ops and of
     faults that landed at a fixed point.
     """
-    kernel, scheduler, skips, fixed_faults = run_protocol_watched(
+    kernel, scheduler, forwarded, fixed_faults = run_protocol_watched(
         spec, algorithm, "kernel", **kwargs
     )
     assert scheduler._inlinable(), "the kernel was not eligible"
     assert not execute_calls, "an op left the kernel"
-    general, _, general_skips, _ = run_protocol_watched(
+    general, _, general_forwarded, _ = run_protocol_watched(
         spec, algorithm, "general", **kwargs
     )
     assert len(execute_calls) > 1000, "the general route was not forced"
-    reference, _, reference_skips, _ = run_protocol_watched(
+    reference, _, reference_forwarded, _ = run_protocol_watched(
         spec, algorithm, "reference", **kwargs
     )
-    assert general_skips == reference_skips == 0
+    assert general_forwarded == reference_forwarded == 0
     assert kernel == general
     assert kernel == reference
-    return kernel, skips, fixed_faults
+    return kernel, forwarded, fixed_faults
 
 
 @pytest.mark.parametrize("algorithm", [1, 2])
 def test_fast_forward_ended_by_a_fault(execute_calls, algorithm):
-    state, skips, fixed_faults = assert_three_ways(
+    state, forwarded, fixed_faults = assert_three_ways(
         execute_calls, INTEL_E5_2690, algorithm, d=4, noise=400.0
     )
-    assert skips > 1000
+    assert forwarded > 1000
     assert fixed_faults > 0
     assert len(state["event_log"]) > 10
 
@@ -468,7 +476,7 @@ def test_amd_utags_across_address_spaces(execute_calls, algorithm):
     # Under Algorithm 1 the receiver retrains the shared line's utag to
     # its own space, so the sender's next access mispredicts and is no
     # fixed point; the sender's own private line (Algorithm 2) is.
-    _, skips, _ = assert_three_ways(
+    _, forwarded, _ = assert_three_ways(
         execute_calls,
         AMD_EPYC_7571,
         algorithm,
@@ -478,27 +486,27 @@ def test_amd_utags_across_address_spaces(execute_calls, algorithm):
         noise=20.0,
         sender_space=1,
     )
-    assert skips > 100
+    assert forwarded > 100
 
 
 def test_random_l1_policy(execute_calls):
     # No table, so an access never joins a fixed point; the silent
     # bit-0 holds still fast-forward.
-    _, skips, _ = assert_three_ways(
+    _, forwarded, _ = assert_three_ways(
         execute_calls, with_l1(INTEL_E5_2690, policy="random"), 2, d=3
     )
-    assert skips > 0
+    assert forwarded > 0
 
 
 def test_tsc_fault_model_never_fast_forwards(execute_calls):
-    _, skips, _ = assert_three_ways(
+    _, forwarded, _ = assert_three_ways(
         execute_calls,
         INTEL_E5_2690,
         1,
         d=4,
         faults=[lambda: TSCFault(jitter_cycles=3.0, drift_ppm=50.0)],
     )
-    assert skips == 0
+    assert forwarded == 0
 
 
 def hold_sender(line, hold_cycles, bits):
@@ -549,7 +557,7 @@ def run_holds(mode, threads, *, until_cycles=(None,), faults=()):
     ``mode`` is ``kernel``, ``general``, ``reference``, or
     ``<first>-<second>`` to switch the fast engine's route (kernel or
     general) after the first run.  Returns the final state and the
-    fast-forward count after each run.
+    count of fast-forwarded ops after each run.
     """
     first, _, second = mode.partition("-")
     engine = "reference" if first == "reference" else "fast"
@@ -562,9 +570,10 @@ def run_holds(mode, threads, *, until_cycles=(None,), faults=()):
     scheduler = machine.hyper_threaded(threads)
     if first == "general":
         force_general(scheduler)
-    watch(scheduler, {})
+    watched = {}
+    watch(scheduler, watched)
     states = []
-    skips = []
+    forwarded = []
     for until_cycle in until_cycles:
         if states and second == "general":
             force_general(scheduler)
@@ -574,27 +583,29 @@ def run_holds(mode, threads, *, until_cycles=(None,), faults=()):
         state = machine_state(machine.hierarchy, scheduler)
         state["end"] = end
         states.append(state)
-        skips.append(scheduler.rng.skips)
-    return states, skips
+        forwarded.append(watched["forwarded"])
+    return states, forwarded
 
 
 def assert_holds_three_ways(execute_calls, third=False, **kwargs):
-    kernel, skips = run_holds("kernel", hold_threads(third), **kwargs)
+    kernel, forwarded = run_holds("kernel", hold_threads(third), **kwargs)
     assert not execute_calls
-    general, general_skips = run_holds("general", hold_threads(third), **kwargs)
-    reference, reference_skips = run_holds(
+    general, general_forwarded = run_holds(
+        "general", hold_threads(third), **kwargs
+    )
+    reference, reference_forwarded = run_holds(
         "reference", hold_threads(third), **kwargs
     )
-    assert general_skips == reference_skips == [0] * len(general_skips)
+    assert general_forwarded == reference_forwarded == [0] * len(general)
     assert kernel == general
     assert kernel == reference
-    return kernel, skips
+    return kernel, forwarded
 
 
 def test_until_cycle_inside_a_fast_forward(execute_calls):
     # The receiver sleeps from about 100 to 700 cycles, so the sender is
     # fast-forwarding at 400; the second run carries the cut hold on.
-    states, skips = assert_holds_three_ways(
+    states, forwarded = assert_holds_three_ways(
         execute_calls,
         until_cycles=(400.0, 3.5e4, None),
         faults=[lambda: InterruptBurstFault(rate_per_mcycle=200.0)],
@@ -602,7 +613,7 @@ def test_until_cycle_inside_a_fast_forward(execute_calls):
     first = states[0]
     assert 400.0 <= first["ready_at"][0] < 440.0
     assert all(first["alive"])
-    assert 0 < skips[0] < skips[-1]
+    assert 0 < forwarded[0] < forwarded[-1]
     assert not any(states[-1]["alive"])
 
 
@@ -618,24 +629,24 @@ def test_hand_over_across_runs(execute_calls, first):
     )
     calls = len(execute_calls)
     threads = hold_threads()
-    handed, skips = run_holds(
+    handed, forwarded = run_holds(
         f"{first}-{second}", threads, until_cycles=until_cycles
     )
     assert general[0]["holds"][0][0] is not None
     assert handed == general
     if first == "kernel":
-        assert skips[0] > 0 and skips[-1] == skips[0]
+        assert forwarded[0] > 0 and forwarded[-1] == forwarded[0]
     else:
         # Only the first run left the kernel, and its hold went on in it.
-        assert skips[0] == 0 and skips[-1] > 0
+        assert forwarded[0] == 0 and forwarded[-1] > 0
         assert len(execute_calls) - calls < 100
     assert not any(handed[-1]["alive"])
 
 
 def test_three_threads(execute_calls):
-    # Three alive threads: a fast-forward skips three draws per step.
-    states, skips = assert_holds_three_ways(execute_calls, third=True)
-    assert skips[-1] > 100
+    # Three alive threads: a fast-forward skips three draws per op.
+    states, forwarded = assert_holds_three_ways(execute_calls, third=True)
+    assert forwarded[-1] > 100
     assert states[-1]["counters"][0][0][2] > 100
 
 
@@ -645,13 +656,83 @@ def test_obs_hit_totals_match_with_fast_forward():
     for mode in ("kernel", "general", "reference"):
         session = ObsSession(trace_depth=0)
         with observe(session):
-            state, _, skips, _ = run_protocol_watched(
+            state, _, forwarded, _ = run_protocol_watched(
                 with_fractional_latencies(INTEL_E5_2690), 1, mode, d=6
             )
-        snapshots.append((session.metrics.snapshot(), state, skips))
-    (kernel, kernel_state, skips), general, reference = snapshots
-    assert skips > 1000
+        snapshots.append((session.metrics.snapshot(), state, forwarded))
+    (kernel, kernel_state, forwarded), general, reference = snapshots
+    assert forwarded > 1000
     counters = kernel["counters"]
     assert counters["cache.l1.hits"] > 1000
     assert kernel == general[0] == reference[0]
     assert kernel_state == general[1] == reference[1]
+
+
+class DrawLog(random.Random):
+    """The scheduler's RNG, logging each call with the alive threads.
+
+    ``calls`` holds ``(token, alive)``: ``r`` for ``random()``, ``B``
+    for ``getrandbits(128)`` and ``<k>`` for ``getrandbits(k)``.
+    """
+
+    def __init__(self, source, threads):
+        super().__init__()
+        self.setstate(source.getstate())
+        self.threads = threads
+        self.calls = []
+
+    def _log(self, token):
+        self.calls.append((token, sum(t.alive for t in self.threads)))
+
+    def random(self):
+        self._log("r")
+        return super().random()
+
+    def getrandbits(self, k):
+        self._log("B" if k == 128 else f"<{k}>")
+        return super().getrandbits(k)
+
+
+class TestPickDrawCalls:
+    """The pick's exact RNG calls in one small hyper-threaded transfer.
+
+    A two-thread step whose clocks differ makes one ``getrandbits(128)``
+    call and one ``random()`` call (its jitter), fast-forwarded ops
+    included; going back to one ``random()`` per alive thread fails here,
+    not only in the benchmark.
+    """
+
+    def test_two_thread_steps_take_one_getrandbits_and_one_random(self):
+        machine = Machine(INTEL_E5_2690, rng=5, engine="fast")
+        channel = SharedMemoryLRUChannel.build(
+            INTEL_E5_2690.hierarchy.l1, 1, d=4
+        )
+        protocol = CovertChannelProtocol(
+            machine, channel, ProtocolConfig(ts=6000, tr=600)
+        )
+        captured = {}
+        hyper_threaded = machine.hyper_threaded
+
+        def capture(threads):
+            scheduler = captured["scheduler"] = hyper_threaded(threads)
+            scheduler.rng = DrawLog(scheduler.rng, scheduler.threads)
+            return scheduler
+
+        machine.hyper_threaded = capture
+        protocol.run_hyper_threaded([1, 0, 1, 1, 0, 0, 1, 0])
+        scheduler = captured["scheduler"]
+        assert scheduler._inlinable()
+        calls = scheduler.rng.calls
+        two = "".join(token for token, alive in calls if alive == 2)
+        one = "".join(token for token, alive in calls if alive == 1)
+        assert len(two) + len(one) == len(calls)
+        # Both threads start at cycle 0: the first step is the exact
+        # tie (two draws, then the jitter).  Every later step is one
+        # getrandbits(128) and one jitter draw, and the step whose
+        # program ends draws no jitter.
+        assert re.fullmatch(r"rrr(?:Br)*B", two)
+        assert two.count("r") == two.count("B") + 2
+        assert two.count("B") > 1000
+        # One thread alive: one tie-break draw and one jitter per step,
+        # and one draw for the step that ends the last program.
+        assert re.fullmatch(r"(?:rr)*r", one)

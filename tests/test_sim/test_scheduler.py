@@ -374,6 +374,108 @@ class TestDrawOrderGolden:
         assert scheduler.rng.getstate() == reference.getstate()
 
 
+def picking_thread(name, costs, log):
+    """A thread issuing ``Compute(cost)`` per cost, logging its picks.
+
+    The program runs on each pick of its thread, before that step's op,
+    so it logs ``(name, ready_at)``: the picked thread and its time.  The
+    last pick, the one that ends the program, is logged too.
+    """
+
+    def program():
+        for cost in costs:
+            log.append((name, thread.ready_at))
+            yield Compute(cost)
+        log.append((name, thread.ready_at))
+
+    thread = SimThread(name, program)
+    return thread
+
+
+def replay_picks(state, costs, jitter):
+    """The documented draw order, replayed from RNG state ``state``.
+
+    Every step draws one ``random()`` per alive thread, in thread-list
+    order; the earliest ``(ready_at, draw)`` issues, the first thread
+    winning an exact tie; each op then draws one jitter ``random()``.
+    Returns the picks as ``(thread index, time)``, the number of
+    two-thread steps whose clocks tied exactly, the RNG's final state
+    and the time of the last op.
+    """
+    rng = random.Random()
+    rng.setstate(state)
+    ready = [0.0] * len(costs)
+    issued = [0] * len(costs)
+    alive = list(range(len(costs)))
+    picks = []
+    ties = 0
+    last = 0.0
+    while alive:
+        if len(alive) == 2 and ready[alive[0]] == ready[alive[1]]:
+            ties += 1
+        _, _, _, index = min(
+            (ready[i], rng.random(), order, i) for order, i in enumerate(alive)
+        )
+        now = ready[index]
+        picks.append((index, now))
+        if issued[index] == len(costs[index]):
+            alive.remove(index)
+            continue
+        now += costs[index][issued[index]] + jitter * rng.random()
+        issued[index] += 1
+        ready[index] = now
+        last = max(last, now)
+    return picks, ties, rng.getstate(), last
+
+
+class TestPickOracle:
+    """Every step's pick against an independent replay of the draw order.
+
+    The kernel, the forced general route and the reference engine share
+    one pick, so comparing them cannot catch a pick error; here the
+    picked thread and its time are checked at every step against
+    :func:`replay_picks`.  ``jitter=0.0`` with equal costs makes exact
+    ``ready_at`` ties common, so the two-thread tie branch runs.
+    """
+
+    COSTS = {
+        # Two threads, one ending mid-run: two alive become one.
+        "pair": [[10.0] * 60 + [5.0, 15.0] * 20, [10.0, 5.0, 5.0] * 25],
+        # Three threads dropping to two, then to one.
+        "three": [[10.0] * 80, [5.0, 15.0] * 40, [10.0] * 12],
+    }
+
+    @pytest.mark.parametrize("route", ["kernel", "general"])
+    @pytest.mark.parametrize("jitter", [0.0, 2.0])
+    @pytest.mark.parametrize("scenario", ["pair", "three"])
+    def test_picks_follow_the_draw_order(self, scenario, jitter, route):
+        costs = self.COSTS[scenario]
+        log = []
+        names = [f"t{i}" for i in range(len(costs))]
+        threads = [
+            picking_thread(name, thread_costs, log)
+            for name, thread_costs in zip(names, costs)
+        ]
+        scheduler = HyperThreadedScheduler(
+            make_hierarchy(), threads, rng=77, jitter=jitter
+        )
+        if route == "general":
+            execute = scheduler._execute
+            scheduler._execute = lambda thread, op, now: execute(
+                thread, op, now
+            )
+        assert scheduler._inlinable() == (route == "kernel")
+        picks, ties, state, last = replay_picks(
+            scheduler.rng.getstate(), costs, jitter
+        )
+        end = scheduler.run()
+        assert log == [(names[index], now) for index, now in picks]
+        assert scheduler.rng.getstate() == state
+        assert end == last
+        if jitter == 0.0:
+            assert ties > 10, "the two-thread tie branch did not run"
+
+
 #: Issue sequence ``(thread, op type, ready_at)`` of the time-sliced
 #: scenario in :class:`TestTimeSlicedGolden`, without faults.  Recorded
 #: before the time-sliced loop was rewritten; any change to slice

@@ -190,13 +190,12 @@ class ClusterRouter(LineFrontEnd):
         ]
 
     async def drain(self) -> None:
-        """Stop accepting clients, let background loops wind down."""
+        """Stop accepting clients, let background loops wind down, close
+        the pooled peer connections."""
         if self.draining:
             return
         self.draining = True
-        if self.server is not None:
-            self.server.close()
-            await self.server.wait_closed()
+        await self.close_listener()
         if self._stop is not None:
             self._stop.set()
         if self._background:
@@ -206,6 +205,7 @@ class ClusterRouter(LineFrontEnd):
                 writer.close()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+        await self.transport.close()
 
     # -- dispatch -------------------------------------------------------
 

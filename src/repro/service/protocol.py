@@ -309,15 +309,19 @@ class LineFrontEnd:
     ``async drain()``.  The framing discipline is the same for both: an
     oversized line gets an error and a hangup; a malformed line gets an
     error and the connection survives; a clean EOF or a vanished client
-    closes the connection quietly.
+    closes the connection quietly.  A connection carries any number of
+    request lines, one answer each, until the client hangs up or
+    :meth:`close_listener` runs.
     """
 
     def __init__(self) -> None:
         self.server: Optional[asyncio.AbstractServer] = None
         self.port: Optional[int] = None
         # Open client connections, so a drain or a chaos abort can
-        # reach them.
+        # reach them, and the ones whose handler waits for a next line.
         self._writers: set = set()
+        self._idle: set = set()
+        self._closing = False
 
     async def listen(self, host: str, port: int) -> None:
         """Bind the listener; :attr:`port` is the bound port after."""
@@ -331,13 +335,33 @@ class LineFrontEnd:
         await stop.wait()
         await self.drain()
 
+    async def close_listener(self) -> None:
+        """Stop accepting, hang up idle connections, wait for the rest.
+
+        A connection whose handler waits for its next line is closed at
+        once; a busy one is closed after it writes its answer.  From
+        Python 3.12.1 on, ``Server.wait_closed`` waits for every open
+        connection, so an idle keep-alive client (a router's pooled
+        connection, an idle :class:`ServiceClient`) would otherwise
+        hold the drain forever.
+        """
+        self._closing = True
+        if self.server is None:
+            return
+        self.server.close()
+        for writer in list(self._idle):
+            writer.close()
+        await self.server.wait_closed()
+
     async def _handle_client(self, reader, writer) -> None:
         self._writers.add(writer)
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(writer)
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
+                    self._idle.discard(writer)
                     writer.write(
                         encode_line(
                             error_response(
@@ -347,6 +371,7 @@ class LineFrontEnd:
                     )
                     await writer.drain()
                     break
+                self._idle.discard(writer)
                 if not line:
                     break
                 try:
@@ -363,6 +388,7 @@ class LineFrontEnd:
             pass
         finally:
             self._writers.discard(writer)
+            self._idle.discard(writer)
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -511,9 +511,7 @@ class ExperimentService(LineFrontEnd):
                     failed("ServiceError", "server drained before execution"),
                 )
         self.cache.flush()
-        if self.server is not None:
-            self.server.close()
-            await self.server.wait_closed()
+        await self.close_listener()
         if self._drained is not None:
             self._drained.set()
 

@@ -21,8 +21,8 @@ from repro.sim.scheduler import HyperThreadedScheduler, TimeSlicedScheduler
 from repro.sim.thread import SimThread
 
 
-def make_hierarchy():
-    return CacheHierarchy(HierarchyConfig(), rng=7)
+def make_hierarchy(engine=None):
+    return CacheHierarchy(HierarchyConfig(), rng=7, engine=engine)
 
 
 def accesses_program(addresses, log):
@@ -456,8 +456,10 @@ class TestPickOracle:
             picking_thread(name, thread_costs, log)
             for name, thread_costs in zip(names, costs)
         ]
+        # The op kernel needs the fast engine, whatever the process
+        # default is.
         scheduler = HyperThreadedScheduler(
-            make_hierarchy(), threads, rng=77, jitter=jitter
+            make_hierarchy(engine="fast"), threads, rng=77, jitter=jitter
         )
         if route == "general":
             execute = scheduler._execute

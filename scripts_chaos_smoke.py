@@ -76,9 +76,7 @@ def main(argv=None):
 
     print(f"[1/3] sequential baseline: {' '.join(args.ids)}"
           f" (sanitize={sanitize})")
-    baseline = ExperimentRunner(retries=0, sanitize=sanitize).run_many(
-        args.ids
-    )
+    baseline = ExperimentRunner(sanitize=sanitize).run_many(args.ids)
     if not baseline.ok:
         print(f"baseline batch failed: {baseline.summary()}")
         return 1
@@ -91,7 +89,6 @@ def main(argv=None):
     print(f"[2/3] parallel run with SIGINT after {args.signal_delay:.1f}s "
           f"(jobs={args.jobs}, checkpoint={args.checkpoint})")
     first = ExperimentRunner(
-        retries=0,
         sanitize=sanitize,
         checkpoint_path=args.checkpoint,
         heartbeat_interval=0.2,
@@ -115,7 +112,7 @@ def main(argv=None):
 
     print("[3/3] resumed run with the same checkpoint")
     second = ExperimentRunner(
-        retries=0, sanitize=sanitize, checkpoint_path=args.checkpoint
+        sanitize=sanitize, checkpoint_path=args.checkpoint
     )
     resumed = second.run_many(args.ids, jobs=args.jobs)
     if not resumed.ok:

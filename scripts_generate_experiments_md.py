@@ -173,9 +173,7 @@ def main(argv=None) -> int:
         print(f"unknown experiment id(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
 
-    runner = ExperimentRunner(
-        retries=1, observe=True, trace_path=args.trace
-    )
+    runner = ExperimentRunner(observe=True, trace_path=args.trace)
 
     def progress(result, elapsed):
         print(f"{result.experiment_id} done in {elapsed:.1f}s")

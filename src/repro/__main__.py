@@ -7,11 +7,12 @@ Subcommands:
   tables; ``run all`` runs everything.  Runs go through the resilient
   runner (``repro.experiments.runner``): a crashing or timed-out
   experiment is reported and the batch continues, with the exit code
-  reflecting the failures.  ``--timeout``, ``--retries`` and
-  ``--checkpoint`` tune the harness; ``--jobs N`` fans independent
-  experiments out over N worker processes; ``--trace PATH`` writes the
-  run as a JSONL artifact (manifest + results + metrics + trace events,
-  see ``docs/OBSERVABILITY.md``).
+  reflecting the failures.  Each experiment runs once on its registered
+  seed.  ``--timeout`` and ``--checkpoint`` tune the harness;
+  ``--jobs N`` fans independent experiments out over N worker
+  processes; ``--trace PATH`` writes the run as a JSONL artifact
+  (manifest + results + metrics + trace events, see
+  ``docs/OBSERVABILITY.md``).
 * ``report <run.jsonl>`` — render a ``--trace`` artifact back into
   markdown; its experiment blocks are byte-identical to EXPERIMENTS.md
   blocks for the same results.  ``report --catalog`` prints the metrics
@@ -20,8 +21,8 @@ Subcommands:
 * ``demo`` — the quickstart byte transfer, for a 10-second sanity check.
 * ``serve`` — run the fault-tolerant experiment service: a line-JSON
   TCP front end with admission control, bounded per-pool queues,
-  circuit breakers, and a checksummed result cache that keeps serving
-  (tagged ``degraded``) when a pool is down.  SIGINT/SIGTERM drain
+  circuit breakers, and a checksummed result cache; a request it cannot
+  execute gets an error naming the cause.  SIGINT/SIGTERM drain
   gracefully: in-flight requests finish and the cache is flushed, so
   reconnecting clients get bit-identical results.  See
   ``docs/SERVICE.md``.
@@ -124,7 +125,6 @@ def _run(args) -> int:
 
     runner = ExperimentRunner(
         timeout_seconds=args.timeout,
-        retries=args.retries,
         checkpoint_path=args.checkpoint,
         sanitize=args.sanitize,
         trace_path=args.trace,
@@ -466,16 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget per experiment, retries included, "
+        help="wall-clock budget per experiment, "
         "enforced by killing its worker process (default: none)",
-    )
-    run_parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="extra attempts per failing experiment, with rotated "
-        "seeds where supported (default: 1)",
     )
     run_parser.add_argument(
         "--checkpoint",

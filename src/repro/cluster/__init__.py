@@ -18,12 +18,10 @@ Layers (each its own module, composable and unit-testable):
   deadline-bounded timeouts and the cluster chaos hooks;
 * :mod:`~repro.cluster.health` — background per-peer health checks
   feeding reusable :class:`~repro.common.breaker.CircuitBreaker`\\ s;
-* :mod:`~repro.cluster.repair` — anti-entropy: a node that answered
-  ``degraded=true`` is backfilled from the replica with the exact
-  result;
 * :mod:`~repro.cluster.router` — the client-facing front end
   (``python -m repro route``), speaking protocol v1 unchanged; its
-  failover is the fabric's one "try another replica" mechanism;
+  failover is the fabric's one "try another replica" mechanism, on a
+  transport failure, a refusal, or a node's typed execution error;
 * :mod:`~repro.cluster.chaos` — node-kill / static-partition fault
   plane for the cluster test suite.
 """

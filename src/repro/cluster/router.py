@@ -12,16 +12,17 @@ like one unusually durable node:
   merely where the cache is warm);
 * **failover** — the one place a request is retried: each preference
   entry gets exactly one attempt, and a peer that refuses (rejected /
-  shed / draining) or fails at the transport level (dead node, severed
-  link, timeout past ``request_timeout``) hands over to the next, all
-  inside the client's original deadline budget.  A budget spent before
-  the first attempt still gets that attempt, which a node answers
-  without executing (as it would answer the client directly).  A slow
-  but alive peer is waited for, never duplicated;
-* **anti-entropy** — a ``degraded=true`` answer is returned to the
-  client immediately (degraded-is-better-than-down, PR-6's contract)
-  *and* queued for repair: a replica computes the exact result and
-  backfills the degraded node's cache (:mod:`repro.cluster.repair`).
+  shed / draining), answers an execution error (``CircuitOpen``,
+  ``ExperimentTimeout``, a crash, what the experiment raised), or fails
+  at the transport level (dead node, severed link, timeout past
+  ``request_timeout``) hands over to the next, all inside the client's
+  original deadline budget.  A malformed request (``ServiceError``) is
+  answered at once: every node would refuse it the same way.  When no
+  peer succeeds, the client gets the last answer a peer gave, so the
+  error names its cause.  A budget spent before the first attempt still
+  gets that attempt, which a node answers without executing (as it
+  would answer the client directly).  A slow but alive peer is waited
+  for, never duplicated.
 
 The router holds no result cache of its own and keeps no per-request
 durable state — it can be restarted freely, and several can front the
@@ -40,7 +41,6 @@ from repro.common.errors import PeerUnavailable
 from repro.cluster.chaos import ClusterChaosConfig
 from repro.cluster.health import HealthMonitor
 from repro.cluster.membership import Membership
-from repro.cluster.repair import AntiEntropyRepairer
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.transport import PeerTransport
 from repro.obs.registry import MetricsRegistry
@@ -48,7 +48,6 @@ from repro.service.protocol import (
     PROTOCOL_VERSION,
     LineFrontEnd,
     Request,
-    error_response,
     status_response,
 )
 
@@ -65,12 +64,9 @@ HEALTH_TIMEOUT = 1.0
 
 #: Budget for the one attempt a request gets when its deadline has run
 #: out before any peer was tried.  A node answers such a request without
-#: executing it (a cache read or a degraded stub), so a ping's budget
-#: is enough.
+#: executing it (a cache read or an ``ExperimentTimeout`` error), so a
+#: ping's budget is enough.
 SPENT_BUDGET_TIMEOUT = HEALTH_TIMEOUT
-
-#: Bound on queued anti-entropy repairs.
-REPAIR_QUEUE_DEPTH = 64
 
 
 @dataclass
@@ -124,7 +120,7 @@ def routing_key(request: Request) -> str:
 
 
 class ClusterRouter(LineFrontEnd):
-    """One router process: listener, breakers, repairer.
+    """One router process: listener, breakers, health monitor.
 
     Args:
         config: Router tunables.
@@ -165,13 +161,6 @@ class ClusterRouter(LineFrontEnd):
             interval=config.health_interval,
             timeout=HEALTH_TIMEOUT,
         )
-        self.repairer = AntiEntropyRepairer(
-            membership,
-            self.transport,
-            self.metrics,
-            queue_depth=REPAIR_QUEUE_DEPTH,
-            request_timeout=config.request_timeout,
-        )
         self.draining = False
         # Born in start(): asyncio primitives bind their loop at
         # creation on Python 3.9.
@@ -181,16 +170,15 @@ class ClusterRouter(LineFrontEnd):
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the client listener; start health and repair loops."""
+        """Bind the client listener; start the health loop."""
         self._stop = asyncio.Event()
         await self.listen(self.config.host, self.config.port)
         self._background = [
             asyncio.ensure_future(self.health.run(self._stop)),
-            asyncio.ensure_future(self.repairer.run(self._stop)),
         ]
 
     async def drain(self) -> None:
-        """Stop accepting clients, let background loops wind down, close
+        """Stop accepting clients, let the health loop wind down, close
         the pooled peer connections."""
         if self.draining:
             return
@@ -214,15 +202,6 @@ class ClusterRouter(LineFrontEnd):
             return status_response(request, "pong")
         if request.op == "stats":
             return await self._stats(request)
-        if request.op == "backfill":
-            # Backfill is the fabric's internal repair op; a client (or
-            # a confused node) sending it to the router gets a clean
-            # protocol error, not a crash and not silent forwarding.
-            return error_response(
-                "op 'backfill' is node-internal; the router holds no "
-                "result cache",
-                request.request_id,
-            )
         if self.draining:
             return status_response(request, "draining")
         return await self._route(request)
@@ -315,11 +294,12 @@ class ClusterRouter(LineFrontEnd):
             for name in preference
             if self.breakers[name].state == "open"
         ]
-        last_refusal: Optional[Dict] = None
+        last_answer: Optional[Dict] = None
+        last_failure = ""
         for index, name in enumerate(order):
             # A spent budget still gets its first attempt, so the router
-            # answers what a node answers (degraded, ExperimentTimeout,
-            # or a cached result); it only stops the failover.
+            # answers what a node answers (a cached result or an
+            # ExperimentTimeout error); it only stops the failover.
             if index and deadline is not None and deadline.expired:
                 break
             if index:
@@ -331,31 +311,43 @@ class ClusterRouter(LineFrontEnd):
                     self._attempt_payload(payload, deadline),
                     timeout=self._attempt_timeout(deadline),
                 )
-            except PeerUnavailable:
+            except PeerUnavailable as error:
+                last_failure = str(error)
                 breaker.record_failure()
                 self.metrics.counter(
                     "cluster.peer.failures", label=name
                 ).inc()
                 continue
             breaker.record_success()
-            if response.get("status") in REFUSAL_STATUSES:
-                last_refusal = response
+            if _fails_over(response):
+                last_answer = response
                 continue
             self.metrics.counter(
                 "cluster.requests.routed", label=name
             ).inc()
-            if response.get("degraded"):
-                self.metrics.counter("cluster.responses.degraded").inc()
-                donors = [peer for peer in preference if peer != name]
-                self.repairer.schedule(
-                    response.get("cache_key", ""),
-                    payload,
-                    name,
-                    donors,
-                )
             return response
-        if last_refusal is not None:
-            return last_refusal
-        return error_response(
-            "no peer could serve the request", request.request_id
-        )
+        if last_answer is not None:
+            return last_answer
+        return {
+            **status_response(request, "error"),
+            "error": {
+                "type": "PeerUnavailable",
+                "message": f"no peer could serve the request "
+                f"(last: {last_failure})",
+            },
+        }
+
+
+def _fails_over(response: Dict) -> bool:
+    """Whether another peer might answer what this one did not.
+
+    A refusal and a node's execution error both fail over; a malformed
+    request (``ServiceError``) would be refused the same way everywhere.
+    """
+    status = response.get("status")
+    if status in REFUSAL_STATUSES:
+        return True
+    return (
+        status == "error"
+        and response.get("error", {}).get("type") != "ServiceError"
+    )

@@ -19,10 +19,10 @@ Writes are also safe under *concurrent* writers: each writer stages its
 data in a uniquely named temp file (``tempfile.mkstemp`` in the target
 directory), so two processes publishing the same path never share a
 staging file — each rename is individually atomic and readers see one
-complete version or the other, never an interleaving.  The cluster's
-anti-entropy backfill leans on this: a node repairing its cache and a
-local recompute of the same key may race, and both outcomes are valid
-because both files carry a complete checksummed envelope.
+complete version or the other, never an interleaving.  Two service
+nodes (or processes) recomputing the same cache key may race, and both
+outcomes are valid because both files carry a complete checksummed
+envelope.
 
 The one record format is here too, as pure string functions:
 :func:`seal`/:func:`unseal` for one JSON object (checkpoints, cache
@@ -163,8 +163,8 @@ def atomic_write_text(path: str, text: str) -> None:
     The unique staging name (not a fixed ``<path>.tmp``) is what makes
     concurrent writers of the same path safe: each stages privately, the
     renames serialize at the directory entry, and the last complete
-    version wins — two nodes backfilling the same cache key converge
-    instead of tearing a shared temp file.
+    version wins — two writers of the same cache key converge instead
+    of tearing a shared temp file.
     """
     absolute = os.path.abspath(path)
     directory = os.path.dirname(absolute)

@@ -6,9 +6,9 @@ timeout + retry + quarantine path before failing — under load that turns
 one broken pool into a convoy of slow errors.  With it, the pool's
 recent history is consulted *before* any work is queued: a pool that has
 failed ``failure_threshold`` times in a row is declared **open** and
-requests are redirected immediately (the service serves cached or
-analytic-stub responses tagged ``degraded``), shedding in microseconds
-instead of timing out in seconds.
+requests are refused immediately (the service answers an error typed
+``CircuitOpen``, which a cluster router fails over on), shedding in
+microseconds instead of timing out in seconds.
 
 States (the classic three):
 

@@ -5,9 +5,9 @@ Per-attempt timeouts compose badly: a request that allows 3 attempts of
 in 15.  A :class:`Deadline` is the absolute form of the budget — "this
 work is worthless after T" — created once at the edge (a service
 request, a CLI invocation) and *propagated* down through the router's
-failover attempts, the experiment runner's attempt loop
-(:meth:`~repro.experiments.runner.ExperimentRunner.run_one`), and across
-process boundaries to supervised workers.  Each layer shrinks its own
+failover attempts, the experiment runner's per-experiment budget
+(:meth:`~repro.experiments.runner.ExperimentRunner.run_many`), and
+across process boundaries to supervised workers.  Each layer shrinks its own
 timeout to what remains instead of stacking budgets.
 
 Deadlines are measured on ``time.monotonic`` (never wall-clock: the

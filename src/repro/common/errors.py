@@ -78,7 +78,7 @@ class ServiceError(ReproError):
     Examples: serving on a port that is already bound, a client request
     that is not valid line-delimited JSON, or a response that exceeds
     the protocol's line-length bound.  Admission-control outcomes
-    (rejected, shed, degraded) are *not* errors — they are structured
+    (rejected, shed, draining) are *not* errors — they are structured
     response statuses on the wire.
     """
 

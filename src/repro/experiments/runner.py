@@ -1,4 +1,4 @@
-"""Resilient experiment runner: timeouts, retries, checkpoints, jobs.
+"""Resilient experiment runner: timeouts, checkpoints, jobs.
 
 ``python -m repro run all`` regenerates every table and figure in one
 go; a single wedged or crashing experiment should cost that one
@@ -6,23 +6,20 @@ experiment, not the whole batch.  The runner wraps each registered
 experiment with:
 
 * a **wall-clock budget** — ``timeout_seconds`` (shrunk by a caller's
-  end-to-end ``deadline``) bounds one experiment, all attempts
-  included.  A bounded experiment runs in a supervised worker process,
-  which the supervisor SIGKILLs at the budget; the experiment then
-  fails as :class:`~repro.common.errors.ExperimentTimeout`.  Nothing
+  end-to-end ``deadline``) bounds one experiment.  A bounded
+  experiment runs in a supervised worker process, which the supervisor
+  SIGKILLs at the budget; the experiment then fails as
+  :class:`~repro.common.errors.ExperimentTimeout`.  Nothing
   else bounds a run: with no budget (and ``jobs=1``) the experiment
   runs in this process;
-* **retry with seed rotation** — experiments whose run function takes
-  an ``rng`` parameter are retried with a different seed each attempt,
-  so a run that landed in a pathological noise realization gets a fresh
-  draw (same idea as re-running a flaky hardware measurement).  The
-  manifest records the seed that actually ran.  The service builds its
-  runner with ``retries=0``: a served answer must be the registered
-  seed's bytes, so there a failure is answered ``degraded`` instead;
-* **graceful degradation** — an experiment that still fails after its
-  retries becomes a structured :class:`ExperimentFailure` in the
-  report; the remaining experiments run normally and the process exit
-  code reflects the failures;
+* **one run on the registered seed** — every experiment runs exactly
+  once with its run function's own defaults, so the manifest's seed is
+  always the registered one.  The same seed fails the same way every
+  time, so a failure is reported, never retried into different bytes;
+* **failure isolation** — an experiment that raises becomes a
+  structured :class:`ExperimentFailure` (with its exception type) in
+  the report; the remaining experiments run normally and the process
+  exit code reflects the failures;
 * **JSON checkpointing** — each completed result is persisted
   immediately, so an interrupted ``run all`` resumes where it stopped
   instead of recomputing finished experiments.  Entries are encoded
@@ -40,11 +37,10 @@ experiment with:
   death, poison-task quarantine after ``max_task_crashes`` consecutive
   crashes, and graceful SIGINT/SIGTERM drain that flushes the
   checkpoint before returning.  Every experiment derives its seeds
-  from its own registered defaults (rotated deterministically on
-  retry), so results are bit-identical to a sequential run even when
-  workers crash and tasks re-run; completions merge into the
-  checkpoint as they arrive, and per-experiment failure isolation is
-  unchanged.
+  from its own registered defaults, so results are bit-identical to a
+  sequential run even when workers crash and tasks re-run; completions
+  merge into the checkpoint as they arrive, and per-experiment failure
+  isolation is unchanged.
 """
 
 from __future__ import annotations
@@ -65,10 +61,6 @@ from repro.common.errors import CheckpointCorruptWarning, ConfigurationError
 from repro.experiments.base import EXPERIMENT_REGISTRY, ExperimentResult
 from repro.obs.manifest import RunManifest
 from repro.obs.session import ObsSession, active, observe
-
-#: Seed offset between retry attempts, applied to experiments whose run
-#: function exposes an ``rng`` parameter.
-_SEED_STRIDE = 1000
 
 
 def auto_jobs() -> int:
@@ -91,14 +83,14 @@ def _maybe_observe(session: Optional[ObsSession]):
 
 @dataclass
 class ObsCapture:
-    """Observability record of one experiment's successful attempt.
+    """Observability record of one experiment's successful run.
 
     Attributes:
         experiment_id: Registered experiment id.
         manifest: Reproducibility record (seed, machines, engine, ...).
-        metrics: ``MetricsRegistry.snapshot()`` of the winning attempt,
-            or None for entries restored from an old checkpoint.
-        events: Trace-bus records of the winning attempt (empty unless
+        metrics: ``MetricsRegistry.snapshot()`` of the run, or None for
+            entries restored from an old checkpoint.
+        events: Trace-bus records of the run (empty unless
             the runner was tracing).
     """
 
@@ -122,7 +114,13 @@ class ObsCapture:
 
 @dataclass
 class ExperimentFailure:
-    """One experiment that failed after exhausting its retries."""
+    """One experiment that failed; ``attempts`` counts its runs.
+
+    An experiment runs once, so ``attempts`` is 1, except for a task the
+    supervised executor quarantined after repeated worker crashes (its
+    crash count) and one never started because its deadline had expired
+    (0).
+    """
 
     experiment_id: str
     error_type: str
@@ -175,10 +173,10 @@ def _pool_worker(spec: Tuple) -> Tuple[str, str, Dict, float, Optional[Dict]]:
     """Run one experiment in a worker process; returns a picklable record.
 
     This is the task body the supervised executor's workers run.
-    ``spec`` is ``(experiment_id, retries, sanitize, fn, observe,
-    tracing)`` where ``fn`` is None for globally registered
-    experiments (the worker re-imports the registry — cheap under fork,
-    required under spawn) or the pickled callable for custom registries.
+    ``spec`` is ``(experiment_id, sanitize, fn, observe, tracing)``
+    where ``fn`` is None for globally registered experiments (the worker
+    re-imports the registry — cheap under fork, required under spawn) or
+    the pickled callable for custom registries.
     Results come back as ``to_dict`` payloads, the same round-trip
     format the checkpoint uses; the trailing element carries the
     worker's :class:`ObsCapture` (manifest/metrics/events) when
@@ -188,7 +186,7 @@ def _pool_worker(spec: Tuple) -> Tuple[str, str, Dict, float, Optional[Dict]]:
     runner has no wall-clock bound: the supervisor's task deadline is
     the only one.
     """
-    experiment_id, retries, sanitize, fn, observing, tracing = spec
+    experiment_id, sanitize, fn, observing, tracing = spec
     if fn is None:
         import repro.experiments  # noqa: F401 - populates the registry
 
@@ -196,7 +194,6 @@ def _pool_worker(spec: Tuple) -> Tuple[str, str, Dict, float, Optional[Dict]]:
     else:
         registry = {experiment_id: fn}
     runner = ExperimentRunner(
-        retries=retries,
         sanitize=sanitize,
         registry=registry,
         observe=observing,
@@ -210,7 +207,7 @@ def _pool_worker(spec: Tuple) -> Tuple[str, str, Dict, float, Optional[Dict]]:
             "experiment_id": experiment_id,
             "error_type": type(error).__name__,
             "message": str(error),
-            "attempts": retries + 1,
+            "attempts": 1,
             "elapsed_seconds": time.monotonic() - start,
         }
         return (
@@ -238,13 +235,13 @@ class ExperimentRunner:
     """Runs registered experiments with isolation between them.
 
     Args:
-        timeout_seconds: Wall-clock budget for one experiment, all
-            attempts included; ``None`` disables it.  A bounded
-            experiment runs in a supervised worker process that is
-            SIGKILLed at the budget (see :meth:`run_many`).
-        retries: Extra attempts after the first failure (0 = fail
-            fast).  Attempts rotate the experiment's ``rng`` seed when
-            its run function accepts one.
+        timeout_seconds: Wall-clock budget for one experiment;
+            ``None`` disables it.  A bounded experiment runs in a
+            supervised worker process that is SIGKILLed at the budget
+            (see :meth:`run_many`).
+        retries: Accepted for callers that pass ``retries=0``; the only
+            value.  An experiment runs once on its registered seed, so
+            a retry could only repeat the failure or change the answer.
         checkpoint_path: JSON file for completed results; when set,
             experiments already recorded there are restored instead of
             re-run, and every new completion is persisted immediately.
@@ -256,10 +253,10 @@ class ExperimentRunner:
             corruption surfaces as a structured
             :class:`~repro.common.errors.InvariantViolation` failure
             for that experiment instead of a silently wrong table.
-        observe: Open an observability session around every attempt
-            (see :mod:`repro.obs`): the winning attempt's metrics
-            snapshot and run manifest land in :attr:`captures` (and in
-            the checkpoint).  Implied by ``trace_path``.
+        observe: Open an observability session around every experiment
+            (see :mod:`repro.obs`): its metrics snapshot and run
+            manifest land in :attr:`captures` (and in the checkpoint).
+            Implied by ``trace_path``.
         trace_path: Write the batch as a JSONL trace artifact
             (:meth:`write_trace`): run header, then per experiment a
             manifest, result, metrics snapshot, and the trace-bus tail.
@@ -277,7 +274,7 @@ class ExperimentRunner:
     def __init__(
         self,
         timeout_seconds: Optional[float] = None,
-        retries: int = 1,
+        retries: int = 0,
         checkpoint_path: Optional[str] = None,
         registry: Optional[Dict[str, Callable[..., ExperimentResult]]] = None,
         sanitize: bool = False,
@@ -292,8 +289,11 @@ class ExperimentRunner:
             raise ValueError(
                 f"timeout_seconds must be > 0, got {timeout_seconds}"
             )
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
+        if retries != 0:
+            raise ValueError(
+                f"retries must be 0 (an experiment runs once on its "
+                f"registered seed), got {retries}"
+            )
         for option, path in (("checkpoint", checkpoint_path),
                              ("trace", trace_path)):
             # Refuse before any work runs; a bare name means the cwd.
@@ -302,7 +302,6 @@ class ExperimentRunner:
                     f"{option} path {path}: its directory does not exist"
                 )
         self.timeout_seconds = timeout_seconds
-        self.retries = retries
         self.checkpoint_path = checkpoint_path
         self.registry = EXPERIMENT_REGISTRY if registry is None else registry
         self.sanitize = sanitize
@@ -312,7 +311,7 @@ class ExperimentRunner:
         self.heartbeat_interval = heartbeat_interval
         self.drain_timeout = drain_timeout
         self.chaos = chaos
-        #: Whether per-attempt sessions carry a trace bus: on with a
+        #: Whether per-experiment sessions carry a trace bus: on with a
         #: ``trace_path``, and in a pool worker whose parent traces.
         self.tracing = trace_path is not None
         #: Per-experiment observability records (manifest, metrics,
@@ -341,59 +340,33 @@ class ExperimentRunner:
     # -- single experiment ---------------------------------------------
 
     def run_one(self, experiment_id: str) -> ExperimentResult:
-        """Run one experiment in this process through the retry loop.
+        """Run one experiment once, in this process, on its registered seed.
 
         Nothing here bounds the run's wall clock: :meth:`run_many`
         moves a bounded experiment into a supervised worker process.
-        Raises whatever the final attempt raised once retries are
-        exhausted.
+        Raises whatever the experiment raised.
         """
         fn = self.registry[experiment_id]
-        # Resolve the signature once; retries reuse the parameter
-        # instead of re-running inspect.signature per attempt.
-        rng_parameter = self._rng_parameter(fn)
+        if not self.observe:
+            return self._run(fn)
+        # A fresh session per experiment: counts never bleed between runs.
+        session = self._session()
+        with observe(session):
+            with session.span("experiment", experiment_id=experiment_id):
+                result = self._run(fn)
+        self._capture(experiment_id, session, self._registered_seed(fn))
+        return result
 
-        def attempt(index: int) -> ExperimentResult:
-            kwargs = {}
-            if rng_parameter is not None and index > 0:
-                kwargs["rng"] = self._rotated_seed(rng_parameter, index)
-            if not self.observe:
-                return self._run_attempt(fn, kwargs)
-            # A fresh session per attempt: counts never bleed between
-            # retries, and only the winning attempt's capture survives.
-            session = self._session()
-            with observe(session):
-                with session.span(
-                    "experiment", experiment_id=experiment_id, attempt=index
-                ):
-                    result = self._run_attempt(fn, kwargs)
-            if index > 0:
-                session.metrics.counter("runner.retries").inc(index)
-            self._capture(
-                experiment_id,
-                session,
-                self._attempt_seed(rng_parameter, index),
-                index + 1,
-            )
-            return result
-
-        for index in range(self.retries):
-            try:
-                return attempt(index)
-            except Exception:  # noqa: BLE001 - the next attempt runs
-                pass
-        return attempt(self.retries)
-
-    def _run_attempt(self, fn: Callable, kwargs: Dict) -> ExperimentResult:
+    def _run(self, fn: Callable) -> ExperimentResult:
         if self.sanitize:
             from repro.analysis.sanitize import scoped_sanitize
 
             with scoped_sanitize():
-                return fn(**kwargs)
-        return fn(**kwargs)
+                return fn()
+        return fn()
 
     def _session(self) -> ObsSession:
-        """A fresh per-attempt session, with a trace bus when tracing."""
+        """A fresh per-experiment session, with a trace bus when tracing."""
         return ObsSession() if self.tracing else ObsSession(trace_depth=0)
 
     def _capture(
@@ -401,9 +374,8 @@ class ExperimentRunner:
         capture_id: str,
         session: ObsSession,
         seed: Optional[int],
-        attempts: int,
     ) -> None:
-        """Record a winning attempt's manifest, metrics, and events."""
+        """Record a completed run's manifest, metrics, and events."""
         from repro.sim.fastpath import default_engine
 
         self.captures[capture_id] = ObsCapture(
@@ -411,7 +383,6 @@ class ExperimentRunner:
             manifest=RunManifest.with_provenance(
                 experiment_id=capture_id,
                 seed=seed,
-                attempts=attempts,
                 machines=session.machines(),
                 fault_models=session.fault_models(),
                 engine=default_engine(),
@@ -422,31 +393,15 @@ class ExperimentRunner:
         )
 
     @staticmethod
-    def _rng_parameter(fn: Callable) -> Optional[inspect.Parameter]:
-        """The run function's ``rng`` parameter, if it has one."""
+    def _registered_seed(fn: Callable) -> Optional[int]:
+        """The run function's ``rng`` default if it is an int, else None."""
         try:
-            return inspect.signature(fn).parameters.get("rng")
+            parameter = inspect.signature(fn).parameters.get("rng")
         except (TypeError, ValueError):
             return None
-
-    @staticmethod
-    def _rotated_seed(parameter: inspect.Parameter, attempt: int) -> int:
-        base = parameter.default
-        if not isinstance(base, int):
-            base = 0
-        return base + attempt * _SEED_STRIDE
-
-    @staticmethod
-    def _attempt_seed(
-        parameter: Optional[inspect.Parameter], attempt: int
-    ) -> Optional[int]:
-        """The seed attempt ``attempt`` actually ran with (for manifests)."""
-        if parameter is None:
+        if parameter is None or not isinstance(parameter.default, int):
             return None
-        if attempt == 0:
-            default = parameter.default
-            return default if isinstance(default, int) else None
-        return ExperimentRunner._rotated_seed(parameter, attempt)
+        return parameter.default
 
     # -- batches --------------------------------------------------------
 
@@ -631,7 +586,7 @@ class ExperimentRunner:
                 result = self._run_trial_block(
                     engine, block_id, lo, hi, message_length, seed
                 )
-            except Exception as error:  # noqa: BLE001 - degraded, not fatal
+            except Exception as error:  # noqa: BLE001 - reported, not fatal
                 failure = ExperimentFailure(
                     experiment_id=block_id,
                     error_type=type(error).__name__,
@@ -664,9 +619,7 @@ class ExperimentRunner:
         session = self._session() if self.observe else None
         with _maybe_observe(session):
             if session is not None:
-                with session.span(
-                    "trial-block", experiment_id=block_id, attempt=0
-                ):
+                with session.span("trial-block", experiment_id=block_id):
                     transfer = engine.run_transfer(
                         hi - lo, message_length, trial_offset=lo
                     )
@@ -699,7 +652,7 @@ class ExperimentRunner:
             notes=notes,
         )
         if session is not None:
-            self._capture(block_id, session, seed, 1)
+            self._capture(block_id, session, seed)
         return result
 
     def _run_sequential(
@@ -714,12 +667,12 @@ class ExperimentRunner:
             start = time.monotonic()
             try:
                 result = self.run_one(experiment_id)
-            except Exception as error:  # noqa: BLE001 - degraded, not fatal
+            except Exception as error:  # noqa: BLE001 - reported, not fatal
                 failure = ExperimentFailure(
                     experiment_id=experiment_id,
                     error_type=type(error).__name__,
                     message=str(error),
-                    attempts=self.retries + 1,
+                    attempts=1,
                     elapsed_seconds=time.monotonic() - start,
                 )
                 report.failures.append(failure)
@@ -764,7 +717,6 @@ class ExperimentRunner:
                 experiment_id,
                 (
                     experiment_id,
-                    self.retries,
                     self.sanitize,
                     None if global_registry else self.registry[experiment_id],
                     self.observe,

@@ -262,14 +262,6 @@ METRIC_CATALOG: Dict[str, MetricSpec] = dict(
             "moving-average).",
         ),
         _spec(
-            "runner.retries",
-            "counter",
-            "attempts",
-            "repro.experiments.runner",
-            "Extra attempts (with rotated seeds) the resilient runner "
-            "spent on the experiment whose session this is.",
-        ),
-        _spec(
             "executor.workers.crashed",
             "counter",
             "workers",
@@ -368,12 +360,15 @@ METRIC_CATALOG: Dict[str, MetricSpec] = dict(
             labelled=True,
         ),
         _spec(
-            "service.requests.degraded",
+            "service.requests.failed",
             "counter",
             "requests",
             "repro.service.server",
-            "Requests answered from cache or an analytic stub because "
-            "the pool's circuit breaker was open or execution failed.",
+            "Requests answered with an error naming why no result was "
+            "produced (labelled by error type: CircuitOpen, "
+            "ExperimentTimeout, WorkerCrashed, or what the experiment "
+            "raised).",
+            labelled=True,
         ),
         _spec(
             "service.breaker.state",
@@ -448,15 +443,7 @@ METRIC_CATALOG: Dict[str, MetricSpec] = dict(
             "requests",
             "repro.cluster.router",
             "Request attempts moved to another replica after a peer "
-            "refusal, timeout, or disconnect.",
-        ),
-        _spec(
-            "cluster.responses.degraded",
-            "counter",
-            "responses",
-            "repro.cluster.router",
-            "Degraded (cache/stub substitute) answers the router relayed "
-            "to clients; each schedules an anti-entropy repair.",
+            "refusal, execution error, timeout, or disconnect.",
         ),
         _spec(
             "cluster.peer.failures",
@@ -478,60 +465,12 @@ METRIC_CATALOG: Dict[str, MetricSpec] = dict(
             labelled=True,
         ),
         _spec(
-            "cluster.repairs.scheduled",
-            "counter",
-            "repairs",
-            "repro.cluster.repair",
-            "Anti-entropy repairs queued after a degraded answer (the "
-            "degraded node will be backfilled from a replica).",
-        ),
-        _spec(
-            "cluster.repairs.completed",
-            "counter",
-            "repairs",
-            "repro.cluster.repair",
-            "Anti-entropy repairs that fetched the exact result from a "
-            "replica and backfilled the degraded node's cache.",
-        ),
-        _spec(
-            "cluster.repairs.failed",
-            "counter",
-            "repairs",
-            "repro.cluster.repair",
-            "Anti-entropy repairs abandoned because no replica produced "
-            "an exact result (or the backfill was rejected).",
-        ),
-        _spec(
-            "cluster.repairs.dropped",
-            "counter",
-            "repairs",
-            "repro.cluster.repair",
-            "Repairs dropped because the bounded repair queue was full "
-            "(backpressure; a later degraded answer re-schedules).",
-        ),
-        _spec(
             "cluster.requests.forwarded",
             "counter",
             "requests",
             "repro.service.server",
             "Requests this node served that arrived through the cluster "
             "router (the wire payload carried forwarded=true).",
-        ),
-        _spec(
-            "cluster.backfill.applied",
-            "counter",
-            "entries",
-            "repro.service.server",
-            "Anti-entropy backfill entries accepted into this node's "
-            "result cache after checksum verification.",
-        ),
-        _spec(
-            "cluster.backfill.rejected",
-            "counter",
-            "entries",
-            "repro.service.server",
-            "Anti-entropy backfill entries refused: checksum mismatch, "
-            "or a conflicting entry already existed for the key.",
         ),
         _spec(
             "trace.events.dropped",

@@ -59,9 +59,8 @@ class RunManifest:
 
     Attributes:
         experiment_id: Registered experiment id.
-        seed: The ``rng`` seed the successful attempt ran with; None
-            when the run function takes no seed.
-        attempts: Attempts consumed (1 = first try succeeded).
+        seed: The registered ``rng`` seed the run used; None when the
+            run function takes no seed.
         machines: Deduped machine builds: ``{spec, count}``.
         fault_models: Names of fault models attached during the run.
         engine: Process-wide default engine the run started under
@@ -74,7 +73,6 @@ class RunManifest:
 
     experiment_id: str
     seed: Optional[int] = None
-    attempts: int = 1
     machines: List[Dict] = field(default_factory=list)
     fault_models: List[str] = field(default_factory=list)
     engine: str = "fast"
@@ -94,7 +92,6 @@ class RunManifest:
         return {
             "experiment_id": self.experiment_id,
             "seed": self.seed,
-            "attempts": self.attempts,
             "machines": [dict(m) for m in self.machines],
             "fault_models": list(self.fault_models),
             "engine": self.engine,
@@ -109,7 +106,6 @@ class RunManifest:
         return cls(
             experiment_id=data["experiment_id"],
             seed=data.get("seed"),
-            attempts=data.get("attempts", 1),
             machines=[dict(m) for m in data.get("machines", [])],
             fault_models=list(data.get("fault_models", [])),
             engine=data.get("engine", "fast"),
@@ -148,6 +144,4 @@ class RunManifest:
             parts.insert(2, f"faults {','.join(self.fault_models)}")
         if self.sanitize:
             parts.insert(2, "sanitized")
-        if self.attempts != 1:
-            parts.insert(1, f"attempt {self.attempts}")
         return "_run: " + " · ".join(parts) + "_"

@@ -45,7 +45,6 @@ SUMMARY_COUNTERS = (
     "channel.bits.sent",
     "channel.observations",
     "channel.decoded.bits",
-    "runner.retries",
     "trace.events.dropped",
 )
 

@@ -12,14 +12,14 @@ it down.  The robustness core:
   the request immediately (never unbounded buffering);
 * **deadline propagation** — a client's ``deadline_ms`` rides the
   request into :class:`~repro.common.deadline.Deadline` and down
-  through the runner's attempt budgets;
+  to the runner's per-experiment budget;
 * **circuit breaking** — each pool sits behind a
   :class:`~repro.common.breaker.CircuitBreaker`; a crash-looping pool
-  sheds in microseconds instead of timing out slowly;
-* **graceful degradation** — results are memoized in a checksummed,
-  manifest-keyed cache; when a pool is open-circuit the service serves
-  cached or analytic-stub responses tagged ``degraded=true`` rather
-  than erroring.
+  answers a ``CircuitOpen`` error in microseconds instead of timing out
+  slowly;
+* **exact answers or typed errors** — results are memoized in a
+  checksummed, manifest-keyed cache; a request the node cannot execute
+  gets an ``error`` whose type names the cause, never a substitute.
 
 See ``docs/SERVICE.md`` for the protocol and knob reference.
 """

@@ -1,16 +1,13 @@
-"""Manifest-keyed result cache: degraded-mode serving and bit-identity.
+"""Manifest-keyed result cache: bit-identical repeats.
 
-The cache is what turns the service's failure story from "retry and
-pray" into graceful degradation: every successful execution is memoized
-under a key derived from the *deterministic* fields of its
+Every successful execution is memoized under a key derived from the *deterministic* fields of its
 :class:`~repro.obs.manifest.RunManifest` (experiment id, seed,
 sanitizer state, package version — exactly the fields that determine
 the result bits, and none of the provenance fields that do not, the
 engine among them: the fast engine is bit-identical to the reference
 one).  A repeat request is served the stored canonical payload
 verbatim, so a client that reconnects after a drain gets a
-**bit-identical** response; a request that lands on an open-circuit
-pool is served from here rather than erroring.
+**bit-identical** response.
 
 Entries are durable and *checksummed*: each file is the
 :func:`~repro.common.atomicio.seal` of the entry's
@@ -19,14 +16,12 @@ checkpoints.  A torn, bit-flipped or other-version entry is detected
 at load, quarantined to ``<key>.json.corrupt``, counted
 (``service.cache.corrupt``), and treated as a miss — never served.
 
-The disk tier is safe under concurrent multi-writer backfill: every
-write stages in a uniquely named temp file and publishes with one atomic
-rename, so two processes recomputing (or anti-entropy repairing) the
-same key converge on a complete envelope instead of racing a shared
-temp path into quarantine.  Results are deterministic per key, so the
-"last writer wins" outcome is byte-identical whichever writer wins;
-:meth:`ResultCache.backfill` additionally checksum-verifies a payload
-that crossed the wire before accepting it.
+The disk tier is safe under concurrent writers: every write stages in
+a uniquely named temp file and publishes with one atomic rename, so two
+processes recomputing the same key converge on a complete envelope
+instead of racing a shared temp path into quarantine.  Results are
+deterministic per key, so the "last writer wins" outcome is
+byte-identical whichever writer wins.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from typing import Dict, List, Optional
 
 import repro
 from repro.common.atomicio import atomic_write_text, quarantine_file
-from repro.common.atomicio import checksum as record_checksum, seal, unseal
+from repro.common.atomicio import seal, unseal
 
 #: RunManifest fields that determine the result bits; the cache key is
 #: a hash over exactly these (provenance fields — engine, git rev,
@@ -76,7 +71,7 @@ def request_key(fields: Dict) -> str:
 
 def canonical_entry(entry: Dict) -> str:
     """The one serialization of a cache entry: what :meth:`ResultCache.put`
-    seals and serves, and what a ``backfill`` checksum covers."""
+    seals and serves."""
     return json.dumps(entry, sort_keys=True)
 
 
@@ -166,28 +161,6 @@ class ResultCache:
         atomic_write_text(self.path(key), seal(payload))
         self._memory[key] = payload
         return payload
-
-    def backfill(self, key: str, entry: Dict, checksum: str) -> bool:
-        """Accept an entry that crossed the wire (anti-entropy repair).
-
-        Unlike :meth:`put`, the payload is *untrusted*: it was computed
-        on another node and forwarded here, so it must carry the
-        ``sha256:<hex>`` checksum of its canonical payload and the local
-        recomputation must match before anything is stored.  Returns
-        True when the cache now holds this exact payload (stored now, or
-        an identical entry already existed — convergence, not conflict);
-        False on a checksum mismatch or a *different* existing entry
-        (first-writer-wins: a local exact result is never overwritten by
-        a remote one).
-        """
-        payload = canonical_entry(entry)
-        if record_checksum(payload) != checksum:
-            return False
-        existing = self.get_payload(key)
-        if existing is not None:
-            return existing == payload
-        self.put(key, entry)
-        return True
 
     def discard_memory(self, key: str) -> None:
         """Drop the in-memory copy, forcing the next read through disk.

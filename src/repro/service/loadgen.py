@@ -67,7 +67,6 @@ class LoadReport:
     total: int = 0
     by_status: Dict[str, int] = field(default_factory=dict)
     by_source: Dict[str, int] = field(default_factory=dict)
-    degraded: int = 0
     disconnected: int = 0
     client_errors: int = 0
     latencies_ms: List[float] = field(default_factory=list)
@@ -81,8 +80,6 @@ class LoadReport:
         self.latencies_ms.append(elapsed_ms)
         self.responses.append(response)
         self._count(self.by_status, response.get("status", "?"))
-        if response.get("degraded"):
-            self.degraded += 1
         source = response.get("source")
         if source:
             self._count(self.by_source, source)
@@ -119,7 +116,6 @@ class LoadReport:
             "total": self.total,
             "by_status": dict(self.by_status),
             "by_source": dict(self.by_source),
-            "degraded": self.degraded,
             "disconnected": self.disconnected,
             "client_errors": self.client_errors,
             "hit_rate": round(self.hit_rate, 4),

@@ -14,7 +14,8 @@ Request shape::
 ``stats`` (metrics/breaker/queue snapshot), or ``analyze`` (static
 leakage analysis of a replacement policy — zero simulation; see
 ``docs/LEAKAGE.md``).  ``deadline_ms`` is the end-to-end budget the
-whole request — queueing, attempts, retries — must fit into;
+whole request — queueing, execution, a router's failover — must fit
+into;
 ``refresh`` bypasses the cache *read* (the result is still written
 back).
 
@@ -50,29 +51,15 @@ The response's ``result`` is one leakage entry
 state space exceeds the eager budget comes back ``status=ok`` with
 ``result.mode == "refused"`` — a structured refusal, not an error.
 
-Two cluster-era additions ride the same frame without changing its
-shape for existing clients (the protocol version stays 1):
-
-* ``forwarded`` (bool, default false) marks a request relayed by the
-  cluster router (``python -m repro route``) rather than sent by a
-  client directly — observability only, the request path is identical;
-* op ``backfill`` is the anti-entropy repair op: a router that saw a
-  node answer ``degraded=true`` pushes that node the exact result a
-  replica computed.  It carries ``cache_key`` (the node-reported key),
-  ``result`` (the exact payload), and ``checksum`` (``sha256:<hex>`` of
-  the canonical cache entry) — the receiving node verifies the checksum
-  before storing and never overwrites a differing local entry::
-
-      {"op": "backfill", "cache_key": "<64 hex>", "result": {...},
-       "checksum": "sha256:<hex>", "request_id": "repair-1"}
+``forwarded`` (bool, default false) marks a request relayed by the
+cluster router (``python -m repro route``) rather than sent by a
+client directly — observability only, the request path is identical.
 
 Response statuses:
 
 ====================  ====================================================
 ``ok``                Executed or served from cache; ``result`` carries
-                      the experiment payload.  ``degraded=true`` means
-                      the payload is a cached/stub substitute, not a
-                      fresh exact run (``source`` says which).
+                      the exact payload (``source`` says which).
 ``rejected``          Token-bucket admission control refused the request
                       (429-style); ``retry_after_ms`` hints when to retry.
 ``shed``              Admitted, but the bounded queue of the lane that
@@ -80,8 +67,12 @@ Response statuses:
                       was full (backpressure).
 ``draining``          The server is shutting down gracefully; reconnect
                       and retry — finished results are served from cache.
-``error``             The request itself was malformed (bad JSON, unknown
-                      op or experiment id, oversized line).
+``error``             No result: ``error.type`` names why.  A malformed
+                      request (bad JSON, unknown op or experiment id,
+                      oversized line) is ``ServiceError``; a request the
+                      node could not execute is ``CircuitOpen``,
+                      ``ExperimentTimeout``, ``WorkerCrashed``, or the
+                      exception the experiment raised.
 ====================  ====================================================
 """
 
@@ -101,7 +92,7 @@ MAX_LINE_BYTES = 1_048_576
 PROTOCOL_VERSION = 1
 
 #: Operations a request may name.
-OPS = ("run", "ping", "stats", "analyze", "backfill")
+OPS = ("run", "ping", "stats", "analyze")
 
 #: Defense models the ``analyze`` op accepts: the closed-table models
 #: of ``repro.analysis.reachability.DEFENSES`` plus the randomized
@@ -142,9 +133,6 @@ class Request:
     defense: str = "none"
     trials: int = 0
     forwarded: bool = False
-    cache_key: str = ""
-    result: Optional[Dict] = None
-    checksum: str = ""
 
 
 def parse_request(line: bytes) -> Request:
@@ -230,30 +218,6 @@ def parse_request(line: bytes) -> Request:
                 f"unknown defense {defense!r}; expected one of "
                 f"{ANALYZE_DEFENSES}"
             )
-    cache_key = data.get("cache_key", "")
-    result = data.get("result")
-    checksum = data.get("checksum", "")
-    if op == "backfill":
-        if (
-            not isinstance(cache_key, str)
-            or len(cache_key) != 64
-            or any(c not in "0123456789abcdef" for c in cache_key)
-        ):
-            raise ServiceError(
-                "op 'backfill' requires cache_key as 64 lowercase hex "
-                "characters (a result-cache key)"
-            )
-        if not isinstance(result, dict):
-            raise ServiceError(
-                "op 'backfill' requires result as a JSON object"
-            )
-        if not isinstance(checksum, str) or not checksum.startswith(
-            "sha256:"
-        ):
-            raise ServiceError(
-                "op 'backfill' requires checksum as 'sha256:<hex>' over "
-                "the canonical cache entry"
-            )
     return Request(
         op=op,
         experiment_id=experiment_id if isinstance(experiment_id, str) else "",
@@ -265,9 +229,6 @@ def parse_request(line: bytes) -> Request:
         defense=defense if isinstance(defense, str) else "none",
         trials=trials,
         forwarded=forwarded,
-        cache_key=cache_key if isinstance(cache_key, str) else "",
-        result=result if isinstance(result, dict) else None,
-        checksum=checksum if isinstance(checksum, str) else "",
     )
 
 
@@ -293,7 +254,7 @@ def status_response(request: Request, status: str) -> Dict:
 
 
 def error_response(message: str, request_id: str = "") -> Dict:
-    """The structured shape of a protocol-level failure."""
+    """The structured shape of a malformed request (``ServiceError``)."""
     return {
         "v": PROTOCOL_VERSION,
         "request_id": request_id,

@@ -18,11 +18,15 @@ also refuses to start work whose deadline has already expired.
 
 Every stage that can refuse does so *explicitly* and *immediately*:
 admission refusal is a ``rejected`` response with a retry hint, a full
-lane queue is a ``shed`` response, an open breaker short-circuits to a
-cached or analytic-stub response tagged ``degraded=true``.  Nothing
-buffers unboundedly: each lane runs one execution at a time with at
-most ``queue_depth`` waiting, and nothing blocks a client on a pool
-that recent history says is broken.
+lane queue is a ``shed`` response, and an open breaker short-circuits
+to an ``error`` response whose ``error.type`` is ``CircuitOpen``.  An
+execution that fails answers ``error`` too, typed by its cause
+(``ExperimentTimeout``, ``WorkerCrashed``, or the exception the
+experiment raised): a node answers the registered result or says why
+it could not, never a substitute.  Nothing buffers unboundedly: each
+lane runs one execution at a time with at most ``queue_depth``
+waiting, and nothing blocks a client on a pool that recent history
+says is broken.
 
 Execution itself happens off the loop, one single-thread executor per
 lane.  A pool executes through :class:`InlineBackend`: each request is
@@ -91,8 +95,7 @@ class ServiceConfig:
         timeout_seconds: Wall-clock budget for one execution; a bounded
             execution runs in a supervised worker process.  Each
             request runs once: a failure is the pool breaker's evidence
-            and the client gets a ``degraded`` answer, never a result
-            computed from another seed.
+            and the client gets an ``error`` answer naming its cause.
         sanitize: Run executions with the runtime sanitizer armed.
         breaker_failures: Consecutive failures that open a pool's
             circuit breaker.
@@ -198,6 +201,11 @@ def failed(error_type: str, message: str) -> Dict:
     return {"ok": False, "error": {"type": error_type, "message": message}}
 
 
+#: The outcome of an execution a drain abandoned: the request is answered
+#: ``draining`` (reconnect and retry), which a router fails over on.
+DRAINED = {"ok": False, "draining": True}
+
+
 # ----------------------------------------------------------------------
 # Execution (runs on a lane's single executor thread)
 # ----------------------------------------------------------------------
@@ -279,7 +287,6 @@ class InlineBackend:
 
         self.runner = ExperimentRunner(
             timeout_seconds=config.timeout_seconds,
-            retries=0,
             sanitize=config.sanitize,
             registry=registry,
             max_task_crashes=config.max_task_crashes,
@@ -379,12 +386,7 @@ class _Lane:
                 # Hard drain: the execution thread may still be running,
                 # but the waiter must not hang on a result that will
                 # never be published.
-                _settle(
-                    job.future,
-                    failed(
-                        "ServiceError", "drain timeout cancelled the execution"
-                    ),
-                )
+                _settle(job.future, DRAINED)
                 raise
             except Exception as error:  # noqa: BLE001 - surfaced to waiter
                 outcome = failed(type(error).__name__, str(error))
@@ -506,10 +508,7 @@ class ExperimentService(LineFrontEnd):
         # Whatever never ran: tell the waiters.
         for lane in self._lanes():
             while not lane.queue.empty():
-                _settle(
-                    lane.queue.get_nowait().future,
-                    failed("ServiceError", "server drained before execution"),
-                )
+                _settle(lane.queue.get_nowait().future, DRAINED)
         self.cache.flush()
         await self.close_listener()
         if self._drained is not None:
@@ -554,8 +553,6 @@ class ExperimentService(LineFrontEnd):
             return status_response(request, "pong")
         if request.op == "stats":
             return self._stats(request)
-        if request.op == "backfill":
-            return self._backfill(request)
         return await self._execute(request)
 
     async def _execute(self, request: Request) -> Dict:
@@ -585,14 +582,10 @@ class ExperimentService(LineFrontEnd):
             if payload is not None:
                 return self._ok(request, key, payload, "cache", start)
         if analyze and deadline is not None and deadline.remaining() <= 0:
-            return self._degraded(
+            return self._failed(
                 request,
-                key,
-                start,
-                {
-                    "type": "ExperimentTimeout",
-                    "message": "deadline expired before analysis",
-                },
+                "ExperimentTimeout",
+                "deadline expired before analysis",
             )
         lane = (
             self._analysis
@@ -608,14 +601,10 @@ class ExperimentService(LineFrontEnd):
         breaker = lane.breaker
         if breaker is not None:
             if not breaker.allow():
-                return self._degraded(
+                return self._failed(
                     request,
-                    key,
-                    start,
-                    {
-                        "type": "CircuitOpen",
-                        "message": f"{lane.name} circuit breaker is open",
-                    },
+                    "CircuitOpen",
+                    f"{lane.name} circuit breaker is open",
                 )
             self._publish_breaker_state(breaker)
         if analyze:
@@ -683,17 +672,20 @@ class ExperimentService(LineFrontEnd):
         lane: _Lane,
         breaker: Optional[CircuitBreaker] = None,
     ) -> Dict:
-        """Answer an execution's outcome: memoize a result, or degrade.
+        """Answer an execution's outcome: memoize a result, or report why not.
 
         ``breaker`` is given only to the request that queued the
         execution, so one execution is one piece of breaker evidence
         however many requests coalesced onto it.
         """
+        if outcome.get("draining"):
+            return status_response(request, "draining")
         if not outcome.get("ok"):
             if breaker is not None:
                 breaker.record_failure()
                 self._publish_breaker_state(breaker)
-            return self._degraded(request, key, start, outcome.get("error"))
+            error = outcome["error"]
+            return self._failed(request, error["type"], error["message"])
         if breaker is not None:
             breaker.record_success()
             self._publish_breaker_state(breaker)
@@ -730,7 +722,6 @@ class ExperimentService(LineFrontEnd):
         start: float,
     ) -> Dict:
         response = status_response(request, "ok")
-        response["degraded"] = False
         response["source"] = source
         response["cache_key"] = key
         entry = json.loads(payload)
@@ -740,62 +731,11 @@ class ExperimentService(LineFrontEnd):
         )
         return response
 
-    def _degraded(
-        self,
-        request: Request,
-        key: str,
-        start: float,
-        error: Optional[Dict] = None,
-    ) -> Dict:
-        """Serve a cached or analytic-stub substitute, tagged degraded.
-
-        ``status`` stays ``ok`` — degradation is a quality tag, not an
-        error: the client still gets a usable, deterministic payload.
-        """
-        self.metrics.counter("service.requests.degraded").inc()
-        response = status_response(request, "ok")
-        response["degraded"] = True
-        response["cache_key"] = key
-        cached = self.cache.get(key)
-        if cached is not None:
-            response["source"] = "cache"
-            response["result"] = cached["result"]
-        else:
-            response["source"] = "stub"
-            response["result"] = analytic_stub(request.experiment_id)
-        if error is not None:
-            response["error"] = error
-        response["elapsed_ms"] = round(
-            (time.monotonic() - start) * 1000.0, 3
-        )
-        return response
-
-    def _backfill(self, request: Request) -> Dict:
-        """Anti-entropy repair: accept an exact result from a replica.
-
-        The entry is rebuilt canonically from the wire fields and only
-        stored when its checksum verifies AND no differing local entry
-        exists (the cache's converge-or-refuse semantics) — a node never
-        lets a peer overwrite results it computed itself.
-        """
-        if self.draining:
-            return status_response(request, "draining")
-        applied = self.cache.backfill(
-            request.cache_key,
-            {"key": request.cache_key, "result": request.result},
-            checksum=request.checksum,
-        )
-        if not applied:
-            self.metrics.counter("cluster.backfill.rejected").inc()
-            return error_response(
-                "backfill rejected: checksum mismatch or conflicting "
-                "local entry",
-                request.request_id,
-            )
-        self.metrics.counter("cluster.backfill.applied").inc()
-        response = status_response(request, "ok")
-        response["applied"] = True
-        response["cache_key"] = request.cache_key
+    def _failed(self, request: Request, error_type: str, message: str) -> Dict:
+        """An execution that produced no result: an error naming its cause."""
+        self.metrics.counter("service.requests.failed", label=error_type).inc()
+        response = status_response(request, "error")
+        response["error"] = {"type": error_type, "message": message}
         return response
 
     def _stats(self, request: Request) -> Dict:
@@ -854,12 +794,11 @@ class ExperimentService(LineFrontEnd):
         else:
             from repro.experiments.runner import ExperimentRunner
 
-            parameter = ExperimentRunner._rng_parameter(
-                self.registry[request.experiment_id]
-            )
             fields = key_fields(
                 experiment_id=request.experiment_id,
-                seed=ExperimentRunner._attempt_seed(parameter, 0),
+                seed=ExperimentRunner._registered_seed(
+                    self.registry[request.experiment_id]
+                ),
                 sanitize=self.config.sanitize,
             )
         return request_key(fields)
@@ -889,22 +828,3 @@ class ExperimentService(LineFrontEnd):
             return
         self.cache.discard_memory(key)
 
-
-def analytic_stub(experiment_id: str) -> Dict:
-    """Deterministic substitute payload for degraded-mode serving.
-
-    Shaped exactly like a real :class:`ExperimentResult` payload so
-    clients parse one format, with the degradation spelled out in
-    ``notes`` (and the response's ``degraded``/``source`` tags).
-    """
-    return ExperimentResult(
-        experiment_id=experiment_id,
-        title=f"analytic stub for {experiment_id} (degraded)",
-        columns=[],
-        rows=[],
-        paper_expectation="",
-        notes=(
-            "degraded response: the worker pool was unavailable and no "
-            "cached result existed; retry later for exact data"
-        ),
-    ).to_dict()

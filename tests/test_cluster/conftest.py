@@ -140,7 +140,7 @@ class ClusterHarness:
         return ServiceClient("127.0.0.1", self.router_port, timeout=timeout)
 
     def node_client(self, name, timeout=15.0):
-        """Blocking client pointed directly at one node (repair tests)."""
+        """Blocking client pointed directly at one node."""
         return ServiceClient(
             "127.0.0.1", self.services[name].port, timeout=timeout
         )

@@ -1,11 +1,9 @@
-"""Unit tests: health checks and repair queueing — each against fakes,
-no sockets."""
+"""Unit tests: health checks against a fake transport, no sockets."""
 
 import asyncio
 
 from repro.cluster.health import HealthMonitor
 from repro.cluster.membership import Membership
-from repro.cluster.repair import AntiEntropyRepairer
 from repro.common.breaker import CircuitBreaker
 from repro.common.errors import PeerUnavailable
 from repro.obs.session import ObsSession
@@ -104,90 +102,3 @@ class TestHealthMonitor:
         asyncio.run(drive())
         assert monitor.rounds >= 2
 
-
-def make_repairer(behavior, queue_depth=4):
-    membership = Membership.from_spec("a=h1:7001,b=h2:7002,c=h3:7003")
-    transport = FakeTransport(behavior)
-    metrics = ObsSession().metrics
-    repairer = AntiEntropyRepairer(
-        membership, transport, metrics, queue_depth=queue_depth
-    )
-    return repairer, transport, metrics
-
-
-KEY = "ab" * 32
-RUN_PAYLOAD = {"op": "run", "experiment_id": "alpha", "forwarded": True}
-
-
-class TestRepairScheduling:
-    def test_duplicate_keys_are_coalesced(self):
-        repairer, _, metrics = make_repairer({})
-        assert repairer.schedule(KEY, RUN_PAYLOAD, "a", ["b"]) is True
-        assert repairer.schedule(KEY, RUN_PAYLOAD, "a", ["b"]) is False
-        assert metrics.snapshot()["counters"]["cluster.repairs.scheduled"] == 1
-
-    def test_overflow_drops_and_counts(self):
-        repairer, _, metrics = make_repairer({}, queue_depth=1)
-        assert repairer.schedule(KEY, RUN_PAYLOAD, "a", ["b"]) is True
-        other = "cd" * 32
-        assert repairer.schedule(other, RUN_PAYLOAD, "a", ["b"]) is False
-        assert metrics.snapshot()["counters"]["cluster.repairs.dropped"] == 1
-
-    def test_rejects_empty_key_or_donors(self):
-        repairer, _, _ = make_repairer({})
-        assert repairer.schedule("", RUN_PAYLOAD, "a", ["b"]) is False
-        assert repairer.schedule(KEY, RUN_PAYLOAD, "a", []) is False
-
-
-class TestRepairExecution:
-    def _run(self, repairer):
-        async def drive():
-            stop = asyncio.Event()
-            task = asyncio.ensure_future(repairer.run(stop))
-            while repairer.processed < 1:
-                await asyncio.sleep(0.005)
-            stop.set()
-            await asyncio.wait_for(task, timeout=2.0)
-
-        asyncio.run(drive())
-
-    def test_exact_donor_result_is_backfilled(self):
-        exact = {
-            "status": "ok",
-            "degraded": False,
-            "cache_key": KEY,
-            "result": {"rows": [[22]]},
-        }
-        seen = {}
-
-        def backfill_target(payload):
-            seen.update(payload)
-            return {"status": "ok", "applied": True}
-
-        repairer, transport, metrics = make_repairer(
-            {"b": exact, "a": backfill_target}
-        )
-        repairer.schedule(KEY, RUN_PAYLOAD, "a", ["b"])
-        self._run(repairer)
-        assert metrics.snapshot()["counters"]["cluster.repairs.completed"] == 1
-        assert seen["op"] == "backfill"
-        assert seen["cache_key"] == KEY
-        assert seen["checksum"].startswith("sha256:")
-        # Scheduling the same key again works once the repair finished.
-        assert repairer.schedule(KEY, RUN_PAYLOAD, "a", ["b"]) is True
-
-    def test_degraded_donor_answers_do_not_backfill(self):
-        degraded = {
-            "status": "ok",
-            "degraded": True,
-            "cache_key": KEY,
-            "result": {"rows": [[0]]},
-        }
-        repairer, transport, metrics = make_repairer(
-            {"b": degraded, "c": PeerUnavailable("dead"), "a": {}}
-        )
-        repairer.schedule(KEY, RUN_PAYLOAD, "a", ["b", "c"])
-        self._run(repairer)
-        assert metrics.snapshot()["counters"]["cluster.repairs.failed"] == 1
-        # The degraded node was never sent a backfill.
-        assert all(name != "a" for name, _ in transport.calls)

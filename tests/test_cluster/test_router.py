@@ -1,4 +1,5 @@
-"""Router behavior: placement, failover, anti-entropy.
+"""Router behavior: placement, and failover on refusals, transport
+failures and typed execution errors.
 
 Two layers of test: ``_route`` unit tests against a scripted fake
 transport (no sockets — exact control over refusals, failures, and
@@ -77,14 +78,13 @@ class ScriptedTransport:
             raise PeerUnavailable(f"{peer.name} did not answer in time")
 
 
-def ok_response(name, degraded=False, latency=0.0):
+def ok_response(name, latency=0.0):
     async def respond(payload):
         if latency:
             await asyncio.sleep(latency)
         response = {
             "v": 1,
             "status": "ok",
-            "degraded": degraded,
             "source": "pool",
             "cache_key": "ab" * 32,
             "result": {"from": name},
@@ -97,6 +97,17 @@ def ok_response(name, degraded=False, latency=0.0):
 def refuse(status):
     async def respond(payload):
         return {"v": 1, "status": status}, 0.001
+
+    return respond
+
+
+def node_error(error_type, message="scripted"):
+    async def respond(payload):
+        return {
+            "v": 1,
+            "status": "error",
+            "error": {"type": error_type, "message": message},
+        }, 0.001
 
     return respond
 
@@ -166,7 +177,9 @@ class TestRouteUnit:
         )
         assert response["status"] == "error"
         assert response["request_id"] == "req-9"
+        assert response["error"]["type"] == "PeerUnavailable"
         assert "no peer" in response["error"]["message"]
+        assert "scripted failure" in response["error"]["message"]
 
     def test_failed_peer_breaker_records_failures(self):
         router = make_router({name: unavailable() for name in "abc"})
@@ -235,16 +248,56 @@ class TestRouteUnit:
         assert counters["cluster.requests.failover"] == 1
         assert "cluster.peer.failures" not in counters
 
-    def test_degraded_answer_is_not_failed_over(self):
+    @pytest.mark.parametrize(
+        "error_type", ["CircuitOpen", "ExperimentTimeout", "WorkerCrashed"]
+    )
+    def test_execution_error_fails_over_to_the_exact_result(
+        self, error_type
+    ):
         behavior = {name: ok_response(name) for name in "abc"}
         router = make_router(behavior)
         order = router.ring.preference(routing_key(make_request(RUN)))
-        router.transport.behavior[order[0]] = ok_response(
-            order[0], degraded=True
+        router.transport.behavior[order[0]] = node_error(error_type)
+        response = self._route(router, RUN)
+        assert response["status"] == "ok"
+        assert response["result"] == {"from": order[1]}
+        assert router.transport.calls == order[:2]
+        # An execution error is an alive peer answering: like a
+        # refusal, it leaves the peer's breaker clean.
+        assert router.breakers[order[0]]._consecutive_failures == 0
+        counters = router.metrics.snapshot()["counters"]
+        assert counters["cluster.requests.failover"] == 1
+        assert "cluster.peer.failures" not in counters
+
+    def test_malformed_request_is_not_failed_over(self):
+        behavior = {name: ok_response(name) for name in "abc"}
+        router = make_router(behavior)
+        order = router.ring.preference(routing_key(make_request(RUN)))
+        router.transport.behavior[order[0]] = node_error(
+            "ServiceError", "unknown experiment 'alpha'"
         )
         response = self._route(router, RUN)
-        assert response["result"] == {"from": order[0]}
+        assert response["error"]["type"] == "ServiceError"
         assert router.transport.calls == [order[0]]
+        counters = router.metrics.snapshot()["counters"]
+        assert "cluster.requests.failover" not in counters
+
+    def test_no_success_returns_the_last_typed_answer(self):
+        router = make_router({name: unavailable() for name in "abc"})
+        order = router.ring.preference(routing_key(make_request(RUN)))
+        router.transport.behavior[order[0]] = node_error("CircuitOpen")
+        router.transport.behavior[order[1]] = refuse("shed")
+        router.transport.behavior[order[2]] = node_error(
+            "RuntimeError", "fails on its registered seed"
+        )
+        response = self._route(router, RUN)
+        assert response["error"] == {
+            "type": "RuntimeError",
+            "message": "fails on its registered seed",
+        }
+        # A later transport failure does not hide a peer's typed answer.
+        router.transport.behavior[order[2]] = unavailable()
+        assert self._route(router, RUN)["status"] == "shed"
 
     def test_failover_attempt_carries_only_the_remaining_budget(self):
         seen = []
@@ -271,20 +324,6 @@ class TestRouteUnit:
         assert router._attempt_timeout(Deadline.after(60.0)) == 3.0
         assert router._attempt_timeout(Deadline.after(0.5)) <= 0.5
 
-    def test_degraded_answer_schedules_repair(self):
-        behavior = {name: ok_response(name) for name in "abc"}
-        router = make_router(behavior)
-        order = router.ring.preference(routing_key(make_request(RUN)))
-        router.transport.behavior[order[0]] = ok_response(
-            order[0], degraded=True
-        )
-        response = self._route(router, RUN)
-        assert response["degraded"] is True
-        counters = router.metrics.snapshot()["counters"]
-        assert counters["cluster.responses.degraded"] == 1
-        assert counters["cluster.repairs.scheduled"] == 1
-        assert router.repairer._queue.qsize() == 1
-
     def test_expired_deadline_gets_one_attempt(self):
         # A node answers a spent budget itself, so the router asks the
         # first peer once (passing the spent budget on) and relays its
@@ -293,11 +332,11 @@ class TestRouteUnit:
 
         async def record(payload):
             seen.append(payload["deadline_ms"])
-            return await ok_response("any", degraded=True)(payload)
+            return await node_error("ExperimentTimeout")(payload)
 
         router = make_router({name: record for name in "abc"})
         response = self._route(router, dict(RUN, deadline_ms=0))
-        assert response["status"] == "ok" and response["degraded"] is True
+        assert response["error"]["type"] == "ExperimentTimeout"
         primary = router.ring.preference(routing_key(make_request(RUN)))[0]
         assert router.transport.calls == [primary]
         assert seen == [0.0]
@@ -335,7 +374,7 @@ class TestClusterIntegration:
             first = client.request("alpha")
             assert first["status"] == "ok"
             assert first["result"]["rows"] == [[22]]
-            assert first["degraded"] is False
+            assert first["source"] == "pool"
             second = client.request("alpha")
             assert second["source"] == "cache", (
                 "repeat must land on the warm replica"
@@ -348,10 +387,12 @@ class TestClusterIntegration:
             direct = client.analyze("bit-plru", 4, deadline_ms=0)
         with cluster.client() as client:
             routed = client.analyze("bit-plru", 4, deadline_ms=0)
+        # The router relays the node's typed error, never its own
+        # "no peer could serve".
         for response in (direct, routed):
-            assert response["status"] == "ok"
-            assert response["degraded"] is True
+            assert response["status"] == "error"
             assert response["error"]["type"] == "ExperimentTimeout"
+            assert "result" not in response
 
     def test_killed_primary_fails_over_exactly(self, cluster_factory):
         cluster = cluster_factory()
@@ -362,7 +403,6 @@ class TestClusterIntegration:
         with cluster.client() as client:
             response = client.request("gamma")
         assert response["status"] == "ok"
-        assert response["degraded"] is False
         assert response["result"]["rows"] == [[333]]
 
     def test_stats_federation(self, cluster_factory):
@@ -390,7 +430,8 @@ class TestClusterIntegration:
                 }
             )
             assert response["status"] == "error"
-            assert "node-internal" in response["error"]["message"]
+            assert response["error"]["type"] == "ServiceError"
+            assert "unknown op 'backfill'" in response["error"]["message"]
             # The connection survived the refused op.
             assert client.ping()["status"] == "pong"
 
@@ -407,26 +448,20 @@ class TestClusterIntegration:
             forwarded += counters.get("cluster.requests.forwarded", 0)
         assert forwarded >= 1
 
-    def test_failure_on_registered_seed_is_degraded_not_rotated(
+    def test_failure_on_registered_seed_is_a_typed_error_not_rotated(
         self, cluster_factory
     ):
         registry = dict(fakes.FAST_REGISTRY, flaky=fakes.run_flaky)
         cluster = cluster_factory(node_count=2, registry=registry)
         with cluster.client() as client:
             response = client.request("flaky")
-        assert response["status"] == "ok"
-        assert response["degraded"] is True
+        # Every replica fails the same way on the registered seed; the
+        # client gets the last one's typed error.
+        assert response["status"] == "error"
         assert response["error"]["type"] == "RuntimeError"
-        # The degraded answer queues a repair; the donor replica fails
-        # the same way, so nothing is backfilled.
-        deadline = time.monotonic() + 10.0
-        while (
-            cluster.router.repairer.processed < 1
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.05)
+        assert "registered seed" in response["error"]["message"]
         counters = cluster.router.metrics.snapshot()["counters"]
-        assert counters.get("cluster.repairs.failed") == 1
+        assert counters["cluster.requests.failover"] == 1
         for service in cluster.services.values():
             assert service.pools[0].breaker._consecutive_failures == 1
             key = service._key_for(Request("run", experiment_id="flaky"))
@@ -445,48 +480,47 @@ def find_primary(names, experiment_id):
     return ring.preference(key)
 
 
-class TestAntiEntropy:
-    def test_degraded_node_is_backfilled_with_exact_result(
+class TestTypedErrorFailover:
+    def test_open_pool_breaker_fails_over_to_the_exact_result(
         self, cluster_factory
     ):
-        # Place a broken registry on alpha's primary: it can cache and
-        # serve, but cannot *compute* alpha.
+        # Place a broken registry on alpha's primary and trip its pool
+        # breaker with direct requests: it now answers CircuitOpen.
         order = find_primary(["node0", "node1", "node2"], "alpha")
         broken = order[0]
         broken_registry = dict(fakes.FAST_REGISTRY)
         broken_registry["alpha"] = fakes.run_alpha_boom
         cluster = cluster_factory(
             per_node_registry={broken: broken_registry},
-            node_kwargs={"breaker_failures": 1},
-            router_kwargs={"health_interval": 0.2},
+            per_node_kwargs={
+                broken: {"breaker_failures": 1, "breaker_reset": 60.0}
+            },
         )
-        # Trip the broken node's pool breaker with direct requests so
-        # it starts serving degraded stub answers.
         with cluster.node_client(broken) as direct:
-            for _ in range(4):
-                response = direct.request("alpha")
-                if response.get("degraded"):
-                    break
-            assert response["degraded"] is True
-            assert response["source"] == "stub"
-        # Through the router: the degraded answer reaches the client
-        # immediately and queues an anti-entropy repair.
+            failed = direct.request("alpha")
+            refused = direct.request("alpha")
+        assert failed["error"]["type"] == "RuntimeError"
+        assert refused["error"]["type"] == "CircuitOpen"
+        # Through the router: the primary's CircuitOpen fails over to
+        # the next replica, which computes the exact result.
         with cluster.client() as client:
             routed = client.request("alpha")
         assert routed["status"] == "ok"
-        assert routed["degraded"] is True
-        deadline = time.monotonic() + 10.0
-        while (
-            cluster.router.repairer.processed < 1
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.05)
+        assert routed["source"] == "pool"
+        assert routed["result"]["rows"] == [[22]]
         counters = cluster.router.metrics.snapshot()["counters"]
-        assert counters.get("cluster.repairs.completed") == 1
-        # The broken node now serves the *exact* replica-computed
-        # result from its backfilled cache (still flagged degraded —
-        # its pool is still broken — but the payload is exact).
-        with cluster.node_client(broken) as direct:
-            healed = direct.request("alpha")
-        assert healed["source"] == "cache"
-        assert healed["result"]["rows"] == [[22]]
+        assert counters["cluster.requests.failover"] == 1
+        assert counters["cluster.requests.routed"] == {order[1]: 1}
+        assert "cluster.peer.failures" not in counters
+
+    def test_unknown_experiment_is_answered_without_failover(
+        self, cluster_factory
+    ):
+        cluster = cluster_factory()
+        with cluster.client() as client:
+            response = client.request("nope")
+        assert response["status"] == "error"
+        assert response["error"]["type"] == "ServiceError"
+        assert "unknown experiment" in response["error"]["message"]
+        counters = cluster.router.metrics.snapshot()["counters"]
+        assert "cluster.requests.failover" not in counters

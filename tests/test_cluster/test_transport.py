@@ -70,7 +70,6 @@ class StubNode:
                     "v": 1,
                     "request_id": request_id,
                     "status": "ok",
-                    "degraded": False,
                     "result": {"from": self.name, "echo": request_id},
                 }
                 action = self.script.get(request_id)

@@ -233,7 +233,7 @@ class TestCliFlagDrift:
     def test_readme_documents_the_runner_flags(self):
         text = _read("README.md")
         for flag in ("--jobs", "--engine", "--sanitize", "--trace",
-                     "--timeout", "--retries", "--checkpoint",
+                     "--timeout", "--checkpoint",
                      "--max-task-crashes", "--heartbeat-interval",
                      "--drain-timeout"):
             assert flag in text, f"README.md CLI section lacks {flag}"

@@ -315,7 +315,7 @@ class TestDurableCheckpoints:
 class TestPoolWorker:
     def test_result_payload_round_trips(self):
         experiment_id, kind, payload, elapsed, obs = _pool_worker(
-            ("beta", 0, False, run_beta, False, False)
+            ("beta", False, run_beta, False, False)
         )
         assert (experiment_id, kind) == ("beta", "result")
         assert ExperimentResult.from_dict(payload).rows == [[2]]
@@ -324,16 +324,16 @@ class TestPoolWorker:
 
     def test_failure_payload_is_structured(self):
         experiment_id, kind, payload, _, obs = _pool_worker(
-            ("broken", 1, False, run_broken, False, False)
+            ("broken", False, run_broken, False, False)
         )
         assert (experiment_id, kind) == ("broken", "failure")
         assert payload["error_type"] == "RuntimeError"
-        assert payload["attempts"] == 2
+        assert payload["attempts"] == 1
         assert obs is None
 
     def test_observing_worker_returns_capture(self):
         _, kind, _, _, obs = _pool_worker(
-            ("beta", 0, False, run_beta, True, False)
+            ("beta", False, run_beta, True, False)
         )
         assert kind == "result"
         assert obs is not None
@@ -399,14 +399,16 @@ class TestCheckpointCosts:
 
 
 class TestSignatureResolution:
-    def test_rng_parameter_resolved_once(self):
-        parameter = ExperimentRunner._rng_parameter(run_gamma)
-        assert parameter is not None
-        assert ExperimentRunner._rotated_seed(parameter, 1) == 1042
-        assert ExperimentRunner._rotated_seed(parameter, 2) == 2042
+    def test_registered_seed_is_the_rng_default(self):
+        assert ExperimentRunner._registered_seed(run_gamma) == 42
+
+        def unseeded(rng=None):
+            return None
+
+        assert ExperimentRunner._registered_seed(unseeded) is None
 
     def test_rng_parameter_absent(self):
-        assert ExperimentRunner._rng_parameter(run_alpha) is None
+        assert ExperimentRunner._registered_seed(run_alpha) is None
 
     def test_uninspectable_function_is_tolerated(self):
-        assert ExperimentRunner._rng_parameter(dict.fromkeys) in (None,)
+        assert ExperimentRunner._registered_seed(dict.fromkeys) is None

@@ -37,17 +37,27 @@ def wedged():
     return _result("wedged")
 
 
-def slow_failure():
-    time.sleep(0.15)
-    raise RuntimeError("failing slowly")
-
-
 def seeded(rng: int = 7):
     return _result("seeded", rows=[[rng]])
 
 
 def healthy():
     return _result("healthy")
+
+
+class RegisteredSeedError(RuntimeError):
+    """Raised by :func:`fails_on_registered_seed` on its own seed."""
+
+
+def fails_on_registered_seed(rng: int = 7):
+    """Fails on its registered seed 7 and succeeds on any other.
+
+    A runner that retried with another seed would report this as a
+    success with that seed's rows.
+    """
+    if rng == 7:
+        raise RegisteredSeedError("fails on its registered seed")
+    return _result("fails_on_registered_seed", rows=[[rng]])
 
 
 def report_pid():
@@ -60,38 +70,11 @@ class TestRunOne:
         runner = ExperimentRunner(registry=registry)
         assert runner.run_one("good").experiment_id == "good"
 
-    def test_retries_until_success(self):
-        calls = []
-
-        def flaky():
-            calls.append(True)
-            if len(calls) < 3:
-                raise RuntimeError("stochastic failure")
-            return _result("flaky")
-
-        runner = ExperimentRunner(retries=2, registry={"flaky": flaky})
-        assert runner.run_one("flaky").experiment_id == "flaky"
-        assert len(calls) == 3
-
-    def test_rotates_seed_for_rng_experiments(self):
-        seeds = []
-
-        def seeded(rng: int = 7):
-            seeds.append(rng)
-            if len(seeds) < 3:
-                raise RuntimeError("bad noise realization")
-            return _result("seeded")
-
-        runner = ExperimentRunner(retries=2, registry={"seeded": seeded})
-        runner.run_one("seeded")
-        # First attempt uses the experiment's own default; retries rotate.
-        assert seeds == [7, 1007, 2007]
-
-    def test_raises_after_exhausting_retries(self):
+    def test_raises_what_the_experiment_raised(self):
         def broken():
             raise ValueError("deterministically broken")
 
-        runner = ExperimentRunner(retries=1, registry={"broken": broken})
+        runner = ExperimentRunner(registry={"broken": broken})
         with pytest.raises(ValueError, match="deterministically broken"):
             runner.run_one("broken")
 
@@ -100,10 +83,14 @@ class TestRunOne:
             ExperimentRunner(timeout_seconds=0.0)
         with pytest.raises(ValueError):
             ExperimentRunner(retries=-1)
+        # retries is accepted only as 0: a retry on the registered seed
+        # repeats the failure, and one on another seed changes the bytes.
+        with pytest.raises(ValueError, match="registered seed"):
+            ExperimentRunner(retries=1)
 
 
-class TestAttemptLoop:
-    """``run_one``'s attempt loop: retries + 1 tries, seeds rotated."""
+class TestSingleRun:
+    """``run_one`` runs an experiment exactly once, on its registered seed."""
 
     def test_first_success_runs_once_on_the_registered_seed(self):
         seeds = []
@@ -112,7 +99,7 @@ class TestAttemptLoop:
             seeds.append(rng)
             return _result("x")
 
-        runner = ExperimentRunner(retries=3, registry={"x": fn})
+        runner = ExperimentRunner(registry={"x": fn})
         runner.run_one("x")
         assert seeds == [7]
 
@@ -128,66 +115,99 @@ class TestAttemptLoop:
             runner.run_one("x")
         assert seeds == [7]
 
-    @pytest.mark.parametrize("retries", [1, 2, 4])
-    def test_attempt_count_is_retries_plus_one(self, retries):
-        calls = []
-
-        def fn():
-            calls.append(True)
-            raise RuntimeError("always fails")
-
-        runner = ExperimentRunner(retries=retries, registry={"x": fn})
-        with pytest.raises(RuntimeError):
-            runner.run_one("x")
-        assert len(calls) == retries + 1
-
-    def test_raises_the_last_attempts_error(self):
+    def test_raises_the_registered_seeds_error(self):
         def fn(rng: int = 7):
             raise RuntimeError(f"attempt with seed {rng}")
 
-        runner = ExperimentRunner(retries=2, registry={"x": fn})
-        with pytest.raises(RuntimeError, match="seed 2007"):
+        runner = ExperimentRunner(registry={"x": fn})
+        with pytest.raises(RuntimeError, match="seed 7"):
             runner.run_one("x")
 
-    def test_experiment_without_rng_is_retried_unchanged(self):
+    def test_experiment_without_rng_runs_once_without_arguments(self):
         calls = []
 
         def fn(**kwargs):
             calls.append(kwargs)
-            if len(calls) < 2:
-                raise RuntimeError("flaky")
-            return _result("x")
+            raise RuntimeError("broken")
 
-        runner = ExperimentRunner(retries=1, registry={"x": fn})
-        runner.run_one("x")
-        assert calls == [{}, {}]
+        runner = ExperimentRunner(registry={"x": fn})
+        with pytest.raises(RuntimeError, match="broken"):
+            runner.run_one("x")
+        assert calls == [{}]
 
-    def test_base_exception_is_not_retried(self):
+    def test_base_exception_propagates(self):
         calls = []
 
         def fn():
             calls.append(True)
             raise KeyboardInterrupt
 
-        runner = ExperimentRunner(retries=3, registry={"x": fn})
+        runner = ExperimentRunner(registry={"x": fn})
         with pytest.raises(KeyboardInterrupt):
             runner.run_one("x")
         assert len(calls) == 1
 
-    def test_observed_capture_is_the_winning_attempt(self):
+    def test_observed_capture_records_the_registered_seed(self):
         def fn(rng: int = 7):
-            if rng < 2007:
-                raise RuntimeError("flaky")
             return _result("x", rows=[[rng]])
 
-        runner = ExperimentRunner(
-            retries=2, observe=True, registry={"x": fn}
-        )
-        assert runner.run_one("x").rows == [[2007]]
+        runner = ExperimentRunner(observe=True, registry={"x": fn})
+        assert runner.run_one("x").rows == [[7]]
         capture = runner.captures["x"]
-        assert capture.manifest.seed == 2007
-        assert capture.manifest.attempts == 3
-        assert capture.metrics["counters"]["runner.retries"] == 2
+        assert capture.manifest.seed == 7
+        assert "attempts" not in capture.manifest.to_dict()
+
+
+class TestRegisteredSeedFailure:
+    """An experiment that fails on its registered seed is a failure.
+
+    The same seed fails the same way every time, so the report names the
+    exception; it never substitutes another seed's rows.
+    """
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_many_reports_the_failure(self, jobs):
+        registry = {
+            "fails_on_registered_seed": fails_on_registered_seed,
+            "healthy": healthy,
+        }
+        runner = ExperimentRunner(observe=True, registry=registry)
+        report = runner.run_many(
+            ["fails_on_registered_seed", "healthy"], jobs=jobs
+        )
+        assert not report.ok
+        (failure,) = report.failures
+        assert isinstance(failure, ExperimentFailure)
+        assert failure.experiment_id == "fails_on_registered_seed"
+        assert failure.error_type == "RegisteredSeedError"
+        assert failure.attempts == 1
+        assert "registered seed" in failure.message
+        assert [r.experiment_id for r in report.results] == ["healthy"]
+        assert "fails_on_registered_seed" not in runner.captures
+        if jobs > 1:
+            assert runner.executor_stats is not None
+
+    def test_cli_run_exits_non_zero(self, monkeypatch, capsys):
+        from repro.__main__ import main
+        from repro.experiments import EXPERIMENT_REGISTRY
+
+        monkeypatch.setitem(
+            EXPERIMENT_REGISTRY,
+            "fails_on_registered_seed",
+            fails_on_registered_seed,
+        )
+        assert main(["run", "fails_on_registered_seed", "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "RegisteredSeedError" in captured.err
+        assert "0 completed" in captured.out
+        assert "1 failed" in captured.out
+
+    def test_cli_has_no_retries_flag(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["run", "table2", "--retries", "1"])
+        assert "--retries" in capsys.readouterr().err
 
 class TestRunMany:
     def test_failures_do_not_stop_the_batch(self):
@@ -224,31 +244,16 @@ class TestRunMany:
         assert completed == ["a"]
         assert failed == ["b"]
 
-    def test_rotates_seed_and_records_it_in_the_manifest(self):
-        def seeded(rng: int = 5):
-            if rng == 5:
-                raise RuntimeError("fails on its registered seed")
-            return _result("seeded", rows=[[rng]])
-
-        runner = ExperimentRunner(
-            retries=1, observe=True, registry={"seeded": seeded}
-        )
-        report = runner.run_many(["seeded"])
-        assert report.results[0].rows == [[1005]]
-        manifest = runner.captures["seeded"].manifest
-        assert manifest.seed == 1005
-        assert manifest.attempts == 2
-
     def test_failure_record_is_structured(self):
         def broken():
             raise KeyError("missing table")
 
-        runner = ExperimentRunner(retries=2, registry={"x": broken})
+        runner = ExperimentRunner(registry={"x": broken})
         report = runner.run_many(["x"])
         failure = report.failures[0]
         assert isinstance(failure, ExperimentFailure)
         assert failure.error_type == "KeyError"
-        assert failure.attempts == 3
+        assert failure.attempts == 1
         assert "missing table" in failure.message
         assert "FAILED" in failure.render()
 
@@ -357,18 +362,6 @@ class TestBoundedRuns:
         assert runner.executor_stats.workers_killed_deadline == 1
         assert threading.active_count() == threads_before
 
-    def test_timeout_covers_every_attempt(self):
-        # Eleven attempts of 0.15 s cannot fit a 0.5 s budget: the
-        # budget is per experiment, not per attempt.
-        runner = ExperimentRunner(
-            timeout_seconds=0.5,
-            retries=10,
-            registry={"slow": slow_failure},
-            heartbeat_interval=0.05,
-        )
-        (failure,) = runner.run_many(["slow"]).failures
-        assert failure.error_type == "ExperimentTimeout"
-
     @pytest.mark.parametrize("timeout", [None, 60.0])
     def test_deadline_bounds_the_run(self, timeout):
         # With no configured timeout, or a longer one, the deadline's
@@ -399,10 +392,10 @@ class TestBoundedRuns:
 
     def test_generous_deadline_gives_the_unbounded_bytes(self):
         unbounded = ExperimentRunner(
-            retries=1, registry={"seeded": seeded}
+            registry={"seeded": seeded}
         ).run_many(["seeded"])
         bounded = ExperimentRunner(
-            retries=1, registry={"seeded": seeded}
+            registry={"seeded": seeded}
         ).run_many(["seeded"], deadline=Deadline.after(60.0))
         assert bounded.ok
         assert [r.to_dict() for r in bounded.results] == [

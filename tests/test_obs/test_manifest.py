@@ -8,7 +8,6 @@ def _manifest(**overrides):
     base = dict(
         experiment_id="fig4",
         seed=7,
-        attempts=1,
         machines=[{"spec": "Intel Xeon E5-2690", "count": 2}],
         fault_models=[],
         engine="reference",
@@ -28,7 +27,6 @@ class TestRoundTrip:
     def test_from_dict_defaults_for_missing_fields(self):
         manifest = RunManifest.from_dict({"experiment_id": "fig4"})
         assert manifest.seed is None
-        assert manifest.attempts == 1
         assert manifest.machines == []
         assert manifest.engine == "fast"
 
@@ -57,11 +55,18 @@ class TestFooterLine:
     def test_seedless_run_renders_dash(self):
         assert "_run: seed -" in _manifest(seed=None).footer_line()
 
-    def test_retry_sanitize_and_faults_are_called_out(self):
+    def test_old_checkpoint_attempts_key_is_ignored(self):
+        # Checkpoints written before every run used its registered seed
+        # carry an ``attempts`` key; it no longer reaches the footer.
+        data = dict(_manifest().to_dict(), attempts=2)
+        manifest = RunManifest.from_dict(data)
+        assert manifest == _manifest()
+        assert "attempt" not in manifest.footer_line()
+
+    def test_sanitize_and_faults_are_called_out(self):
         footer = _manifest(
-            attempts=2, sanitize=True, fault_models=["a", "b"]
+            sanitize=True, fault_models=["a", "b"]
         ).footer_line()
-        assert "attempt 2" in footer
         assert "sanitized" in footer
         assert "faults a,b" in footer
 

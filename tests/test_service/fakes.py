@@ -54,7 +54,7 @@ def run_alpha_boom(rng: int = 11):
     The service derives its cache key from the registered function's
     rng parameter, so a broken node substituting this for ``run_alpha``
     keys the request identically to healthy replicas — which is what
-    the anti-entropy repair tests need.
+    the router's failover tests need.
     """
     raise RuntimeError("deterministically broken experiment")
 
@@ -63,8 +63,8 @@ def run_flaky(rng: int = 5):
     """Fails on its registered seed 5 and succeeds on any other.
 
     A server that retried with a rotated seed would answer this with
-    another seed's rows under the seed-5 cache key; it must answer
-    degraded instead.
+    another seed's rows under the seed-5 cache key; it must answer an
+    error naming the exception instead.
     """
     if rng == 5:
         raise RuntimeError("fails on its registered seed")

@@ -29,7 +29,6 @@ class TestAnalyzeOp:
             response = _analyze(client, "lru")
         result = response["result"]
         assert response["source"] == "analysis"
-        assert not response["degraded"]
         assert result["mode"] == "exact"
         # Bit-identical to calling the analyzer in-process.
         assert result == analyze_policy("lru", 4).to_dict()
@@ -120,16 +119,16 @@ class TestAnalyzeOp:
         assert rejected["status"] == "rejected"
         assert rejected["retry_after_ms"] > 0
 
-    def test_expired_deadline_degrades_instead_of_running(
+    def test_expired_deadline_is_a_timeout_error_instead_of_a_run(
         self, harness_factory
     ):
         harness = harness_factory(registry=dict(fakes.FAST_REGISTRY))
         with harness.client() as client:
             response = client.analyze("bit-plru", 4, deadline_ms=0)
-        # Nothing cached yet and no time to compute: a degraded stub.
-        assert response["status"] == "ok"
-        assert response["degraded"]
+        # Nothing cached yet and no time to compute: an error naming it.
+        assert response["status"] == "error"
         assert response["error"]["type"] == "ExperimentTimeout"
+        assert "result" not in response
 
     def test_refresh_bypasses_the_cache_read(self, harness_factory):
         harness = harness_factory(registry=dict(fakes.FAST_REGISTRY))

@@ -1,20 +1,17 @@
-"""ResultCache under concurrent multi-writer backfill (ISSUE-10 sat 1).
+"""ResultCache under concurrent writers.
 
-The anti-entropy repairer means one cache directory can now see writes
-from multiple processes at once: the node's own serving path plus
-backfills landing from replicas.  These tests drive real concurrent
-processes at one directory and assert the two safety properties:
-atomic replace (a reader never sees a torn file, no stray ``.tmp``
-staging names collide) and checksum-verified backfill (a corrupted or
-conflicting transfer is rejected, never quarantines a good entry).
+One cache directory can see writes from several processes at once (two
+nodes sharing a directory, or a restarted node racing its predecessor).
+These tests drive real concurrent processes at one directory and assert
+atomic replace: a reader never sees a torn file, and no stray ``.tmp``
+staging names collide.
 """
 
 import hashlib
 import multiprocessing
 import os
 
-from repro.common.atomicio import checksum as record_checksum
-from repro.service.cache import ResultCache, canonical_entry
+from repro.service.cache import ResultCache
 
 
 def cache_key(tag):
@@ -45,16 +42,6 @@ def _put_writer(root, writer_id, iterations, barrier):
         cache.put(
             CONTENDED_KEY, entry_for(CONTENDED_KEY, writer=writer_id)
         )
-
-
-def _backfill_writer(root, writer_id, iterations, barrier):
-    cache = ResultCache(root)
-    barrier.wait()
-    for _ in range(iterations):
-        for key in SHARED_KEYS:
-            entry = entry_for(key)
-            checksum = record_checksum(canonical_entry(entry))
-            cache.backfill(key, entry, checksum)
 
 
 def run_writers(target, root, iterations=15):
@@ -94,54 +81,3 @@ class TestConcurrentPut:
         assert contended is not None, "contended entry was lost"
         assert contended["result"]["writer"] in (0, 1)
 
-
-class TestConcurrentBackfill:
-    def test_two_backfillers_converge(self, tmp_path):
-        root = str(tmp_path / "cache")
-        run_writers(_backfill_writer, root)
-        assert_directory_clean(root)
-        reader = ResultCache(root)
-        for key in SHARED_KEYS:
-            assert reader.get(key) == entry_for(key)
-
-
-class TestBackfillSemantics:
-    def test_applies_to_empty_cache(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c"))
-        entry = entry_for(SHARED_KEYS[0])
-        checksum = record_checksum(canonical_entry(entry))
-        assert cache.backfill(SHARED_KEYS[0], entry, checksum) is True
-        assert cache.get(SHARED_KEYS[0]) == entry
-
-    def test_rejects_checksum_mismatch(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c"))
-        entry = entry_for(SHARED_KEYS[0])
-        assert (
-            cache.backfill(SHARED_KEYS[0], entry, "sha256:deadbeef")
-            is False
-        )
-        assert cache.get(SHARED_KEYS[0]) is None
-
-    def test_idempotent_when_entry_matches(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c"))
-        entry = entry_for(SHARED_KEYS[0])
-        cache.put(SHARED_KEYS[0], entry)
-        checksum = record_checksum(canonical_entry(entry))
-        assert cache.backfill(SHARED_KEYS[0], entry, checksum) is True
-
-    def test_conflicting_entry_is_preserved_not_quarantined(
-        self, tmp_path
-    ):
-        root = str(tmp_path / "c")
-        cache = ResultCache(root)
-        original = entry_for(SHARED_KEYS[0], writer=0)
-        cache.put(SHARED_KEYS[0], original)
-        conflicting = entry_for(SHARED_KEYS[0], writer=1)
-        checksum = record_checksum(canonical_entry(conflicting))
-        assert (
-            cache.backfill(SHARED_KEYS[0], conflicting, checksum)
-            is False
-        )
-        # The local exact entry wins; nothing was quarantined.
-        assert cache.get(SHARED_KEYS[0]) == original
-        assert_directory_clean(root)

@@ -4,8 +4,9 @@ The contract under chaos — worker kills (injected and real SIGKILL),
 cache corruption, vanishing clients — is exactly this:
 
 * zero unhandled client errors;
-* every answered request is either **exact** (bit-identical to a
-  sequential no-chaos run) or explicitly tagged ``degraded=true``.
+* every answered request is **exact** (bit-identical to a sequential
+  no-chaos run); a request the node could not execute is an ``error``
+  whose type names the cause.
 """
 
 import json
@@ -45,7 +46,7 @@ class TestSupervisedBackend:
         with harness.client(timeout=60.0) as client:
             response = client.request("alpha")
         assert response["status"] == "ok"
-        assert not response["degraded"]
+        assert response["source"] == "pool"
         assert canonical(response["result"]) == exact_baselines()["alpha"]
 
     def test_sigkill_worker_mid_request_is_survived(self, harness_factory):
@@ -83,15 +84,16 @@ class TestSupervisedBackend:
         response = responses[0]
         # The kill was retried (exact result) — never an unhandled error.
         assert response["status"] == "ok"
-        assert not response["degraded"]
         assert canonical(response["result"]) == canonical(
             fakes._result("slow", 1).to_dict()
         )
 
-    def test_poison_task_degrades_instead_of_wedging(self, harness_factory):
+    def test_poison_task_is_a_typed_error_instead_of_wedging(
+        self, harness_factory
+    ):
         # Chaos kills the worker before it can report, every attempt:
-        # the supervisor quarantines the task and the service serves a
-        # degraded stub — the client never sees a transport error.
+        # the supervisor quarantines the task and the service answers an
+        # error naming the crash — never a transport error.
         chaos = ServiceChaosConfig(
             seed=3,
             worker=ChaosConfig(
@@ -108,15 +110,16 @@ class TestSupervisedBackend:
         with harness.client(timeout=120.0) as client:
             poisoned = client.request("alpha")
             healthy = client.request("beta")
-        assert poisoned["status"] == "ok"
-        assert poisoned["degraded"]
-        assert poisoned["source"] == "stub"
+        assert poisoned["status"] == "error"
+        assert poisoned["error"]["type"] == "WorkerCrashed"
+        assert "quarantined" in poisoned["error"]["message"]
+        assert "result" not in poisoned
         assert healthy["status"] == "ok"
-        assert not healthy["degraded"]
+        assert canonical(healthy["result"]) == exact_baselines()["beta"]
 
 
 class TestChaosBatch:
-    def test_200_request_batch_zero_errors_exact_or_degraded(
+    def test_200_request_batch_zero_errors_every_answer_exact(
         self, harness_factory
     ):
         chaos = ServiceChaosConfig(
@@ -146,8 +149,6 @@ class TestChaosBatch:
             assert response["status"] in ("ok", "rejected", "shed")
             if response["status"] != "ok":
                 continue
-            if response.get("degraded"):
-                continue  # explicitly tagged substitute
             experiment_id = response["result"]["experiment_id"]
             assert canonical(response["result"]) == baselines[experiment_id]
 

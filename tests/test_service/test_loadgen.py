@@ -72,15 +72,15 @@ class TestLoadReport:
         report = self._report([1.0, 1.0, 1.0, 1.0])  # 1 pool + 3 cache
         assert report.hit_rate == 0.75
 
-    def test_degraded_and_statuses_tallied(self):
+    def test_statuses_tallied(self):
         report = LoadReport()
-        report.record({"status": "ok", "degraded": True, "source": "stub"}, 1.0)
+        report.record({"status": "ok", "source": "pool"}, 1.0)
+        report.record({"status": "error", "error": {"type": "CircuitOpen"}}, 0.1)
         report.record({"status": "shed"}, 0.1)
-        assert report.degraded == 1
-        assert report.by_status == {"ok": 1, "shed": 1}
+        assert report.by_status == {"ok": 1, "error": 1, "shed": 1}
         summary = report.summary()
-        assert summary["total"] == 2
-        assert summary["degraded"] == 1
+        assert summary["total"] == 3
+        assert summary["by_status"] == {"ok": 1, "error": 1, "shed": 1}
 
     def test_percentile_validates_range(self):
         with pytest.raises(ValueError):
@@ -114,7 +114,6 @@ class TestColdCacheBatch:
         assert report.total == 200
         for response in report.responses:
             assert response["status"] == "ok"
-            assert not response.get("degraded")
             result = response["result"]
             assert json.dumps(result, sort_keys=True) == (
                 expected[result["experiment_id"]]

@@ -184,6 +184,8 @@ class TestInternalOps:
         }
         conn.send((json.dumps(payload) + "\n").encode())
         response = conn.response()
+        # There is no backfill op: it is refused like any unknown op.
         assert response["status"] == "error"
-        assert "node-internal" in response["error"]["message"]
+        assert response["error"]["type"] == "ServiceError"
+        assert "unknown op 'backfill'" in response["error"]["message"]
         assert_alive(conn)

@@ -1,6 +1,6 @@
 """End-to-end service behaviour over a real socket.
 
-Admission control, backpressure, circuit breaking, degraded serving,
+Admission control, backpressure, circuit breaking, execution failures,
 singleflight, deadlines, and graceful drain — all through the blocking
 client, exactly the way a real caller sees them.
 """
@@ -35,7 +35,7 @@ class TestBasicServing:
             second = client.request("alpha", request_id="r2")
         assert first["status"] == "ok"
         assert first["source"] == "pool"
-        assert not first["degraded"]
+        assert "degraded" not in first
         assert second["source"] == "cache"
         # Bit-identity: the cached payload is the stored canonical form.
         assert canonical(first["result"]) == canonical(second["result"])
@@ -151,8 +151,12 @@ class TestBackpressure:
         assert counters["service.requests.shed"] == 1
 
 
-class TestDegradedServing:
-    def test_failures_trip_breaker_and_serve_stub(self, harness_factory):
+class TestExecutionFailures:
+    """A request the node cannot execute is an error naming the cause."""
+
+    def test_failures_trip_breaker_and_answer_typed_errors(
+        self, harness_factory
+    ):
         registry = {"boom": fakes.run_boom, "alpha": fakes.run_alpha}
         harness = harness_factory(
             registry=registry,
@@ -161,24 +165,26 @@ class TestDegradedServing:
             breaker_reset=60.0,
         )
         with harness.client() as client:
-            first = client.request("boom", refresh=True)
+            first = client.request("boom", refresh=True, request_id="b1")
             second = client.request("boom", refresh=True)
             third = client.request("boom", refresh=True)
             stats = client.stats()
-        # Every failure is served degraded, not errored.
         for response in (first, second, third):
-            assert response["status"] == "ok"
-            assert response["degraded"]
-            assert response["source"] == "stub"
-            assert response["result"]["experiment_id"] == "boom"
+            assert response["status"] == "error"
+            assert "result" not in response
+        assert first["request_id"] == "b1"
         # The first two executed (and failed); the third hit the open
         # breaker without executing.
         assert first["error"]["type"] == "RuntimeError"
+        assert "deterministically broken" in first["error"]["message"]
         assert second["error"]["type"] == "RuntimeError"
         assert third["error"]["type"] == "CircuitOpen"
         assert stats["pools"]["pool-0"]["breaker"] == "open"
         counters = stats["metrics"]["counters"]
-        assert counters["service.requests.degraded"] == 3
+        assert counters["service.requests.failed"] == {
+            "RuntimeError": 2,
+            "CircuitOpen": 1,
+        }
         gauges = stats["metrics"]["gauges"]
         assert gauges["service.breaker.state"]["pool-0"] == 2  # open
 
@@ -193,10 +199,9 @@ class TestDegradedServing:
         )
         with harness.client() as client:
             response = client.request("flaky")
-        assert response["status"] == "ok"
-        assert response["degraded"] is True
-        assert response["source"] == "stub"
+        assert response["status"] == "error"
         assert response["error"]["type"] == "RuntimeError"
+        assert "result" not in response
         service = harness.service
         assert service.pools[0].breaker._consecutive_failures == 1
         assert service.cache.get_payload(service._key_for(FLAKY)) is None
@@ -213,18 +218,18 @@ class TestDegradedServing:
             first = client.request("flaky")
             second = client.request("flaky")
         for response in (first, second):
-            assert response["degraded"] is True
+            assert response["status"] == "error"
             assert response["error"]["type"] == "RuntimeError"
         service = harness.service
         assert service.pools[0].breaker._consecutive_failures == 2
         assert service.cache.get_payload(service._key_for(FLAKY)) is None
 
-    def test_open_breaker_serves_cached_result_for_healthy_key(
+    def test_open_breaker_refuses_a_refresh_but_serves_the_cache(
         self, harness_factory
     ):
         # alpha succeeds and is cached; boom then trips the shared
-        # pool's breaker; a *refresh* request for alpha now cannot
-        # execute, but the cached result keeps serving, tagged degraded.
+        # pool's breaker.  A plain alpha request is still a cache read,
+        # but a *refresh* must execute, so the open breaker refuses it.
         registry = {"boom": fakes.run_boom, "alpha": fakes.run_alpha}
         harness = harness_factory(
             registry=registry,
@@ -235,11 +240,13 @@ class TestDegradedServing:
         with harness.client() as client:
             exact = client.request("alpha")
             client.request("boom")  # trips the breaker
-            degraded = client.request("alpha", refresh=True)
-        assert exact["status"] == "ok" and not exact["degraded"]
-        assert degraded["degraded"]
-        assert degraded["source"] == "cache"
-        assert canonical(degraded["result"]) == canonical(exact["result"])
+            cached = client.request("alpha")
+            refused = client.request("alpha", refresh=True)
+        assert exact["status"] == "ok"
+        assert cached["source"] == "cache"
+        assert canonical(cached["result"]) == canonical(exact["result"])
+        assert refused["status"] == "error"
+        assert refused["error"]["type"] == "CircuitOpen"
 
     def test_breaker_recovers_through_half_open_probe(
         self, harness_factory
@@ -258,33 +265,30 @@ class TestDegradedServing:
             breaker_reset=0.2,
         )
         with harness.client() as client:
-            assert client.request("flaky", refresh=True)["degraded"]
+            assert client.request("flaky", refresh=True)["status"] == "error"
             flip["broken"] = False
             time.sleep(0.5)  # past reset_timeout * (1 + jitter)
             recovered = client.request("flaky", refresh=True)
             stats = client.stats()
-        assert not recovered["degraded"]
+        assert recovered["status"] == "ok"
         assert recovered["source"] == "pool"
         assert stats["pools"]["pool-0"]["breaker"] == "closed"
 
 
 class TestDeadlines:
-    def test_blown_deadline_degrades_with_timeout_error(
-        self, harness_factory
-    ):
+    def test_blown_deadline_is_a_timeout_error(self, harness_factory):
         registry = {"sleepy": fakes.run_sleepy}
         harness = harness_factory(registry=registry, pools=1)
         with harness.client() as client:
             response = client.request("sleepy", deadline_ms=100)
-        assert response["status"] == "ok"
-        assert response["degraded"]
+        assert response["status"] == "error"
         assert response["error"]["type"] == "ExperimentTimeout"
 
     def test_generous_deadline_is_exact(self, harness_factory):
         harness = harness_factory(registry=dict(fakes.FAST_REGISTRY))
         with harness.client() as client:
             response = client.request("delta", deadline_ms=30000)
-        assert not response["degraded"]
+        assert response["status"] == "ok"
         assert response["source"] == "pool"
 
 
@@ -362,7 +366,39 @@ class TestDrain:
         thread.join(30.0)
         assert len(responses) == 1
         assert responses[0]["status"] == "ok"
-        assert not responses[0]["degraded"]
+        assert responses[0]["source"] == "pool"
+
+    def test_drain_abandoned_requests_are_answered_draining(
+        self, harness_factory
+    ):
+        # A drain that outlasts its timeout abandons the running request
+        # and the one queued behind it.  Both are answered ``draining``
+        # (reconnect and retry; a router fails over on it), not an error
+        # that would read as a malformed request.
+        registry = {"slow": fakes.run_slow, "alpha": fakes.run_alpha}
+        harness = harness_factory(
+            registry=registry, pools=1, drain_timeout=0.2
+        )
+        responses = {}
+
+        def fire(experiment_id):
+            with harness.client(timeout=30.0) as client:
+                responses[experiment_id] = client.request(experiment_id)
+
+        threads = [
+            threading.Thread(target=fire, args=(experiment_id,))
+            for experiment_id in ("slow", "alpha")
+        ]
+        for thread in threads:
+            thread.start()
+            time.sleep(0.3)  # slow executes, then alpha queues behind it
+        harness.stop()
+        for thread in threads:
+            thread.join(30.0)
+        assert {name: r["status"] for name, r in responses.items()} == {
+            "slow": "draining",
+            "alpha": "draining",
+        }
 
 
 class TestEngineIsNotIdentity:
@@ -490,7 +526,6 @@ class TestBackendRunsOnce:
         backend = InlineBackend(
             ServiceConfig(timeout_seconds=2.0), {"alpha": fakes.run_alpha}
         )
-        assert backend.runner.retries == 0
         assert backend.runner.timeout_seconds == 2.0
 
     def test_unbounded_execution_runs_once_without_an_executor(
@@ -522,7 +557,7 @@ class TestBackendRunsOnce:
         (executor,) = fake_executor
         (task_id, spec), = executor.tasks
         assert task_id == "flaky"
-        assert spec[:2] == ("flaky", 0)  # experiment id, retries
+        assert spec[0] == "flaky"
         assert executor.kwargs["task_deadline"] == 2.0
 
     @pytest.mark.parametrize(

@@ -299,6 +299,19 @@ class TestRouteUnit:
         router.transport.behavior[order[2]] = unavailable()
         assert self._route(router, RUN)["status"] == "shed"
 
+    def test_every_peer_failing_to_execute_is_tried_once(self):
+        router = make_router(
+            {name: node_error("ExperimentTimeout") for name in "abc"}
+        )
+        order = router.ring.preference(routing_key(make_request(RUN)))
+        response = self._route(router, RUN)
+        assert response["status"] == "error"
+        assert response["error"]["type"] == "ExperimentTimeout"
+        assert router.transport.calls == order
+        counters = router.metrics.snapshot()["counters"]
+        assert counters["cluster.requests.failover"] == len(order) - 1
+        assert "cluster.requests.routed" not in counters
+
     def test_failover_attempt_carries_only_the_remaining_budget(self):
         seen = []
 

@@ -209,6 +209,68 @@ class TestRegisteredSeedFailure:
             main(["run", "table2", "--retries", "1"])
         assert "--retries" in capsys.readouterr().err
 
+    def test_bounded_run_reports_the_failure(self):
+        # A wall-clock bound moves the run into a worker process; the
+        # worker runs it once too, and the error type crosses back.
+        runner = ExperimentRunner(
+            timeout_seconds=30.0,
+            registry={"fails_on_registered_seed": fails_on_registered_seed},
+            heartbeat_interval=0.05,
+        )
+        report = runner.run_many(["fails_on_registered_seed"], jobs=1)
+        (failure,) = report.failures
+        assert failure.error_type == "RegisteredSeedError"
+        assert failure.attempts == 1
+        assert report.results == []
+        assert runner.executor_stats is not None
+
+    def test_checkpointed_rerun_fails_the_same_way(self, tmp_path):
+        # The failure is never checkpointed, so a resumed batch runs the
+        # experiment again on the same seed, and it fails identically.
+        checkpoint = str(tmp_path / "progress.json")
+        registry = {
+            "fails_on_registered_seed": fails_on_registered_seed,
+            "healthy": healthy,
+        }
+        ids = ["fails_on_registered_seed", "healthy"]
+        first = ExperimentRunner(
+            checkpoint_path=checkpoint, registry=registry
+        ).run_many(ids)
+        saved = json.loads((tmp_path / "progress.json").read_text())
+        assert list(saved["data"]["results"]) == ["healthy"]
+        second = ExperimentRunner(
+            checkpoint_path=checkpoint, registry=registry
+        ).run_many(ids)
+        assert second.resumed == ["healthy"]
+        assert [(f.error_type, f.message) for f in second.failures] == [
+            (f.error_type, f.message) for f in first.failures
+        ]
+
+    def test_trace_records_no_substitute_for_the_failure(self, tmp_path):
+        trace = tmp_path / "run.jsonl"
+        registry = {
+            "fails_on_registered_seed": fails_on_registered_seed,
+            "healthy": healthy,
+        }
+        ids = ["fails_on_registered_seed", "healthy"]
+        runner = ExperimentRunner(trace_path=str(trace), registry=registry)
+        report = runner.run_many(ids)
+        runner.write_trace(report, ids)
+        header, *records = [
+            json.loads(line) for line in trace.read_text().splitlines()
+        ]
+        assert "1 failed" in header["summary"]
+        by_type = {}
+        for record in records:
+            by_type.setdefault(record["type"], []).append(record)
+        for kind in ("manifest", "result", "metrics"):
+            assert [r["experiment_id"] for r in by_type[kind]] == ["healthy"]
+        assert "attempts" not in by_type["manifest"][0]
+        (failure,) = by_type["failure"]
+        assert failure["experiment_id"] == "fails_on_registered_seed"
+        assert failure["error_type"] == "RegisteredSeedError"
+        assert failure["attempts"] == 1
+
 class TestRunMany:
     def test_failures_do_not_stop_the_batch(self):
         def broken():

@@ -30,6 +30,10 @@ class TestRoundTrip:
         assert manifest.machines == []
         assert manifest.engine == "fast"
 
+    def test_old_attempts_key_does_not_survive_a_round_trip(self):
+        data = dict(_manifest().to_dict(), attempts=3)
+        assert RunManifest.from_dict(data).to_dict() == _manifest().to_dict()
+
     def test_with_provenance_stamps_checkout(self):
         manifest = RunManifest.with_provenance(experiment_id="fig4")
         assert manifest.git_rev  # "unknown" at worst, never empty

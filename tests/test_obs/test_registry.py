@@ -127,6 +127,13 @@ class TestCatalog:
             assert spec.module.startswith("repro.")
             assert spec.description.endswith(".")
 
+    def test_every_emitting_module_exists(self):
+        # A metric whose emitting module was deleted is dead catalogue.
+        import importlib
+
+        for spec in METRIC_CATALOG.values():
+            importlib.import_module(spec.module)
+
     def test_snapshot_is_json_serialisable(self):
         import json
 

@@ -82,6 +82,19 @@ class TestLoadReport:
         assert summary["total"] == 3
         assert summary["by_status"] == {"ok": 1, "error": 1, "shed": 1}
 
+    def test_typed_errors_are_answers_not_client_errors(self):
+        # A node's typed error is an answer: it is tallied by status,
+        # is no client-side failure, and leaves the hit rate over ok.
+        report = LoadReport()
+        report.record({"status": "ok", "source": "cache"}, 1.0)
+        report.record({"status": "ok", "source": "pool"}, 1.0)
+        report.record(
+            {"status": "error", "error": {"type": "ExperimentTimeout"}}, 0.1
+        )
+        assert report.client_errors == 0
+        assert report.hit_rate == 0.5
+        assert report.summary()["by_status"] == {"ok": 2, "error": 1}
+
     def test_percentile_validates_range(self):
         with pytest.raises(ValueError):
             self._report([1.0]).percentile_ms(150.0)

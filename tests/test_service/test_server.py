@@ -324,6 +324,41 @@ class TestSingleflight:
         assert len(payloads) == 1
         assert all(r["status"] == "ok" for r in responses)
 
+    def test_coalesced_requests_share_one_failure(self, harness_factory):
+        # Every waiter gets the execution's typed error, but the one
+        # execution is one piece of breaker evidence.
+        calls = []
+        lock = threading.Lock()
+
+        def slow_boom():
+            with lock:
+                calls.append(True)
+            time.sleep(0.5)
+            raise RuntimeError("deterministically broken")
+
+        harness = harness_factory(
+            registry={"slow_boom": slow_boom},
+            pools=1,
+            breaker_failures=5,
+            breaker_reset=60.0,
+        )
+        responses = []
+
+        def fire():
+            with harness.client(timeout=30.0) as client:
+                responses.append(client.request("slow_boom"))
+
+        threads = [threading.Thread(target=fire) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+            time.sleep(0.05)  # all land while the first executes
+        for thread in threads:
+            thread.join(30.0)
+        assert len(calls) == 1
+        assert [r["error"]["type"] for r in responses] == ["RuntimeError"] * 3
+        assert all("result" not in r for r in responses)
+        assert harness.service.pools[0].breaker._consecutive_failures == 1
+
 
 class TestDrain:
     def test_drain_then_reconnect_served_bit_identically_from_cache(

@@ -25,12 +25,18 @@ and its L1 misses finished by the fast engine's one miss routine
 (:func:`repro.sim.fastpath.demand_paths`):
 
 * the hyper-threaded loop is an *op kernel* that executes every
-  operation itself, and a hold that reaches a cache fixed point only
-  moves the clock there;
+  operation itself;
 * the time-sliced scheduler runs a hold without a ``ReadTSC`` through
   a *slice kernel*, a tight loop over the lowered ops.  The constant
   sender's and the noise thread's holds issue almost every op of a
   time-sliced run.
+
+Both touch a ``TabledPolicy`` on an L1 hit with one table lookup done
+in place, and both *fast-forward* a hold that reaches a cache fixed
+point: its next ops only move the clock and the counters, up to where
+something else could act.  That is another thread, a fault or
+``until_cycle`` in the op kernel, and the end of the slice in the slice
+kernel, where only the hold's thread runs.
 
 Each produces exactly the state, times, counters and draws the general
 per-op route through ``_execute`` produces, and a hold's position is
@@ -139,9 +145,10 @@ class _SchedulerBase:
         :func:`repro.sim.fastpath.demand_paths`): every level is a plain
         fast cache, with no keyed index and no lock or hit-state hooks.
         The L1 may have a way predictor.  A hit is then one tag-map
-        probe, the utag check when the L1 has a predictor, one
-        ``policy.touch`` when hits update the policy and one reference
-        count; a miss is one ``_l1_miss`` call.
+        probe, the utag check when the L1 has a predictor, a policy
+        touch when hits update the policy (one table lookup done in
+        place for a ``TabledPolicy``, else one ``policy.touch``) and one
+        reference count; a miss is one ``_l1_miss`` call.
         """
         hierarchy = self.hierarchy
         if getattr(hierarchy, "_l1_miss", None) is None:
@@ -204,7 +211,8 @@ class _SchedulerBase:
 
         This is the one lowering both kernels read.  Each op becomes a
         step ``(kind, op, cache_set, tag, utag, need, following,
-        trackable)``; the slice kernel reads the first five fields:
+        trackable)``; the slice kernel reads every field but
+        ``following``:
         - an access is done in place (``kind`` is ``_PROBE``, with its
           set, tag and utag resolved) when it is ``plain`` (counted,
           not speculative, locking, unlocking or a flush) and the L1 is
@@ -218,7 +226,9 @@ class _SchedulerBase:
           it was for the cycle to be a fixed point here: enough to cover
           every ``_PROBE`` of the cycle (0 without one);
         - ``following`` is the next op's index;
-        - ``trackable`` is where each op's cleanliness check starts.
+        - ``trackable`` is where the op kernel starts each op's
+          cleanliness check, and whether the slice kernel looks for a
+          fixed point at all.
         The hold can fast-forward (it is *trackable*) only when every
         access is a ``_PROBE`` into a set whose policy is a
         ``TabledPolicy`` or is not touched on hits, it holds no
@@ -309,6 +319,16 @@ class _Lowering:
             for kind, op, *_ in steps
         )
 
+    def hits_in(self, position: int, count: int) -> int:
+        """The L1 hits among ``count`` ops fast-forwarded from ``position``."""
+        size = len(self.steps)
+        hits_before = self.hits_before
+        return (
+            count // size * hits_before[size]
+            + hits_before[position + count % size]
+            - hits_before[position]
+        )
+
 
 class _Hold:
     """A :class:`~repro.sim.ops.HoldLoop` the op kernel is running.
@@ -319,12 +339,12 @@ class _Hold:
     ``hold_position``.
     """
 
-    __slots__ = ("steps", "fast", "hits_before", "run")
+    __slots__ = ("lowering", "steps", "fast", "run")
 
     def __init__(self, lowering: _Lowering):
+        self.lowering = lowering
         self.steps = lowering.steps
         self.fast = lowering.fast
-        self.hits_before = lowering.hits_before
         self.run = 0
 
 
@@ -582,14 +602,10 @@ class HyperThreadedScheduler(_SchedulerBase):
                                     break
                                 skip_draws(bits)
                             issued += count
-                            size = len(view.fast)
-                            thread.hold_position = (position + count) % size
-                            hits_before = view.hits_before
-                            n_hits = (
-                                count // size * hits_before[size]
-                                + hits_before[position + count % size]
-                                - hits_before[position]
+                            thread.hold_position = (
+                                (position + count) % len(view.fast)
                             )
+                            n_hits = view.lowering.hits_in(position, count)
                             if n_hits:
                                 hits += n_hits
                                 references[thread.thread_id] += n_hits
@@ -839,7 +855,7 @@ class TimeSlicedScheduler(_SchedulerBase):
                         )
                         if not lowering.reads_tsc:
                             ready = self._run_loop(
-                                thread, lowering.steps, ready, slice_end
+                                thread, lowering, ready, slice_end
                             )
                             break
                     op = thread.next_hold_op()
@@ -865,23 +881,43 @@ class TimeSlicedScheduler(_SchedulerBase):
     # ------------------------------------------------------------------
 
     def _run_loop(
-        self, thread: SimThread, steps: tuple, ready: float, slice_end: float
+        self,
+        thread: SimThread,
+        lowering: _Lowering,
+        ready: float,
+        slice_end: float,
     ) -> float:
         """Run one slice of a thread's hold; return the thread's new time.
 
-        ``steps`` are the hold's lowered steps (see :meth:`_lower_ops`),
-        and the slice starts at the thread's ``hold_position``.
+        ``lowering`` is the hold's (see :meth:`_lower_ops`), and the
+        slice starts at the thread's ``hold_position``.
 
         Issues exactly the ops, in exactly the order, that the general
         loop would, and adds their costs to ``ready`` in the same order,
         so times are bit-identical.  L1 hits (the utag check included)
-        are done inline and only counted; the counts go to the L1's
-        reference counter at the end of the slice (plain ints, so the
-        order of additions cannot show), and to an observing session's
-        hit metrics before the next miss or mispredict and at the end,
-        so its latency histogram takes its float additions in the
-        general loop's order.  L1 misses go to ``hierarchy._l1_miss``
-        and every other access to ``hierarchy.access``.
+        are done inline, a ``TabledPolicy``'s touch as one table lookup
+        in place, and only counted; the counts go to the L1's reference
+        counter at the end of the slice (plain ints, so the order of
+        additions cannot show), and to an observing session's hit
+        metrics before the next miss or mispredict and at the end, so
+        its latency histogram takes its float additions in the general
+        loop's order.  L1 misses go to ``hierarchy._l1_miss`` and every
+        other access to ``hierarchy.access``.
+
+        Only this thread acts in the slice, and no fault model is
+        attached, so a hold whose last ``need`` ops (see
+        :meth:`_lower_ops`) left the cache as it was is at a fixed point
+        for the rest of the slice: each further op is a clean hit or a
+        ``Compute``.  The kernel then *fast-forwards*: it adds each op's
+        ``fast`` cost to ``ready`` in order while ``ready`` is below
+        ``slice_end``, as the general loop would, and counts the hits
+        with :meth:`_Lowering.hits_in`.  A trackable hold is issued in
+        stretches of about one clean cycle's time, with the check
+        between them; an untrackable one (every ``need`` infinite) runs
+        its slice in one stretch and never checks.  The ops that may
+        change the cache (a miss, a touch that moves the policy state, a
+        utag retrain, an access through the hierarchy) record where the
+        clean run starts, so a clean op does no bookkeeping.
         """
         hierarchy = self.hierarchy
         access = hierarchy.access
@@ -893,77 +929,126 @@ class TimeSlicedScheduler(_SchedulerBase):
         update_on_hit = hierarchy.l1._update_on_hit
         probe = _PROBE
         choose = Choose
+        tabled = TabledPolicy
         tid = thread.thread_id
         space = thread.address_space
-        last = len(steps) - 1
-        position = thread.hold_position
+        steps = lowering.steps
+        size = len(steps)
+        start = thread.hold_position
         issued = 0
+        # ``issued`` as of the last op that may have changed the cache.
+        dirty = 0
         hits = 0
         recorded = 0
-        while ready < slice_end:
-            kind, op, cache_set, tag, utag, _, _, _ = steps[position]
-            position = 0 if position == last else position + 1
-            issued += 1
-            if kind is choose:
-                next_index, options = op
-                kind, op, cache_set, tag, utag = options[next_index()]
-            if kind is Compute:
-                ready += op.cycles
-                continue
-            if kind is probe:
-                way = cache_set._tag_map.get(tag)
-                if way is None:
-                    if record_hits is not None and hits != recorded:
-                        record_hits(hit_latency, hits - recorded)
-                        recorded = hits
-                    ready += l1_miss(
-                        cache_set,
+        stop = slice_end
+        if steps[0][7]:
+            # Trackable: a clean cycle takes ``period`` cycles.  The first
+            # stretch is empty, so a hold with no probe (``need`` 0)
+            # fast-forwards at once.
+            period = sum(cost for cost, _ in lowering.fast)
+            stop = ready
+        while True:
+            # The hold's next op is ``issued`` ops past ``start``.
+            position = (start + issued) % size
+            for kind, op, cache_set, tag, utag, _, _, _ in cycle(
+                steps[position:] + steps[:position]
+            ):
+                if ready >= stop:
+                    break
+                issued += 1
+                if kind is choose:
+                    next_index, options = op
+                    kind, op, cache_set, tag, utag = options[next_index()]
+                if kind is Compute:
+                    ready += op.cycles
+                    continue
+                if kind is probe:
+                    way = cache_set._tag_map.get(tag)
+                    if way is None:
+                        dirty = issued
+                        if record_hits is not None and hits != recorded:
+                            record_hits(hit_latency, hits - recorded)
+                            recorded = hits
+                        ready += l1_miss(
+                            cache_set,
+                            op.address,
+                            op.access_type,
+                            tid,
+                            space,
+                            utag,
+                            True,
+                        ).latency
+                        continue
+                    if update_on_hit:
+                        policy = cache_set.policy
+                        if type(policy) is tabled:
+                            # As in HyperThreadedScheduler.run.
+                            tables = policy._tables
+                            state = policy._state
+                            moved = tables._touch[state * tables.ways + way]
+                            if moved is None:
+                                moved = tables._replay_touch(
+                                    state, way, is_fill=False
+                                )
+                            if moved != state:
+                                policy._state = moved
+                                dirty = issued
+                        else:
+                            policy.touch(way)
+                            dirty = issued
+                    # _check_way_predictor, as in HyperThreadedScheduler.run.
+                    stored = utag
+                    if utag is not None:
+                        line = cache_set.lines[way]
+                        stored = line.utag
+                        if stored != utag:
+                            dirty = issued
+                            line.utag = utag
+                            line.owner_space = space
+                    if stored is None or stored == utag:
+                        hits += 1
+                        ready += hit_latency
+                        continue
+                    hierarchy.l1.counters.references[tid] += 1
+                    if record_hits is not None:
+                        if hits != recorded:
+                            record_hits(hit_latency, hits - recorded)
+                            recorded = hits
+                        obs.record_l1_hit(utag_latency, True)
+                    ready += utag_latency
+                    continue
+                dirty = issued
+                if record_hits is not None and hits != recorded:
+                    record_hits(hit_latency, hits - recorded)
+                    recorded = hits
+                ready += access(
+                    MemoryAccess(
                         op.address,
                         op.access_type,
                         tid,
                         space,
-                        utag,
-                        True,
-                    ).latency
-                    continue
-                if update_on_hit:
-                    cache_set.policy.touch(way)
-                # _check_way_predictor, as in HyperThreadedScheduler.run.
-                stored = utag
-                if utag is not None:
-                    line = cache_set.lines[way]
-                    stored = line.utag
-                    if stored != utag:
-                        line.utag = utag
-                        line.owner_space = space
-                if stored is None or stored == utag:
-                    hits += 1
-                    ready += hit_latency
-                    continue
-                hierarchy.l1.counters.references[tid] += 1
-                if record_hits is not None:
-                    if hits != recorded:
-                        record_hits(hit_latency, hits - recorded)
-                        recorded = hits
-                    obs.record_l1_hit(utag_latency, True)
-                ready += utag_latency
-                continue
-            if record_hits is not None and hits != recorded:
-                record_hits(hit_latency, hits - recorded)
-                recorded = hits
-            ready += access(
-                MemoryAccess(
-                    op.address,
-                    op.access_type,
-                    tid,
-                    space,
-                    op.locked,
-                    op.unlock,
-                    op.speculative,
-                ),
-                count=op.count,
-            ).latency
-        thread.hold_position = position
+                        op.locked,
+                        op.unlock,
+                        op.speculative,
+                    ),
+                    count=op.count,
+                ).latency
+            if ready >= slice_end:
+                break
+            # Only a trackable hold gets here, between two stretches.
+            position = (start + issued) % size
+            if issued - dirty >= steps[position][5]:
+                count = 0
+                for cost, _ in islice(cycle(lowering.fast), position, None):
+                    ready += cost
+                    count += 1
+                    if ready >= slice_end:
+                        break
+                issued += count
+                hits += lowering.hits_in(position, count)
+                break
+            stop = min(slice_end, ready + period)
+        thread.hold_position = (start + issued) % size
         thread.ready_at = ready
         if hits:
             hierarchy.l1.counters.references[tid] += hits

@@ -43,6 +43,29 @@ class TestPaperMapReferences:
             assert (ROOT / path).exists(), f"{path} referenced but missing"
 
 
+class TestPerformanceDocReferences:
+    """docs/PERFORMANCE.md names only code and tests that exist."""
+
+    def test_all_code_paths_exist(self):
+        text = _read("docs/PERFORMANCE.md")
+        paths = set(re.findall(r"`(repro/[\w/]+\.py)`", text))
+        assert len(paths) > 3
+        for path in paths:
+            assert (ROOT / "src" / path).exists(), f"{path} referenced but missing"
+
+    def test_all_test_ids_exist(self):
+        text = _read("docs/PERFORMANCE.md")
+        ids = set(re.findall(r"`(tests/[\w/]+\.py)(?:::(\w+))?`", text))
+        assert any(name for _, name in ids)
+        for path, name in ids:
+            assert (ROOT / path).exists(), f"{path} referenced but missing"
+            if name:
+                defined = re.search(
+                    rf"^\s*(?:class|def) {name}\b", _read(path), re.M
+                )
+                assert defined, f"{path}::{name} referenced but missing"
+
+
 class TestDesignExperimentIndex:
     def test_experiment_ids_in_design_are_registered(self):
         from repro.experiments import EXPERIMENT_REGISTRY

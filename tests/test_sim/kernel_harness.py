@@ -16,9 +16,11 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.way_predictor import WayPredictor
 from repro.common.types import AccessType
 from repro.obs.session import ObsSession, observe
+from repro.sim import scheduler as scheduler_module
 from repro.sim.fastpath import FastSetAssociativeCache
 from repro.sim.machine import Machine
 from repro.sim.ops import Access, Choose, Compute, HoldLoop
+from repro.sim.specs import INTEL_E5_2690
 from repro.sim.thread import SimThread
 
 SCHEDULERS = ("hyper", "sliced")
@@ -42,6 +44,55 @@ def force_general(scheduler):
         return execute(thread, op, now)
 
     scheduler._execute = wrapped
+
+
+def watch(scheduler, watched):
+    """Count fast-forwarded ops, and fault steps taken at a fixed point.
+
+    In either kernel, only a fast-forward calls the scheduler module's
+    ``islice`` (to walk its hold's cycle), so while ``scheduler`` runs
+    that name is wrapped to count the ops it hands out:
+    ``watched["forwarded"]`` is the number of ops fast-forwarded so far,
+    over every run.  The pick's draws give no such signal: a two-thread
+    step whose clocks differ takes its tie-break words with
+    ``getrandbits`` on every route.  ``watched["fixed_faults"]`` counts
+    the op kernel's fault-gate steps in which the picked thread's hold
+    was at a fixed point: a fault falling due is what ended that
+    thread's fast-forward.  The slice kernel never runs with a fault
+    model, so on a time-sliced scheduler it stays 0.
+    """
+    watched["forwarded"] = 0
+    watched["fixed_faults"] = 0
+    original_islice = scheduler_module.islice
+
+    def counting_islice(*args):
+        for item in original_islice(*args):
+            watched["forwarded"] += 1
+            yield item
+
+    run = scheduler.run
+
+    def watched_run(until_cycle=None):
+        scheduler_module.islice = counting_islice
+        try:
+            return run(until_cycle)
+        finally:
+            scheduler_module.islice = original_islice
+
+    scheduler.run = watched_run
+    wake_stall = scheduler._fault_wake_stall
+
+    def watching(thread, now):
+        # The op kernel's view of the thread's hold (none off the kernel
+        # and on a time-sliced scheduler).
+        view = getattr(scheduler, "_holds", {}).get(thread)
+        if thread.hold is not None and view is not None and (
+            view.run >= view.steps[thread.hold_position][5]
+        ):
+            watched["fixed_faults"] += 1
+        return wake_stall(thread, now)
+
+    scheduler._fault_wake_stall = watching
 
 
 def with_l1(spec, **changes):
@@ -163,6 +214,47 @@ def build_scheduler(machine, scheduler, threads):
     if scheduler == "hyper":
         return machine.hyper_threaded(threads)
     return machine.time_sliced(threads, quantum=5000.0, switch_cost=100.0)
+
+
+def run_holds(
+    scheduler, mode, threads, *, until_cycles=(None,), faults=(), prepare=None
+):
+    """Run ``threads`` in ``mode``, once per entry of ``until_cycles``.
+
+    ``mode`` is ``kernel``, ``general``, ``reference``, or
+    ``<first>-<second>`` to switch the fast engine's route (kernel or
+    general) after the first run.  ``prepare`` is called with the built
+    scheduler.  Returns the final state and the count of fast-forwarded
+    ops (see :func:`watch`) after each run.
+    """
+    first, _, second = mode.partition("-")
+    engine = "reference" if first == "reference" else "fast"
+    machine = Machine(
+        INTEL_E5_2690,
+        rng=3,
+        engine=engine,
+        faults=[model() for model in faults],
+    )
+    sched = build_scheduler(machine, scheduler, threads)
+    if first == "general":
+        force_general(sched)
+    if prepare is not None:
+        prepare(sched)
+    watched = {}
+    watch(sched, watched)
+    states = []
+    forwarded = []
+    for until_cycle in until_cycles:
+        if states and second == "general":
+            force_general(sched)
+        elif states and second == "kernel":
+            sched.__dict__.pop("_execute", None)
+        end = sched.run(until_cycle=until_cycle)
+        state = machine_state(machine.hierarchy, sched)
+        state["end"] = end
+        states.append(state)
+        forwarded.append(watched["forwarded"])
+    return states, forwarded
 
 
 def run_threads(

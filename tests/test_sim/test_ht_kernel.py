@@ -30,7 +30,6 @@ from repro.channels.protocol import CovertChannelProtocol, ProtocolConfig
 from repro.common.types import AccessType
 from repro.faults import FaultInjector, InterruptBurstFault, TSCFault
 from repro.obs.session import ObsSession, observe
-from repro.sim import scheduler as scheduler_module
 from repro.sim.machine import Machine
 from repro.sim.ops import Access, Compute, HoldLoop, ReadTSC, SleepUntil
 from repro.sim.scheduler import HyperThreadedScheduler
@@ -40,6 +39,8 @@ from tests.test_sim.kernel_harness import (
     L1_STRIDE,
     force_general,
     machine_state,
+    run_holds,
+    watch,
     with_fractional_latencies,
     with_l1,
 )
@@ -378,52 +379,6 @@ def test_sanitized_and_traced_runs_take_the_general_route(execute_calls):
 # ----------------------------------------------------------------------
 
 
-def watch(scheduler, watched):
-    """Count fast-forwarded ops, and fault steps taken at a fixed point.
-
-    Only a fast-forward calls the scheduler module's ``islice`` (to walk
-    its hold's cycle), so while ``scheduler`` runs that name is wrapped
-    to count the ops it hands out: ``watched["forwarded"]`` is the
-    number of ops fast-forwarded so far, over every run.  The pick's
-    draws give no such signal: a two-thread step whose clocks differ
-    takes its tie-break words with ``getrandbits`` on every route.
-    ``watched["fixed_faults"]`` counts fault-gate steps in which the
-    picked thread's hold was at a fixed point: a fault falling due is
-    what ended that thread's fast-forward.
-    """
-    watched["forwarded"] = 0
-    watched["fixed_faults"] = 0
-    original_islice = scheduler_module.islice
-
-    def counting_islice(*args):
-        for item in original_islice(*args):
-            watched["forwarded"] += 1
-            yield item
-
-    run = scheduler.run
-
-    def watched_run(until_cycle=None):
-        scheduler_module.islice = counting_islice
-        try:
-            return run(until_cycle)
-        finally:
-            scheduler_module.islice = original_islice
-
-    scheduler.run = watched_run
-    wake_stall = scheduler._fault_wake_stall
-
-    def watching(thread, now):
-        # The kernel's view of the thread's hold (none off the kernel).
-        view = scheduler._holds.get(thread)
-        if thread.hold is not None and view is not None and (
-            view.run >= view.steps[thread.hold_position][5]
-        ):
-            watched["fixed_faults"] += 1
-        return wake_stall(thread, now)
-
-    scheduler._fault_wake_stall = watching
-
-
 def run_protocol_watched(spec, algorithm, mode, **kwargs):
     """``run_protocol`` with a watched scheduler.
 
@@ -551,50 +506,16 @@ def hold_threads(third=False):
     return threads
 
 
-def run_holds(mode, threads, *, until_cycles=(None,), faults=()):
-    """Run ``threads`` in ``mode``, once per entry of ``until_cycles``.
-
-    ``mode`` is ``kernel``, ``general``, ``reference``, or
-    ``<first>-<second>`` to switch the fast engine's route (kernel or
-    general) after the first run.  Returns the final state and the
-    count of fast-forwarded ops after each run.
-    """
-    first, _, second = mode.partition("-")
-    engine = "reference" if first == "reference" else "fast"
-    machine = Machine(
-        INTEL_E5_2690,
-        rng=3,
-        engine=engine,
-        faults=[model() for model in faults],
-    )
-    scheduler = machine.hyper_threaded(threads)
-    if first == "general":
-        force_general(scheduler)
-    watched = {}
-    watch(scheduler, watched)
-    states = []
-    forwarded = []
-    for until_cycle in until_cycles:
-        if states and second == "general":
-            force_general(scheduler)
-        elif states and second == "kernel":
-            scheduler.__dict__.pop("_execute", None)
-        end = scheduler.run(until_cycle=until_cycle)
-        state = machine_state(machine.hierarchy, scheduler)
-        state["end"] = end
-        states.append(state)
-        forwarded.append(watched["forwarded"])
-    return states, forwarded
-
-
 def assert_holds_three_ways(execute_calls, third=False, **kwargs):
-    kernel, forwarded = run_holds("kernel", hold_threads(third), **kwargs)
+    kernel, forwarded = run_holds(
+        "hyper", "kernel", hold_threads(third), **kwargs
+    )
     assert not execute_calls
     general, general_forwarded = run_holds(
-        "general", hold_threads(third), **kwargs
+        "hyper", "general", hold_threads(third), **kwargs
     )
     reference, reference_forwarded = run_holds(
-        "reference", hold_threads(third), **kwargs
+        "hyper", "reference", hold_threads(third), **kwargs
     )
     assert general_forwarded == reference_forwarded == [0] * len(general)
     assert kernel == general
@@ -625,12 +546,12 @@ def test_hand_over_across_runs(execute_calls, first):
     second = "general" if first == "kernel" else "kernel"
     until_cycles = (400.0, 3.5e4, None)
     general, _ = run_holds(
-        "general", hold_threads(), until_cycles=until_cycles
+        "hyper", "general", hold_threads(), until_cycles=until_cycles
     )
     calls = len(execute_calls)
     threads = hold_threads()
     handed, forwarded = run_holds(
-        f"{first}-{second}", threads, until_cycles=until_cycles
+        "hyper", f"{first}-{second}", threads, until_cycles=until_cycles
     )
     assert general[0]["holds"][0][0] is not None
     assert handed == general

@@ -926,7 +926,9 @@ class TimeSlicedScheduler(_SchedulerBase):
         utag_latency = hierarchy._utag_miss.latency
         obs = hierarchy._obs
         record_hits = None if obs is None else obs.record_l1_hits
-        update_on_hit = hierarchy.l1._update_on_hit
+        # Without a plain L1 (a PL cache, say) no op is a probe.
+        l1 = self._plain_l1()
+        update_on_hit = l1 is not None and l1._update_on_hit
         probe = _PROBE
         choose = Choose
         tabled = TabledPolicy

@@ -36,3 +36,23 @@ def intel_machine() -> Machine:
 @pytest.fixture
 def amd_machine() -> Machine:
     return Machine(AMD_EPYC_7571, rng=42)
+
+
+@pytest.fixture(scope="session")
+def run():
+    """Run a registered experiment at most once per session.
+
+    The registered callable runs serially, in this process, on the
+    default (fast) engine: the paper-claim tests read its result, and
+    the conformance matrix compares every other cell against it.
+    """
+    from repro.experiments import EXPERIMENT_REGISTRY
+
+    results = {}
+
+    def get(experiment_id):
+        if experiment_id not in results:
+            results[experiment_id] = EXPERIMENT_REGISTRY[experiment_id]()
+        return results[experiment_id]
+
+    return get

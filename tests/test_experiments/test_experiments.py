@@ -13,19 +13,6 @@ from repro.experiments.table1 import PAPER_TABLE1, eviction_probability
 from repro.sim.specs import AMD_EPYC_7571, INTEL_E3_1245V5, INTEL_E5_2690
 
 
-@pytest.fixture(scope="module")
-def run():
-    """Run a registered experiment at most once per module."""
-    results = {}
-
-    def get(experiment_id):
-        if experiment_id not in results:
-            results[experiment_id] = EXPERIMENT_REGISTRY[experiment_id]()
-        return results[experiment_id]
-
-    return get
-
-
 class TestRegistry:
     def test_every_paper_experiment_registered(self):
         expected = {

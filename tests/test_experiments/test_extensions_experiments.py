@@ -35,8 +35,8 @@ class TestExtDetector:
 
 
 class TestExtCoding:
-    def test_coding_never_hurts_much_and_usually_helps(self):
-        result = EXPERIMENT_REGISTRY["ext_coding"]()
+    def test_coding_never_hurts_much_and_usually_helps(self, run):
+        result = run("ext_coding")
         for row in result.rows:
             raw, coded = row[1], row[2]
             assert coded <= raw + 0.01
@@ -89,8 +89,8 @@ class TestCSVExport:
 
 
 class TestExtAlg2TimeSliced:
-    def test_negative_result_reproduced(self):
-        result = EXPERIMENT_REGISTRY["ext_alg2_timesliced"]()
+    def test_negative_result_reproduced(self, run):
+        result = run("ext_alg2_timesliced")
         contrasts = {row[0]: float(row[3].rstrip("%")) for row in result.rows}
         # Algorithm 1 carries signal; Algorithm 2 does not (paper V-B).
         assert contrasts["Alg 1"] > 3 * contrasts["Alg 2"]

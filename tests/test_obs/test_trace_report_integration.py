@@ -13,7 +13,6 @@ from repro.obs.report import (
     read_records,
     render_report,
 )
-from repro.sim.fastpath import ENGINE_ENV, ENGINES
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -49,23 +48,6 @@ class TestTraceToReport:
         assert block == committed_block("table2")
         # the full rendered report embeds the same bytes
         assert block in render_report(records)
-
-    def test_block_is_the_same_bytes_under_either_engine(self, monkeypatch):
-        # The engine is provenance: the manifest keeps it, the block
-        # (its _run: footer included) does not show it.
-        blocks = {}
-        for engine in ENGINES:
-            monkeypatch.setenv(ENGINE_ENV, engine)
-            runner = ExperimentRunner(observe=True)
-            report = runner.run_many(["table2"])
-            assert report.ok
-            capture = runner.captures["table2"]
-            assert capture.manifest.engine == engine
-            blocks[engine] = experiment_block(
-                report.results[0], capture.manifest, capture.metrics
-            )
-        assert blocks["fast"] == blocks["reference"]
-        assert blocks["fast"] == committed_block("table2")
 
     def test_trace_stream_shape(self, tmp_path):
         trace = str(tmp_path / "run.jsonl")

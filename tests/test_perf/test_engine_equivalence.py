@@ -2,16 +2,16 @@
 
 The fast engine (``repro.sim.fastpath`` + ``repro.replacement.tables``)
 claims bit-identical behaviour to the reference engine.  These tests
-hold it to that claim at three levels:
+hold it to that claim at two levels:
 
 * policy level — a :class:`TabledPolicy` driven by a random operation
   stream must track the reference policy snapshot-for-snapshot;
 * cache level — reference and fast caches fed identical access traces
   must agree on every hit/miss, every evicted address, every counter,
-  and every final set snapshot;
-* machine level — a full covert-channel protocol run must decode the
-  same bits with the same latencies under both engines, including with
-  the PR 2 runtime sanitizer armed on the fast engine.
+  and every final set snapshot.
+
+Whole runs under both engines, sanitized or not, are cells of the
+conformance matrix (``tests/test_conformance.py``).
 """
 
 import random
@@ -228,44 +228,6 @@ class TestSanitizedFastEngine:
             assert drive(ref, trace) == drive(fast, trace)
             for ref_set, fast_set in zip(ref.sets, fast.sets):
                 assert ref_set.snapshot() == fast_set.snapshot()
-
-
-class TestMachineEquivalence:
-    """Full protocol runs decode identically under both engines."""
-
-    @staticmethod
-    def _run_protocol(engine, sanitize=False):
-        from repro.channels import (
-            CovertChannelProtocol,
-            ProtocolConfig,
-            SharedMemoryLRUChannel,
-            sample_bits,
-        )
-        from repro.sim import INTEL_E5_2690, Machine
-
-        machine = Machine(INTEL_E5_2690, rng=2024, engine=engine)
-        if sanitize:
-            from repro.analysis.sanitize import sanitize_machine
-
-            sanitize_machine(machine)
-        channel = SharedMemoryLRUChannel.build(
-            machine.spec.hierarchy.l1, target_set=1, d=8
-        )
-        protocol = CovertChannelProtocol(
-            machine, channel, ProtocolConfig(ts=3000, tr=600)
-        )
-        run = protocol.run_hyper_threaded([1, 0, 1, 1])
-        latencies = [
-            (o.latency, o.timestamp) for o in run.observations
-        ]
-        return sample_bits(run), latencies
-
-    def test_protocol_bit_identical(self):
-        assert self._run_protocol("reference") == self._run_protocol("fast")
-
-    def test_protocol_bit_identical_under_sanitizer(self):
-        reference = self._run_protocol("reference")
-        assert self._run_protocol("fast", sanitize=True) == reference
 
 
 class TestTableCompilation:

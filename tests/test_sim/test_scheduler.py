@@ -1,14 +1,18 @@
 """Tests for the hyper-threaded and time-sliced schedulers."""
 
 import random
+import re
 
 import pytest
 
 from repro.cache.config import HierarchyConfig
 from repro.cache.hierarchy import CacheHierarchy
+from repro.channels.algorithm1 import SharedMemoryLRUChannel
+from repro.channels.protocol import CovertChannelProtocol, ProtocolConfig
 from repro.common.errors import SimulationError
 from repro.faults import InterruptBurstFault, TSCFault
 from repro.faults.base import FaultInjector
+from repro.sim.machine import Machine
 from repro.sim.ops import (
     Access,
     Compute,
@@ -18,6 +22,7 @@ from repro.sim.ops import (
     SleepUntil,
 )
 from repro.sim.scheduler import HyperThreadedScheduler, TimeSlicedScheduler
+from repro.sim.specs import INTEL_E5_2690
 from repro.sim.thread import SimThread
 
 
@@ -483,6 +488,76 @@ class TestPickOracle:
 #: before the time-sliced loop was rewritten; any change to slice
 #: lengths, the ``ready_at`` bookkeeping or the slice-ending rules
 #: (finished thread, yielded ``None``) shows up here.
+class DrawLog(random.Random):
+    """The scheduler's RNG, logging each call with the alive threads.
+
+    ``calls`` holds ``(token, alive)``: ``r`` for ``random()``, ``B``
+    for ``getrandbits(128)`` and ``<k>`` for ``getrandbits(k)``.
+    """
+
+    def __init__(self, source, threads):
+        super().__init__()
+        self.setstate(source.getstate())
+        self.threads = threads
+        self.calls = []
+
+    def _log(self, token):
+        self.calls.append((token, sum(t.alive for t in self.threads)))
+
+    def random(self):
+        self._log("r")
+        return super().random()
+
+    def getrandbits(self, k):
+        self._log("B" if k == 128 else f"<{k}>")
+        return super().getrandbits(k)
+
+
+class TestPickDrawCalls:
+    """The pick's exact RNG calls in one small hyper-threaded transfer.
+
+    A two-thread step whose clocks differ makes one ``getrandbits(128)``
+    call and one ``random()`` call (its jitter), fast-forwarded ops
+    included; going back to one ``random()`` per alive thread fails here,
+    not only in the benchmark.
+    """
+
+    def test_two_thread_steps_take_one_getrandbits_and_one_random(self):
+        machine = Machine(INTEL_E5_2690, rng=5, engine="fast")
+        channel = SharedMemoryLRUChannel.build(
+            INTEL_E5_2690.hierarchy.l1, 1, d=4
+        )
+        protocol = CovertChannelProtocol(
+            machine, channel, ProtocolConfig(ts=6000, tr=600)
+        )
+        captured = {}
+        hyper_threaded = machine.hyper_threaded
+
+        def capture(threads):
+            scheduler = captured["scheduler"] = hyper_threaded(threads)
+            scheduler.rng = DrawLog(scheduler.rng, scheduler.threads)
+            return scheduler
+
+        machine.hyper_threaded = capture
+        protocol.run_hyper_threaded([1, 0, 1, 1, 0, 0, 1, 0])
+        scheduler = captured["scheduler"]
+        assert scheduler._inlinable()
+        calls = scheduler.rng.calls
+        two = "".join(token for token, alive in calls if alive == 2)
+        one = "".join(token for token, alive in calls if alive == 1)
+        assert len(two) + len(one) == len(calls)
+        # Both threads start at cycle 0: the first step is the exact
+        # tie (two draws, then the jitter).  Every later step is one
+        # getrandbits(128) and one jitter draw, and the step whose
+        # program ends draws no jitter.
+        assert re.fullmatch(r"rrr(?:Br)*B", two)
+        assert two.count("r") == two.count("B") + 2
+        assert two.count("B") > 1000
+        # One thread alive: one tie-break draw and one jitter per step,
+        # and one draw for the step that ends the last program.
+        assert re.fullmatch(r"(?:rr)*r", one)
+
+
 _TS_GOLDEN_ISSUES = [
     ('sleeper', 'ReadTSC', 0.0),
     ('sleeper', 'SleepUntil', 10.0),

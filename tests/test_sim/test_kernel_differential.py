@@ -3,19 +3,24 @@
 The hyper-threaded op kernel and the time-sliced slice kernel run ops
 in place, with the fast engine's L1 hit path inlined and its misses
 finished by the one miss routine, and fast-forward a hold at a cache
-fixed point.  Hypothesis draws programs (threads of accesses of every
-flag, computes, ``Choose`` elements, TSC reads and sleeps, as endless
-holds, finite holds or generators that read each outcome) on either
-scheduler, over tabled, ``random``, no-update-on-hit and PL-cache L1s,
-no utags or 1- or 8-bit ones, no fault model, interrupts or a TSC
-model, and one to three ``until_cycle`` cuts, switching the kernel run
-to the other route after the first cut when drawn.  Each program runs
-in the kernel, on the forced general route and on the reference engine;
-the final machine after every cut (:func:`machine_state`), each
-generator's outcomes and the metrics snapshot must agree.
+fixed point.  The differential is stratified: one Hypothesis test per
+scheduler (hyper-threaded or time-sliced), L1 (tabled, ``random``,
+no-update-on-hit, PL cache, locking PL cache, or 1- or 8-bit utags on
+a tabled, ``random`` or no-update L1) and fault model (none, interrupts
+or a TSC model), so every combination runs on every run, however few
+examples each draws.  Within a stratum Hypothesis draws programs
+(threads of accesses of every flag, computes, ``Choose`` elements, TSC
+reads and sleeps, as endless holds, finite holds or generators that
+read each outcome), the machine, one to three ``until_cycle`` cuts, and
+whether the kernel run switches to the other route after the first cut.
+Each program runs in the kernel, on the forced general route and on
+the reference engine; the final machine after every cut
+(:func:`machine_state`), each generator's outcomes and the metrics
+snapshot must agree.
 
-Each ``@example`` is a hand-written fast-forward edge case, with the
-watch count it expects (a fast-forward must or must not happen, see
+Each of :data:`CASES` is a hand-written fast-forward edge case, run by
+its own test under its own id, with the watch count it expects (a
+fast-forward must or must not happen, see
 :func:`~tests.test_sim.kernel_harness.watch`) and whether an op may
 leave the kernel.
 """
@@ -27,7 +32,7 @@ import random
 from typing import Optional, Tuple
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssociativeCache
@@ -334,16 +339,22 @@ THREAD = st.builds(
 )
 
 
+#: The L1 strata: a utag stratum draws its policy from :data:`UTAG_L1S`
+#: on the AMD machine (the PL caches take no way predictor).
+L1S = ("tabled", "random", "no-update", "pl", "pl-lock", "utag-1", "utag-8")
+UTAG_L1S = ("tabled", "random", "no-update")
+FAULTS = ("none", "interrupt", "tsc")
+
+
 @st.composite
-def programs(draw):
-    scheduler = draw(st.sampled_from(SCHEDULERS))
-    utag = draw(st.sampled_from((None, None, 1, 8)))
-    if utag is None:
-        machine = draw(st.sampled_from(("intel", "llc", "fractional")))
-        l1 = draw(st.sampled_from(("tabled", "random", "no-update", "pl", "pl-lock")))
-    else:
+def programs(draw, scheduler, l1, faults):
+    if l1.startswith("utag-"):
+        utag = int(l1[len("utag-"):])
         machine = "amd"
-        l1 = draw(st.sampled_from(("tabled", "random", "no-update")))
+        l1 = draw(st.sampled_from(UTAG_L1S))
+    else:
+        utag = None
+        machine = draw(st.sampled_from(("intel", "llc", "fractional")))
     cuts = draw(
         st.lists(
             st.sampled_from(CUTS[scheduler]), min_size=1, max_size=3, unique=True
@@ -356,7 +367,7 @@ def programs(draw):
         l1=l1,
         utag=utag,
         machine=machine,
-        faults=draw(st.sampled_from(("none", "none", "interrupt", "tsc"))),
+        faults=faults,
         route=draw(st.sampled_from(("kernel", "kernel-general", "general-kernel"))),
         attach=draw(st.sampled_from((None,) * 6 + ("tracer", "prefetcher"))),
     )
@@ -394,31 +405,41 @@ FORWARDS = Expect(forwards=True, leaves=False)
 NEVER = Expect(forwards=False, leaves=False)
 GENERAL = Expect(forwards=False, leaves=True)
 
+def case(name, **fields):
+    return pytest.param(Program(**fields), id=name)
+
+
 CASES = [
     # A fault falling due ends the sender's fast-forward.
-    Program(**HYPER, faults="interrupt",
-            expect=Expect(forwards=True, leaves=False, fixed_faults=True)),
+    case("hyper-fault-ends-fast-forward", **HYPER, faults="interrupt",
+         expect=Expect(forwards=True, leaves=False, fixed_faults=True)),
     # Cut inside a fast-forward (the receiver sleeps from about 100 to
     # 700 cycles), then carried on by the kernel or the other route.
-    Program(**{**HYPER, "cuts": (400.0, 3.5e4, 8.0e4)}, faults="interrupt",
-            expect=FORWARDS),
-    Program(**{**HYPER, "cuts": (400.0, 3.5e4, 8.0e4)},
-            route="kernel-general", expect=Expect(forwards=True)),
-    Program(**{**HYPER, "cuts": (400.0, 3.5e4, 8.0e4)},
-            route="general-kernel", expect=Expect(forwards=True)),
+    case("hyper-cut-inside-fast-forward",
+         **{**HYPER, "cuts": (400.0, 3.5e4, 8.0e4)}, faults="interrupt",
+         expect=FORWARDS),
+    case("hyper-cut-then-general", **{**HYPER, "cuts": (400.0, 3.5e4, 8.0e4)},
+         route="kernel-general", expect=Expect(forwards=True)),
+    case("hyper-general-then-kernel",
+         **{**HYPER, "cuts": (400.0, 3.5e4, 8.0e4)},
+         route="general-kernel", expect=Expect(forwards=True)),
     # Three alive threads: a fast-forward skips three draws per op.
-    Program(**{**HYPER, "threads": (SENDER, PROBER, NOISE)}, expect=FORWARDS),
+    case("hyper-three-threads",
+         **{**HYPER, "threads": (SENDER, PROBER, NOISE)}, expect=FORWARDS),
     # No table: an access never joins a fixed point, silent holds do.
-    Program(**HYPER, l1="random", expect=FORWARDS),
-    Program(**HYPER, faults="tsc", expect=NEVER),
+    case("hyper-random-l1", **HYPER, l1="random", expect=FORWARDS),
+    case("hyper-tsc-faults-never-forward", **HYPER, faults="tsc",
+         expect=NEVER),
     # Across address spaces the receiver retrains the utag of a shared
     # line, so the sender's next access mispredicts.
-    Program(**HYPER, utag=8, expect=FORWARDS),
-    Program(**HYPER, utag=1, expect=FORWARDS),
-    Program(**HYPER, attach="tracer", expect=GENERAL),
+    case("hyper-utag-8", **HYPER, utag=8, expect=FORWARDS),
+    case("hyper-utag-1", **HYPER, utag=1, expect=FORWARDS),
+    case("hyper-tracer-takes-general", **HYPER, attach="tracer",
+         expect=GENERAL),
     # Locks, unlocks, stores, flushes, uncounted and speculative
     # accesses, and misses at every level, stay in the kernel.
-    Program(
+    case(
+        "hyper-locks-and-flushes-on-pl-lock",
         scheduler="hyper",
         threads=(
             Thread("generator", (access(0, "locked"), ("compute", 11.0),
@@ -430,7 +451,8 @@ CASES = [
         l1="pl-lock",
         expect=Expect(leaves=False),
     ),
-    Program(
+    case(
+        "hyper-flags-and-llc-misses",
         scheduler="hyper",
         threads=(
             Thread("generator", (access(14, "uncounted"), access(15, "store"),
@@ -446,55 +468,67 @@ CASES = [
     ),
     # Both constant senders fast-forward; a slice ends inside a
     # fast-forward, cut by ``until_cycle`` or by the quantum.
-    Program(**SLICED, expect=FORWARDS),
-    Program(**{**SLICED, "threads": (Thread("hold", (("compute", 500.0),), 1),)},
-            expect=FORWARDS),
-    Program(**SLICED, route="kernel-general", expect=Expect(forwards=True)),
-    Program(**SLICED, route="general-kernel", expect=Expect(forwards=True)),
+    case("sliced-constant-sender", **SLICED, expect=FORWARDS),
+    case("sliced-lone-compute",
+         **{**SLICED, "threads": (Thread("hold", (("compute", 500.0),), 1),)},
+         expect=FORWARDS),
+    case("sliced-cut-then-general", **SLICED, route="kernel-general",
+         expect=Expect(forwards=True)),
+    case("sliced-general-then-kernel", **SLICED, route="general-kernel",
+         expect=Expect(forwards=True)),
     # The evictor empties both sender sets, so each sender slice steps a
     # fresh cycle before its fast-forward.
-    Program(**{**SLICED, "threads": (CONSTANT, EVICTOR), "cuts": (1.0e5,)},
-            expect=FORWARDS),
-    Program(**SLICED, utag=8, expect=FORWARDS),
+    case("sliced-evictor",
+         **{**SLICED, "threads": (CONSTANT, EVICTOR), "cuts": (1.0e5,)},
+         expect=FORWARDS),
+    case("sliced-utag-8", **SLICED, utag=8, expect=FORWARDS),
     # Two lines of one set: each hit moves the set's LRU order.
-    Program(**{**SLICED, "threads": (
+    case("sliced-hold-moves-its-policy", **{**SLICED, "threads": (
         Thread("hold", (access(1), ("compute", 30.0), access(2)), 1),)},
         expect=NEVER),
-    Program(**SLICED, l1="random", expect=NEVER),
+    case("sliced-random-l1", **SLICED, l1="random", expect=NEVER),
     # What could observe single ops keeps the general loop.
-    Program(**SLICED, faults="interrupt", expect=GENERAL),
-    Program(**SLICED, attach="tracer", expect=GENERAL),
-    Program(**SLICED, attach="prefetcher", expect=GENERAL),
-    Program(**{**SLICED, "threads": (
+    case("sliced-interrupts-take-general", **SLICED, faults="interrupt",
+         expect=GENERAL),
+    case("sliced-tracer-takes-general", **SLICED, attach="tracer",
+         expect=GENERAL),
+    case("sliced-prefetcher-takes-general", **SLICED, attach="prefetcher",
+         expect=GENERAL),
+    case("sliced-clock-dependent-hold", **{**SLICED, "threads": (
         Thread("hold", (("tsc",), ("compute", 10.0))),)}, expect=GENERAL),
 ]
 
 
-def with_cases(test):
-    for case in reversed(CASES):
-        test = example(program=case)(test)
-    return test
-
-
-@settings(
-    derandomize=True,
-    database=None,
-    deadline=None,
-    max_examples=30,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(program=programs())
-@with_cases
-def test_kernel_general_route_and_reference_agree(program):
+def check(program):
+    """Run ``program`` three ways; return the kernel run's watch counts."""
     kernel, forwarded, fixed_faults, left_kernel = run(program, program.route)
     general, general_forwarded, _, _ = run(program, "general")
     reference, reference_forwarded, _, _ = run(program, "reference")
     assert general_forwarded == reference_forwarded == [0] * len(program.cuts)
     assert kernel == general
     assert kernel == reference
+    return forwarded, fixed_faults, left_kernel
+
+
+@pytest.mark.parametrize("faults", FAULTS)
+@pytest.mark.parametrize("l1", L1S)
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=2,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_kernel_general_route_and_reference_agree(scheduler, l1, faults, data):
+    check(data.draw(programs(scheduler, l1, faults), label="program"))
+
+
+@pytest.mark.parametrize("program", CASES)
+def test_fast_forward_edge_case(program):
+    forwarded, fixed_faults, left_kernel = check(program)
     expect = program.expect
-    if expect is None:
-        return
     if expect.forwards is not None:
         assert (forwarded[-1] > 0) == expect.forwards
     if expect.leaves is not None:
